@@ -51,7 +51,6 @@ from .series import (
     win_prob_squares,
     win_prob_targets,
     win_within,
-    win_within_result,
 )
 from .simulate import SimConfig, SimReport, run_simulation
 
@@ -98,5 +97,4 @@ __all__ = [
     "win_prob_targets",
     "win_within",
     "win_within_one",
-    "win_within_result",
 ]

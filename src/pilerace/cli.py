@@ -22,12 +22,13 @@ from dataclasses import dataclass
 from mpmath import mp, mpf
 
 from . import reference
-from .numeric import rational_str
+from .numeric import ApproxValue, rational_str
 from .passage import GameSpec, MoveSet, build_passage_table, passage_gcd_reachability
 from .recurrence import verify_recurrence
 from .series import (
     CONVERGED,
     DIVERGED,
+    WORK_DPS,
     SeriesResult,
     TailPolicy,
     expected_duration,
@@ -38,7 +39,6 @@ from .series import (
     win_prob_squares,
     win_prob_targets,
     win_within,
-    win_within_result,
 )
 from .simulate import SimConfig, run_simulation
 
@@ -66,11 +66,6 @@ class OutputRecord:
             indent=2,
             sort_keys=False,
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "OutputRecord":
-        d = json.loads(text)
-        return cls(d["command"], d["inputs"], d["results"], d["provenance"])
 
     def render_human(self) -> str:
         lines = [f"# {self.command}: {self.provenance}"]
@@ -209,7 +204,7 @@ def _cmd_pn(args) -> tuple[OutputRecord, int]:
     direct = win_prob_direct(spec, policy)
     results = {"direct": _series_dict(direct, args.digits)}
     outputs = [direct]
-    if args.moves.a + args.moves.b >= 0 and spec.n >= 1 and not passage_gcd_reachability(spec).never:
+    if args.moves.drift >= 0 and spec.n >= 1 and not passage_gcd_reachability(spec).never:
         squares = win_prob_squares(spec, policy)
         results["squares"] = _series_dict(squares, args.digits)
         with mp.workdps(30):
@@ -239,13 +234,14 @@ def _cmd_pmn(args) -> tuple[OutputRecord, int]:
 def _cmd_within(args) -> tuple[OutputRecord, int]:
     spec = GameSpec(args.moves, args.n)
     exact = win_within(spec, args.k)
-    res = win_within_result(spec, args.k)
+    with mp.workdps(WORK_DPS):
+        value = mpf(exact.numerator) / exact.denominator
     record = OutputRecord(
         command="within",
         inputs={"moves": str(args.moves), "n": args.n, "k": args.k},
         results={
             "exact": rational_str(exact),
-            "decimal": res.formatted(17),
+            "decimal": ApproxValue(value, mpf(0)).formatted(17),
         },
         provenance="probability the second player wins within k moves",
     )

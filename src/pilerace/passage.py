@@ -237,13 +237,6 @@ class Reachability:
             return False
         return (k % self.modulus) in self.residues
 
-    @property
-    def stride(self) -> float:
-        """Mean spacing between admissible indices."""
-        if self.never or not self.residues:
-            return 1.0
-        return self.modulus / len(self.residues)
-
     def to_json_dict(self) -> dict:
         return {
             "modulus": self.modulus,
@@ -308,9 +301,3 @@ def reduce_zero_drift(spec: GameSpec) -> int | None:
         return _ceil_div(spec.n, b)
     return None
 
-
-def unit_step_equivalent(spec: GameSpec) -> GameSpec | None:
-    red = reduce_zero_drift(spec)
-    if red is None:
-        return None
-    return GameSpec(MoveSet(-1, 1), red)

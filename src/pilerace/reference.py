@@ -32,16 +32,6 @@ SQUARE_SUMS_PM1: dict[int, PiLinear] = {
     6: _pl(-3653, F(172144, 15)),
 }
 
-#: Second-player win probability for {-1, 1}, reference decimals, n = 1..6.
-WIN_PROB_PM1_DECIMALS: dict[int, str] = {
-    1: "0.3633802277",
-    2: "0.4535209109",
-    3: "0.4798111434",
-    4: "0.4891964033",
-    5: "0.4933044576",
-    6: "0.4954322531",
-}
-
 #: p(n1, n2) for {-1, 1}: probability the second player reaches n2 before
 #: the first player reaches n1.  Exact pi-linear forms, n1, n2 = 1..5.
 TARGET_TABLE_PM1: dict[tuple[int, int], PiLinear] = {
@@ -91,9 +81,3 @@ MINUS12_REFERENCE: dict[int, tuple[str, str]] = {
 SQUARE_SUM_RECURRENCE = LinearRecurrence(
     ((F(-1), F(0)), (F(7), F(5)), (F(-7), F(-16)), (F(1), F(3)))
 )
-
-
-def win_prob_pm1_exact(n: int) -> PiLinear:
-    """Exact second-player win probability for {-1, 1}, n = 1..6."""
-    t = SQUARE_SUMS_PM1[n]
-    return PiLinear(F(1, 2), F(0)) - t * F(1, 2)

@@ -28,6 +28,15 @@ cross-difference series (a consequence of the telescoped partial sums).
 The evaluators therefore add the exact split correction ``q1 q2 / 2``
 whenever the race almost surely terminates, and the reported tail
 estimate bounds the residual error of the corrected value.
+
+Every evaluator runs through one summation core, ``_summed``.  From the
+move set and the ``TailPolicy`` it picks the tail mode, the truncation
+cap and exact (``Fraction``) or ``mpf`` arithmetic; it builds the single
+``(k, r, q)`` stream or the zipped ``(k, r1, q1, r2, q2)`` stream of two
+targets, drives the channels and assembles the ``SeriesResult``.  An
+evaluator supplies only its input guards, its per-term map, its channel
+scales and structural zeros, and how the channel totals become a value,
+a tail bound and a last term.
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count
+from itertools import count, zip_longest
 
 from mpmath import mp, mpf
 
@@ -89,12 +98,12 @@ class TailPolicy:
             raise ValueError("min_k must be >= 0")
 
     def mode_for(self, moves: MoveSet) -> str:
-        return "power" if moves.a + moves.b == 0 else "geometric"
+        return "power" if moves.drift == 0 else "geometric"
 
     def resolved_max_k(self, moves: MoveSet) -> int:
         if self.max_k is not None:
             cap = self.max_k
-        elif moves.a + moves.b == 0:
+        elif moves.drift == 0:
             cap = DEFAULT_MAX_K_ZERO_DRIFT
         else:
             cap = DEFAULT_MAX_K
@@ -220,34 +229,30 @@ def rq_stream(spec: GameSpec, *, prefer_float: bool = False):
 
 
 class _Channel:
-    """One summed series: exact-or-float accumulator plus a ring of
-    recent nonzero block magnitudes for tail fitting.
+    """One summed series: an accumulator in the stream's arithmetic
+    (``Fraction`` or ``mpf``, fixed by the zero it starts from) plus a
+    ring of recent nonzero block magnitudes for tail fitting.
 
     ``block`` consecutive indices are fitted as one unit; the asymmetric
     cross-difference series alternates sign with parity and only its
     2-blocks decay cleanly.
     """
 
-    def __init__(self, exact: bool, block: int = 1, scale: float = 1.0):
-        self.exact = exact
+    def __init__(self, zero, block: int, scale: float, structural_zero: bool):
         self.block = block
         self.scale = scale  # weight of this channel's tail in the stop rule
-        self.total_exact = Fraction(0)
-        self.total_float = mpf(0)
+        self.total = zero
         self.ring: list[tuple[float, float]] = []  # (k, |block sum|)
         self.nterms = 0
         self.last_nonzero = 0.0
         self.last_nonzero_k = 0
-        self.structural_zero = False
+        self.structural_zero = structural_zero
         self._bsum = 0.0
         self._bstart = 1
 
     def add(self, k: int, term) -> None:
         if term:
-            if self.exact:
-                self.total_exact += term
-            else:
-                self.total_float += term
+            self.total += term
             self.nterms += 1
             t = float(term)
             self.last_nonzero = abs(t)
@@ -262,19 +267,11 @@ class _Channel:
             self._bsum = 0.0
             self._bstart = k + 1
 
-    def value(self) -> mpf:
-        if self.exact:
-            return mpf(self.total_exact.numerator) / self.total_exact.denominator
-        return self.total_float
-
     def sum_magnitude(self) -> float:
-        if self.exact:
-            num, den = self.total_exact.numerator, self.total_exact.denominator
-            try:
-                return abs(num / den)
-            except OverflowError:
-                return math.inf
-        return abs(float(self.total_float))
+        try:
+            return abs(float(self.total))
+        except OverflowError:  # a Fraction beyond the float range
+            return math.inf
 
     def tail(self, mode: str, k: int) -> tuple[mpf | None, float | None]:
         """(tail bound, fitted rho-or-alpha); None when not yet fittable."""
@@ -328,6 +325,7 @@ class _DriveResult:
     verdict: str
     witness: str | None
     exhausted: bool
+    last: tuple  # the last stream item pulled
 
     def tail_at(self, i: int) -> mpf:
         """The i-th channel's tail bound: zero when the series provably
@@ -341,7 +339,8 @@ class _DriveResult:
 
 
 def _drive(
-    terms,
+    stream,
+    fmap,
     channels: list[_Channel],
     *,
     mode: str,
@@ -350,31 +349,24 @@ def _drive(
     min_k: int = 0,
     divergence_watch: bool = False,
 ) -> _DriveResult:
-    """Pull ``(k, contributions...)`` from ``terms`` until every channel's
-    scaled tail estimate fits under ``tolerance`` (or divergence / the
-    truncation cap is hit).  Convergence cannot be declared before
-    ``min_k`` or while any channel's fit window is still filling.
+    """Pull items from ``stream``, map each through ``fmap(*item)`` to one
+    term per channel, until every channel's scaled tail estimate fits
+    under ``tolerance`` (or divergence / the truncation cap is hit).
+    Convergence cannot be declared before ``min_k`` or while any
+    channel's fit window is still filling.
     """
     next_check = 16
     strikes = 0
     k = 0
+    item = ()
     witness = None
     verdict = None
     exhausted = False
     tails: list = [None] * len(channels)
 
-    stream = iter(terms)
-    while True:
-        try:
-            item = next(stream)
-        except StopIteration:
-            # the walk was absorbed: every later term is exactly zero
-            exhausted = True
-            verdict = CONVERGED
-            tails = [mpf(0)] * len(channels)
-            break
+    for item in stream:
         k = item[0]
-        for ch, term in zip(channels, item[1:]):
+        for ch, term in zip(channels, fmap(*item)):
             ch.add(k, term)
         if k < next_check and k < max_k:
             continue
@@ -418,8 +410,13 @@ def _drive(
             if verdict == INCONCLUSIVE:
                 witness = f"tail not below tolerance by the truncation cap k={max_k}"
             break
+    else:
+        # the walk was absorbed: every later term is exactly zero
+        exhausted = True
+        verdict = CONVERGED
+        tails = [mpf(0)] * len(channels)
 
-    return _DriveResult(channels, k, tails, verdict, witness, exhausted)
+    return _DriveResult(channels, k, tails, verdict, witness, exhausted, item)
 
 
 def _eval_rounding_bound(channels) -> mpf:
@@ -439,6 +436,83 @@ def _fit_block(*specs: GameSpec) -> int:
     return min(block, 128)
 
 
+def _to_mpf(x) -> mpf:
+    """A stream-typed value (``Fraction`` or ``mpf``) as an mpf."""
+    if isinstance(x, Fraction):
+        return mpf(x.numerator) / x.denominator
+    return mpf(x)
+
+
+def _single(res: _DriveResult):
+    """The finish of a plain one-channel sum: its total, tail and last term."""
+    (ch,) = res.channels
+    return ch.total, res.tail_at(0), mpf(ch.last_nonzero), None
+
+
+def _summed(
+    specs: tuple[GameSpec, ...],
+    policy: TailPolicy | None,
+    method: str,
+    fmap,
+    scales: tuple[float, ...],
+    finish=_single,
+    *,
+    structural: tuple[bool, ...] | None = None,
+    head: int = 0,
+    divergence_watch: bool = False,
+) -> SeriesResult:
+    """The summation core behind every evaluator.
+
+    The move set and ``policy`` fix the tail mode and truncation cap;
+    zero-drift walks summed beyond ``EXACT_SUM_CAP`` switch from exact
+    rationals to the mpf closed-form stream.  One spec gives its
+    ``(k, r, q)`` stream as is; two specs (same moves) are zipped into
+    ``(k, r1, q1, r2, q2)``, an absorbed walk padded with zeros.
+    ``fmap(*item)`` gives one term per channel, channel i weighted by
+    ``scales[i]`` in the stop rule and, when ``structural[i]`` is set,
+    known to be identically zero.  ``head`` is a k = 0 term added to the
+    first channel before the stream starts.  ``finish(drive_result)``
+    returns ``(value, tail, last_term, no_winner)``, the value and
+    no-winner mass still in the stream's arithmetic; everything runs at
+    ``WORK_DPS``.
+    """
+    policy = policy if policy is not None else TailPolicy()
+    moves = specs[0].moves
+    max_k = policy.resolved_max_k(moves)
+    exact = reduce_zero_drift(specs[0]) is None or max_k <= EXACT_SUM_CAP
+    zero = Fraction(0) if exact else mpf(0)
+    with mp.workdps(WORK_DPS):
+        streams = [rq_stream(spec, prefer_float=not exact) for spec in specs]
+        stream = streams[0]
+        if len(streams) == 2:
+            pad = (None, zero, zero)
+            pairs = zip(count(1), zip_longest(*streams, fillvalue=pad))
+            stream = ((k, r1, q1, r2, q2) for k, ((_, r1, q1), (_, r2, q2)) in pairs)
+        block = _fit_block(*specs)
+        channels = [
+            _Channel(zero, block, scale, flag)
+            for scale, flag in zip(scales, structural or (False,) * len(scales))
+        ]
+        if head:
+            channels[0].add(0, zero + head)
+        res = _drive(
+            stream, fmap, channels, mode=policy.mode_for(moves), tolerance=policy.tolerance,
+            max_k=max_k, min_k=policy.min_k, divergence_watch=divergence_watch,
+        )
+        value, tail, last_term, no_winner = finish(res)
+        return SeriesResult(
+            value=_to_mpf(value),
+            truncation_k=res.truncation_k,
+            last_term=last_term,
+            tail_estimate=tail,
+            verdict=res.verdict,
+            method=method,
+            witness=res.witness,
+            no_winner=None if no_winner is None else _to_mpf(no_winner),
+            eval_error=_eval_rounding_bound(channels),
+        )
+
+
 # ---------------------------------------------------------------------------
 # evaluators
 
@@ -447,10 +521,6 @@ def _validated(spec: GameSpec) -> GameSpec:
     if not isinstance(spec, GameSpec):
         raise TypeError("spec must be a GameSpec")
     return spec
-
-
-def _policy(policy: TailPolicy | None) -> TailPolicy:
-    return policy if policy is not None else TailPolicy()
 
 
 def _trivial_result(value, method: str, witness: str | None = None, no_winner=None) -> SeriesResult:
@@ -466,13 +536,6 @@ def _trivial_result(value, method: str, witness: str | None = None, no_winner=No
     )
 
 
-def _prefer_float(spec: GameSpec, policy: TailPolicy) -> bool:
-    return (
-        reduce_zero_drift(spec) is not None
-        and policy.resolved_max_k(spec.moves) > EXACT_SUM_CAP
-    )
-
-
 def win_prob_squares(spec: GameSpec, policy: TailPolicy | None = None) -> SeriesResult:
     """Second player's win probability via ``1/2 - (1/2) sum r**2``.
 
@@ -480,10 +543,9 @@ def win_prob_squares(spec: GameSpec, policy: TailPolicy | None = None) -> Series
     reachable target); otherwise the direct method must be used.
     """
     spec = _validated(spec)
-    policy = _policy(policy)
     if spec.n == 0:
         return _trivial_result(0, "squares", witness="zero target: the first player has already won")
-    if spec.moves.a + spec.moves.b < 0:
+    if spec.moves.drift < 0:
         raise ValueError(
             "the squared-passage identity needs non-negative drift; "
             "use the direct method for this move set"
@@ -493,32 +555,12 @@ def win_prob_squares(spec: GameSpec, policy: TailPolicy | None = None) -> Series
             "the squared-passage identity needs an almost surely finished race, "
             "but these moves can never reach the target"
         )
-    mode = policy.mode_for(spec.moves)
-    max_k = policy.resolved_max_k(spec.moves)
-    exact = not _prefer_float(spec, policy)
-    with mp.workdps(WORK_DPS):
-        stream = rq_stream(spec, prefer_float=not exact)
-        terms = ((k, r * r) for k, r, _ in stream)
-        ch = _Channel(exact, block=_fit_block(spec), scale=0.5)
-        res = _drive(
-            terms, [ch], mode=mode, tolerance=policy.tolerance,
-            max_k=max_k, min_k=policy.min_k,
-        )
-        if exact:
-            value_fr = (1 - ch.total_exact) / 2
-            value = mpf(value_fr.numerator) / value_fr.denominator
-        else:
-            value = (1 - ch.total_float) / 2
-        return SeriesResult(
-            value=value,
-            truncation_k=res.truncation_k,
-            last_term=mpf(ch.last_nonzero) / 2,
-            tail_estimate=res.tail_at(0) / 2,
-            verdict=res.verdict,
-            method="squares",
-            witness=res.witness,
-            eval_error=_eval_rounding_bound([ch]),
-        )
+
+    def finish(res):
+        (ch,) = res.channels
+        return (1 - ch.total) / 2, res.tail_at(0) / 2, mpf(ch.last_nonzero) / 2, None
+
+    return _summed((spec,), policy, "squares", lambda k, r, q: (r * r,), (0.5,), finish)
 
 
 def win_prob_direct(spec: GameSpec, policy: TailPolicy | None = None) -> SeriesResult:
@@ -532,86 +574,27 @@ def win_prob_direct(spec: GameSpec, policy: TailPolicy | None = None) -> SeriesR
     the never-decided probability estimate ``q_K**2`` is reported.
     """
     spec = _validated(spec)
-    policy = _policy(policy)
     if spec.n == 0:
         return _trivial_result(0, "direct", witness="zero target: the first player has already won")
     if passage_gcd_reachability(spec).never:
         return _trivial_result(
             0, "direct", witness="moves can never reach the target", no_winner=1,
         )
-    mode = policy.mode_for(spec.moves)
-    max_k = policy.resolved_max_k(spec.moves)
-    exact = not _prefer_float(spec, policy)
-    negative_drift = spec.moves.a + spec.moves.b < 0
-    block = _fit_block(spec)
-    with mp.workdps(WORK_DPS):
-        stream = rq_stream(spec, prefer_float=not exact)
-        last_q = Fraction(1) if exact else mpf(1)
+    negative_drift = spec.moves.drift < 0
 
-        def terms():
-            nonlocal last_q
-            for k, r, q in stream:
-                last_q = q
-                # the fit channel carries r**2: it bounds the corrected
-                # value's error under non-negative drift, and decays like
-                # the q*r terms under negative drift
-                yield k, q * r, r * r
-
-        main = _Channel(exact, block=block, scale=0.0)
-        fit = _Channel(exact, block=block, scale=0.5)
-        res = _drive(
-            terms(), [main, fit], mode=mode, tolerance=policy.tolerance,
-            max_k=max_k, min_k=policy.min_k,
-        )
-        no_winner = None
+    def finish(res):
+        main, _ = res.channels
+        last_q = res.last[2]
         if negative_drift:
-            correction = 0
-            nw = last_q * last_q
-            no_winner = mpf(nw.numerator) / nw.denominator if exact else mpf(nw)
+            value, no_winner = main.total, last_q * last_q
         else:
-            correction = last_q * last_q / 2
-        if exact:
-            value_fr = main.total_exact + correction
-            value = mpf(value_fr.numerator) / value_fr.denominator
-        else:
-            value = main.total_float + correction
-        return SeriesResult(
-            value=value,
-            truncation_k=res.truncation_k,
-            last_term=mpf(main.last_nonzero),
-            tail_estimate=res.tail_at(1) / 2,
-            verdict=res.verdict,
-            method="direct",
-            witness=res.witness,
-            no_winner=no_winner,
-            eval_error=_eval_rounding_bound([main, fit]),
-        )
+            value, no_winner = main.total + last_q * last_q / 2, None
+        return value, res.tail_at(1) / 2, mpf(main.last_nonzero), no_winner
 
-
-def _zip_two_streams(s1, s2):
-    """Zip two (k, r, q) streams, padding an absorbed walk with zeros."""
-    done1 = done2 = False
-    r1 = q1 = r2 = q2 = Fraction(0)
-    k = 0
-    while True:
-        k += 1
-        if not done1:
-            try:
-                _, r1, q1 = next(s1)
-            except StopIteration:
-                done1, r1, q1 = True, type(q1)(0), type(q1)(0)
-        else:
-            r1 = q1 = type(q1)(0)
-        if not done2:
-            try:
-                _, r2, q2 = next(s2)
-            except StopIteration:
-                done2, r2, q2 = True, type(q2)(0), type(q2)(0)
-        else:
-            r2 = q2 = type(q2)(0)
-        if done1 and done2:
-            return
-        yield k, r1, q1, r2, q2
+    # the fit channel carries r**2: it bounds the corrected value's error
+    # under non-negative drift, and decays like the q*r terms under
+    # negative drift
+    return _summed((spec,), policy, "direct", lambda k, r, q: (q * r, r * r), (0.0, 0.5), finish)
 
 
 def _targets_reachability_overlap(rv1: Reachability, rv2: Reachability) -> bool:
@@ -649,90 +632,45 @@ def win_prob_targets(
     """
     if n1 < 1 or n2 < 1:
         raise ValueError("both targets must be >= 1")
-    policy = _policy(policy)
-    spec1 = GameSpec(moves, n1)
-    spec2 = GameSpec(moves, n2)
-    rv1 = passage_gcd_reachability(spec1)
-    rv2 = passage_gcd_reachability(spec2)
+    specs = (GameSpec(moves, n1), GameSpec(moves, n2))
+    rv1, rv2 = (passage_gcd_reachability(s) for s in specs)
     if rv2.never:
         return _trivial_result(
             0, "asymmetric", witness="the second walk can never reach its target",
         )
-    mode = policy.mode_for(moves)
-    max_k = policy.resolved_max_k(moves)
-    negative_drift = moves.a + moves.b < 0
-    exact = not (_prefer_float(spec1, policy) or _prefer_float(spec2, policy))
-    zero = Fraction(0) if exact else mpf(0)
+    if moves.drift < 0:
 
-    with mp.workdps(WORK_DPS):
-        stream = _zip_two_streams(
-            rq_stream(spec1, prefer_float=not exact),
-            rq_stream(spec2, prefer_float=not exact),
+        def finish_direct(res):
+            value, tail, last_term, _ = _single(res)
+            _, _, q1, _, q2 = res.last
+            return value, tail, last_term, q1 * q2
+
+        return _summed(
+            specs, policy, "asymmetric", lambda k, r1, q1, r2, q2: (q1 * r2,), (1.0,), finish_direct,
         )
-        block = _fit_block(spec1, spec2)
-        if negative_drift:
-            last_qs = [Fraction(1), Fraction(1)] if exact else [mpf(1), mpf(1)]
 
-            def direct_terms():
-                for k, r1, q1, r2, q2 in stream:
-                    last_qs[0], last_qs[1] = q1, q2
-                    yield k, q1 * r2
+    overlap = _targets_reachability_overlap(rv1, rv2)
 
-            ch = _Channel(exact, block=block, scale=1.0)
-            res = _drive(
-                direct_terms(), [ch], mode=mode, tolerance=policy.tolerance,
-                max_k=max_k, min_k=policy.min_k,
-            )
-            nw = last_qs[0] * last_qs[1]
-            return SeriesResult(
-                value=ch.value(),
-                truncation_k=res.truncation_k,
-                last_term=mpf(ch.last_nonzero),
-                tail_estimate=res.tail_at(0),
-                verdict=res.verdict,
-                method="asymmetric",
-                witness=res.witness,
-                no_winner=mpf(nw.numerator) / nw.denominator if exact else mpf(nw),
-                eval_error=_eval_rounding_bound([ch]),
-            )
+    def sym_terms(k, r1, q1, r2, q2):
+        rr = r1 * r2 if overlap else 0
+        delta = 0
+        if n1 != n2:
+            if r2:
+                delta = q1 * r2
+            if r1:
+                delta = delta - q2 * r1
+        return rr, delta
 
-        overlap = _targets_reachability_overlap(rv1, rv2)
-
-        def sym_terms():
-            for k, r1, q1, r2, q2 in stream:
-                rr = r1 * r2 if overlap else zero
-                delta = zero
-                if n1 != n2:
-                    if r2:
-                        delta = q1 * r2
-                    if r1:
-                        delta = delta - q2 * r1
-                yield k, rr, delta
-
-        rr_ch = _Channel(exact, block=block, scale=0.5)
-        rr_ch.structural_zero = not overlap
-        delta_ch = _Channel(exact, block=block, scale=0.5)
-        delta_ch.structural_zero = n1 == n2
-        res = _drive(
-            sym_terms(), [rr_ch, delta_ch], mode=mode, tolerance=policy.tolerance,
-            max_k=max_k, min_k=policy.min_k,
-        )
-        if exact:
-            value_fr = (1 - rr_ch.total_exact + delta_ch.total_exact) / 2
-            value = mpf(value_fr.numerator) / value_fr.denominator
-        else:
-            value = (1 - rr_ch.total_float + delta_ch.total_float) / 2
+    def finish(res):
+        rr_ch, delta_ch = res.channels
         tail = (res.tail_at(0) + res.tail_at(1)) / 2
-        return SeriesResult(
-            value=value,
-            truncation_k=res.truncation_k,
-            last_term=mpf(max(rr_ch.last_nonzero, delta_ch.last_nonzero)) / 2,
-            tail_estimate=tail,
-            verdict=res.verdict,
-            method="asymmetric",
-            witness=res.witness,
-            eval_error=_eval_rounding_bound([rr_ch, delta_ch]),
-        )
+        last_term = mpf(max(rr_ch.last_nonzero, delta_ch.last_nonzero)) / 2
+        return (1 - rr_ch.total + delta_ch.total) / 2, tail, last_term, None
+
+    return _summed(
+        specs, policy, "asymmetric", sym_terms, (0.5, 0.5), finish,
+        structural=(not overlap, n1 == n2),
+    )
 
 
 def passage_product_sum(
@@ -741,38 +679,12 @@ def passage_product_sum(
     """The simultaneous-win series ``sum r(n1, k) r(n2, k)``."""
     if n1 < 1 or n2 < 1:
         raise ValueError("both targets must be >= 1")
-    policy = _policy(policy)
-    spec1, spec2 = GameSpec(moves, n1), GameSpec(moves, n2)
-    rv1, rv2 = passage_gcd_reachability(spec1), passage_gcd_reachability(spec2)
-    overlap = _targets_reachability_overlap(rv1, rv2)
-    if not overlap:
+    specs = (GameSpec(moves, n1), GameSpec(moves, n2))
+    if not _targets_reachability_overlap(*(passage_gcd_reachability(s) for s in specs)):
         return _trivial_result(
             0, "asymmetric", witness="no index admits simultaneous first passage",
         )
-    mode = policy.mode_for(moves)
-    max_k = policy.resolved_max_k(moves)
-    exact = not (_prefer_float(spec1, policy) or _prefer_float(spec2, policy))
-    with mp.workdps(WORK_DPS):
-        stream = _zip_two_streams(
-            rq_stream(spec1, prefer_float=not exact),
-            rq_stream(spec2, prefer_float=not exact),
-        )
-        terms = ((k, r1 * r2) for k, r1, _, r2, _ in stream)
-        ch = _Channel(exact, block=_fit_block(spec1, spec2), scale=1.0)
-        res = _drive(
-            terms, [ch], mode=mode, tolerance=policy.tolerance,
-            max_k=max_k, min_k=policy.min_k,
-        )
-        return SeriesResult(
-            value=ch.value(),
-            truncation_k=res.truncation_k,
-            last_term=mpf(ch.last_nonzero),
-            tail_estimate=res.tail_at(0),
-            verdict=res.verdict,
-            method="asymmetric",
-            witness=res.witness,
-            eval_error=_eval_rounding_bound([ch]),
-        )
+    return _summed(specs, policy, "asymmetric", lambda k, r1, q1, r2, q2: (r1 * r2,), (1.0,))
 
 
 def race_identity_residual(
@@ -783,11 +695,10 @@ def race_identity_residual(
     The identity holds exactly when one of the players almost surely
     wins, so negative drift (or an unreachable target) is rejected.
     """
-    if moves.a + moves.b < 0:
+    if moves.drift < 0:
         raise ValueError("the accounting identity needs non-negative drift")
     if passage_gcd_reachability(GameSpec(moves, max(n1, n2))).never:
         raise ValueError("the accounting identity needs a reachable target")
-    policy = _policy(policy)
     p12 = win_prob_targets(n1, n2, moves, policy)
     p21 = win_prob_targets(n2, n1, moves, policy)
     both = passage_product_sum(n1, n2, moves, policy)
@@ -817,41 +728,17 @@ def expected_duration(spec: GameSpec, policy: TailPolicy | None = None) -> Serie
     under negative drift (a positive fraction of races never ends).
     """
     spec = _validated(spec)
-    policy = _policy(policy)
     if spec.n == 0:
         return _trivial_result(0, "duration", witness="zero target: the race is over before any move")
-    drift = spec.moves.a + spec.moves.b
-    mode = policy.mode_for(spec.moves)
-    max_k = policy.resolved_max_k(spec.moves)
-    exact = not _prefer_float(spec, policy)
-    watch = drift <= 0
-    with mp.workdps(WORK_DPS):
-        stream = rq_stream(spec, prefer_float=not exact)
 
-        def terms():
-            one = Fraction(1) if exact else mpf(1)
-            yield 0, one
-            for k, _, q in stream:
-                yield k, q * q
+    def finish(res):
+        value, tail, last_term, _ = _single(res)
+        return value, mpf("inf") if res.verdict == DIVERGED else tail, last_term, None
 
-        ch = _Channel(exact, block=_fit_block(spec), scale=1.0)
-        res = _drive(
-            terms(), [ch], mode=mode, tolerance=policy.tolerance,
-            max_k=max_k, min_k=policy.min_k, divergence_watch=watch,
-        )
-        tail = res.tail_at(0)
-        if res.verdict == DIVERGED:
-            tail = mpf("inf")
-        return SeriesResult(
-            value=ch.value(),
-            truncation_k=res.truncation_k,
-            last_term=mpf(ch.last_nonzero),
-            tail_estimate=tail,
-            verdict=res.verdict,
-            method="duration",
-            witness=res.witness,
-            eval_error=_eval_rounding_bound([ch]),
-        )
+    return _summed(
+        (spec,), policy, "duration", lambda k, r, q: (q * q,), (1.0,), finish,
+        head=1, divergence_watch=spec.moves.drift <= 0,
+    )
 
 
 def win_within(spec: GameSpec, k: int) -> Fraction:
@@ -870,50 +757,13 @@ def win_within(spec: GameSpec, k: int) -> Fraction:
     return total
 
 
-def win_within_result(spec: GameSpec, k: int) -> SeriesResult:
-    """The win-within-k partial sum packaged with its (zero) tail."""
-    exact = win_within(spec, k)
-    with mp.workdps(WORK_DPS):
-        value = mpf(exact.numerator) / exact.denominator
-    return SeriesResult(
-        value=value,
-        truncation_k=k,
-        last_term=mpf(0),
-        tail_estimate=mpf(0),
-        verdict=CONVERGED,
-        method="within_k",
-    )
-
-
 def square_sum_value(
     moves: MoveSet, n: int, policy: TailPolicy | None = None
 ) -> SeriesResult:
     """The sum ``sum_k r(n, k)**2`` for a single target."""
     if n < 1:
         raise ValueError("target must be >= 1")
-    policy = _policy(policy)
-    spec = GameSpec(moves, n)
-    mode = policy.mode_for(moves)
-    max_k = policy.resolved_max_k(moves)
-    exact = not _prefer_float(spec, policy)
-    with mp.workdps(WORK_DPS):
-        stream = rq_stream(spec, prefer_float=not exact)
-        terms = ((k, r * r) for k, r, _ in stream)
-        ch = _Channel(exact, block=_fit_block(spec), scale=1.0)
-        res = _drive(
-            terms, [ch], mode=mode, tolerance=policy.tolerance,
-            max_k=max_k, min_k=policy.min_k,
-        )
-        return SeriesResult(
-            value=ch.value(),
-            truncation_k=res.truncation_k,
-            last_term=mpf(ch.last_nonzero),
-            tail_estimate=res.tail_at(0),
-            verdict=res.verdict,
-            method="square_sum",
-            witness=res.witness,
-            eval_error=_eval_rounding_bound([ch]),
-        )
+    return _summed((GameSpec(moves, n),), policy, "square_sum", lambda k, r, q: (r * r,), (1.0,))
 
 
 def square_sum_sequence(

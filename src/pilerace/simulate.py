@@ -81,7 +81,7 @@ class SimConfig:
     def horizon(self) -> int:
         if self.max_moves_per_game is not None:
             return self.max_moves_per_game
-        if self.moves.a + self.moves.b == 0:
+        if self.moves.drift == 0:
             return DEFAULT_HORIZON_ZERO_DRIFT
         return DEFAULT_HORIZON
 

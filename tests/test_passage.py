@@ -156,10 +156,6 @@ class TestReachability:
             if table.r[k] != 0:
                 assert rv.allows(k), (moves, n, k)
 
-    def test_stride(self):
-        assert passage_gcd_reachability(GameSpec(MoveSet(-1, 1), 1)).stride == 2.0
-        assert passage_gcd_reachability(GameSpec(MoveSet(-1, 2), 1)).stride == 1.5
-
 
 class TestSerialization:
     def test_json_round_trip(self):
