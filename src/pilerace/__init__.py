@@ -43,8 +43,6 @@ from .series import (
     SeriesResult,
     TailPolicy,
     expected_duration,
-    passage_product_sum,
-    race_identity_residual,
     square_sum_sequence,
     square_sum_value,
     win_prob_direct,
@@ -78,12 +76,10 @@ __all__ = [
     "iter_passage",
     "parse_rational",
     "passage_gcd_reachability",
-    "passage_product_sum",
     "passage_prob_m1p2",
     "passage_prob_pm1",
     "pi_value",
     "pilinear_eval",
-    "race_identity_residual",
     "raney_count",
     "rational_pow2_scale",
     "rational_str",

@@ -32,7 +32,6 @@ from .series import (
     SeriesResult,
     TailPolicy,
     expected_duration,
-    race_identity_residual,
     square_sum_sequence,
     square_sum_value,
     win_prob_direct,
@@ -199,24 +198,14 @@ def _exit_code_for(*results: SeriesResult) -> int:
 
 
 def _cmd_pn(args) -> tuple[OutputRecord, int]:
-    spec = GameSpec(args.moves, args.n)
-    policy = _policy_from(args)
-    direct = win_prob_direct(spec, policy)
-    results = {"direct": _series_dict(direct, args.digits)}
-    outputs = [direct]
-    if args.moves.drift >= 0 and spec.n >= 1 and not passage_gcd_reachability(spec).never:
-        squares = win_prob_squares(spec, policy)
-        results["squares"] = _series_dict(squares, args.digits)
-        with mp.workdps(30):
-            results["agreement_delta"] = mp.nstr(abs(squares.value - direct.value), 8)
-        outputs.append(squares)
+    direct = win_prob_direct(GameSpec(args.moves, args.n), _policy_from(args))
     record = OutputRecord(
         command="pn",
         inputs={"moves": str(args.moves), "n": args.n},
-        results=results,
+        results={"direct": _series_dict(direct, args.digits)},
         provenance="second player's win probability for equal targets",
     )
-    return record, _exit_code_for(*outputs)
+    return record, _exit_code_for(direct)
 
 
 def _cmd_pmn(args) -> tuple[OutputRecord, int]:
@@ -448,20 +437,34 @@ def _verify_oracles(policy: TailPolicy, lines: list[dict]) -> bool:
 
 
 def _verify_residuals(policy: TailPolicy, lines: list[dict]) -> bool:
+    """Distinct-target win probabilities against the pinned references:
+    the exact {-1,1} table and the {-1,2} decimals (truncated at 1e-17)."""
+    with mp.workdps(WORK_DPS):
+        cells = [
+            (MoveSet(-1, 1), n1, n2, reference.TARGET_TABLE_PM1[n1, n2].approx(30))
+            for n1 in range(1, 4)
+            for n2 in range(1, 4)
+        ]
+        cells += [
+            (MoveSet(-1, 2), n, n, ApproxValue(mpf(reference.MINUS12_REFERENCE[n][1]), mpf("1e-17")))
+            for n in range(1, 4)
+        ]
     ok = True
-    for moves in (MoveSet(-1, 1), MoveSet(-1, 2)):
-        for n1 in range(1, 4):
-            for n2 in range(1, 4):
-                res = race_identity_residual(n1, n2, moves, policy)
-                good = res.verdict == CONVERGED and float(res.value) < 3 * policy.tolerance
-                lines.append(
-                    {
-                        "check": f"accounting residual moves={moves} n1={n1} n2={n2}",
-                        "ok": bool(good),
-                        "residual": mp.nstr(res.value, 6),
-                    }
-                )
-                ok &= good
+    for moves, n1, n2, ref in cells:
+        res = win_prob_targets(n1, n2, moves, policy)
+        with mp.workdps(WORK_DPS):
+            err = abs(res.value - ref.value)
+            bound = res.error_bound() + ref.error_bound
+        good = res.verdict == CONVERGED and err <= bound
+        lines.append(
+            {
+                "check": f"pinned win probability moves={moves} n1={n1} n2={n2}",
+                "ok": bool(good),
+                "residual": mp.nstr(err, 6),
+                "bound": mp.nstr(bound, 6),
+            }
+        )
+        ok &= good
     return ok
 
 

@@ -296,8 +296,8 @@ def reduce_zero_drift(spec: GameSpec) -> int | None:
     """For a zero-drift move set {-c, c}, the walk is the unit-step
     symmetric walk scaled by c: return the equivalent unit-step target
     ceil(n / c).  Returns None for any other move set (including {0, 0})."""
-    a, b = spec.moves.a, spec.moves.b
-    if a + b == 0 and b > 0:
-        return _ceil_div(spec.n, b)
+    moves = spec.moves
+    if moves.drift == 0 and moves.b > 0:
+        return _ceil_div(spec.n, moves.b)
     return None
 

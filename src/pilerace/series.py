@@ -8,18 +8,18 @@ Everything here is a sum over the per-move first-passage probabilities
   series ``1/2 - (1/2) sum r**2`` or through the direct sum of
   ``q * r`` terms;
 * the asymmetric-target variant ``sum q(n1, k) r(n2, k)``;
-* the accounting residual ``p12 + p21 + sum r1 r2 - 1`` (zero when the
-  race almost surely ends);
 * the expected game length ``sum q**2``;
 * exact win-within-k partial sums.
 
 Tail policy, by drift of the move set: positive or negative drift gives
 geometrically decaying terms, so the tail is bounded from the fitted
 ratio of recent nonzero terms; zero drift gives power-law terms, so a
-power-law exponent is fitted and a diverging series is recognized by a
-persistently small exponent (or by the partial sum running away).  Each
-converged result carries the tail estimate that justified stopping; the
-test suite validates the estimates by doubling the truncation point.
+power-law exponent is fitted.  Each converged result carries the tail
+estimate that justified stopping; the test suite validates the
+estimates by doubling the truncation point.  The only divergent series,
+the expected length at drift <= 0, is decided by the drift before any
+term is summed: at zero drift ``q(n, k)**2 ~ c / k``, below it ``q``
+does not tend to 0, and above it ``sum q**2 <= E[T] < inf``.
 
 Direct sums of ``q * r`` converge too slowly at zero drift to meet any
 reasonable tolerance on their own: the truncation error is exactly half
@@ -31,12 +31,12 @@ estimate bounds the residual error of the corrected value.
 
 Every evaluator runs through one summation core, ``_summed``.  From the
 move set and the ``TailPolicy`` it picks the tail mode, the truncation
-cap and exact (``Fraction``) or ``mpf`` arithmetic; it builds the single
-``(k, r, q)`` stream or the zipped ``(k, r1, q1, r2, q2)`` stream of two
-targets, drives the channels and assembles the ``SeriesResult``.  An
-evaluator supplies only its input guards, its per-term map, its channel
-scales and structural zeros, and how the channel totals become a value,
-a tail bound and a last term.
+cap and the arithmetic (``mpf`` at zero drift, exact ``Fraction``
+otherwise); it builds the single ``(k, r, q)`` stream or the zipped
+``(k, r1, q1, r2, q2)`` stream of two targets, drives the channels and
+assembles the ``SeriesResult``.  An evaluator supplies only its input
+guards, its per-term map, its channel scales and structural zeros, and
+how the channel totals become a value, a tail bound and a last term.
 """
 
 from __future__ import annotations
@@ -59,16 +59,11 @@ from .passage import (
 )
 
 WORK_DPS = 40
-EXACT_SUM_CAP = 10_000  # above this, terms go straight to decimals
 DEFAULT_TOLERANCE = 1e-9
 DEFAULT_MAX_K = 5_000
 DEFAULT_MAX_K_ZERO_DRIFT = 200_000
-DIVERGENCE_SUM_CAP = 1e6
-DIVERGENCE_ALPHA = 1.05
 FIT_WINDOW = 8
 _MIN_FIT_TERMS = 5
-_DIVERGENCE_MIN_K = 512
-_DIVERGENCE_STRIKES = 3
 
 CONVERGED = "converged"
 DIVERGED = "diverged"
@@ -179,8 +174,7 @@ def _stream_unit_float(n: int):
 
     One multiplicative update per index: the closed-form counts reduce to
     a running central-binomial ratio, so this stream is O(1) per term and
-    carries no big integers.  Intended for zero-drift summations truncated
-    far beyond the exact-summation cap.
+    carries no big integers.  Every zero-drift summation runs on it.
     """
     if n % 2 == 1:
         s = (n - 1) // 2
@@ -245,7 +239,6 @@ class _Channel:
         self.ring: list[tuple[float, float]] = []  # (k, |block sum|)
         self.nterms = 0
         self.last_nonzero = 0.0
-        self.last_nonzero_k = 0
         self.structural_zero = structural_zero
         self._bsum = 0.0
         self._bstart = 1
@@ -256,7 +249,6 @@ class _Channel:
             self.nterms += 1
             t = float(term)
             self.last_nonzero = abs(t)
-            self.last_nonzero_k = k
             self._bsum += t
         if k >= 1 and (k - self._bstart + 1) >= self.block:
             if self._bsum != 0.0:
@@ -267,19 +259,13 @@ class _Channel:
             self._bsum = 0.0
             self._bstart = k + 1
 
-    def sum_magnitude(self) -> float:
-        try:
-            return abs(float(self.total))
-        except OverflowError:  # a Fraction beyond the float range
-            return math.inf
-
-    def tail(self, mode: str, k: int) -> tuple[mpf | None, float | None]:
-        """(tail bound, fitted rho-or-alpha); None when not yet fittable."""
+    def tail(self, mode: str, k: int) -> mpf | None:
+        """The tail bound; None when not yet fittable."""
         if self.structural_zero or (self.nterms == 0 and self._bsum == 0.0):
             # nothing ever contributed; only trusted when marked structural
-            return (mpf(0), None) if self.structural_zero else (None, None)
+            return mpf(0) if self.structural_zero else None
         if len(self.ring) < _MIN_FIT_TERMS:
-            return None, None
+            return None
         if mode == "geometric":
             rho = max(
                 self.ring[i][1] / self.ring[i - 1][1]
@@ -287,15 +273,15 @@ class _Channel:
                 if self.ring[i - 1][1] > 0
             )
             if rho >= 1:
-                return None, rho
+                return None
             last = self.ring[-1][1]
-            return mpf(last) * rho / (1 - rho), rho
+            return mpf(last) * rho / (1 - rho)
         alpha = _power_fit(self.ring)
         if alpha is None or alpha <= 1:
-            return None, alpha
+            return None
         stride = self._stride()
         last = self.ring[-1][1]
-        return mpf(last) * (k / stride) / (alpha - 1), alpha
+        return mpf(last) * (k / stride) / (alpha - 1)
 
     def _stride(self) -> float:
         if len(self.ring) < 2:
@@ -347,16 +333,14 @@ def _drive(
     tolerance: float,
     max_k: int,
     min_k: int = 0,
-    divergence_watch: bool = False,
 ) -> _DriveResult:
     """Pull items from ``stream``, map each through ``fmap(*item)`` to one
     term per channel, until every channel's scaled tail estimate fits
-    under ``tolerance`` (or divergence / the truncation cap is hit).
+    under ``tolerance`` (or the truncation cap is hit).
     Convergence cannot be declared before ``min_k`` or while any
     channel's fit window is still filling.
     """
     next_check = 16
-    strikes = 0
     k = 0
     item = ()
     witness = None
@@ -372,29 +356,7 @@ def _drive(
             continue
         next_check = min(next_check * 2, max_k)
 
-        fits = [ch.tail(mode, k) for ch in channels]
-        tails = [f[0] for f in fits]
-        if divergence_watch and k >= _DIVERGENCE_MIN_K:
-            lead = fits[0][1]
-            if lead is not None and (
-                (mode == "power" and lead <= DIVERGENCE_ALPHA)
-                or (mode == "geometric" and lead >= 1 - 1e-6)
-            ):
-                strikes += 1
-                if strikes >= _DIVERGENCE_STRIKES:
-                    verdict = DIVERGED
-                    kind = "exponent" if mode == "power" else "term ratio"
-                    witness = (
-                        f"fitted {kind} {lead:.4f} shows non-summable terms "
-                        f"at k={k} (three consecutive checks)"
-                    )
-                    break
-            else:
-                strikes = 0
-        if divergence_watch and channels[0].sum_magnitude() > DIVERGENCE_SUM_CAP:
-            verdict = DIVERGED
-            witness = f"partial sum exceeded {DIVERGENCE_SUM_CAP:g} at k={k}"
-            break
+        tails = [ch.tail(mode, k) for ch in channels]
         if k >= min_k and all(t is not None for t in tails):
             weighted = sum(float(t) * ch.scale for t, ch in zip(tails, channels))
             if weighted <= tolerance:
@@ -459,13 +421,12 @@ def _summed(
     *,
     structural: tuple[bool, ...] | None = None,
     head: int = 0,
-    divergence_watch: bool = False,
 ) -> SeriesResult:
     """The summation core behind every evaluator.
 
     The move set and ``policy`` fix the tail mode and truncation cap;
-    zero-drift walks summed beyond ``EXACT_SUM_CAP`` switch from exact
-    rationals to the mpf closed-form stream.  One spec gives its
+    zero-drift walks are summed on the mpf closed-form stream, every
+    other walk on the exact DP's rationals.  One spec gives its
     ``(k, r, q)`` stream as is; two specs (same moves) are zipped into
     ``(k, r1, q1, r2, q2)``, an absorbed walk padded with zeros.
     ``fmap(*item)`` gives one term per channel, channel i weighted by
@@ -479,7 +440,7 @@ def _summed(
     policy = policy if policy is not None else TailPolicy()
     moves = specs[0].moves
     max_k = policy.resolved_max_k(moves)
-    exact = reduce_zero_drift(specs[0]) is None or max_k <= EXACT_SUM_CAP
+    exact = reduce_zero_drift(specs[0]) is None
     zero = Fraction(0) if exact else mpf(0)
     with mp.workdps(WORK_DPS):
         streams = [rq_stream(spec, prefer_float=not exact) for spec in specs]
@@ -497,7 +458,7 @@ def _summed(
             channels[0].add(0, zero + head)
         res = _drive(
             stream, fmap, channels, mode=policy.mode_for(moves), tolerance=policy.tolerance,
-            max_k=max_k, min_k=policy.min_k, divergence_watch=divergence_watch,
+            max_k=max_k, min_k=policy.min_k,
         )
         value, tail, last_term, no_winner = finish(res)
         return SeriesResult(
@@ -673,72 +634,30 @@ def win_prob_targets(
     )
 
 
-def passage_product_sum(
-    n1: int, n2: int, moves: MoveSet, policy: TailPolicy | None = None
-) -> SeriesResult:
-    """The simultaneous-win series ``sum r(n1, k) r(n2, k)``."""
-    if n1 < 1 or n2 < 1:
-        raise ValueError("both targets must be >= 1")
-    specs = (GameSpec(moves, n1), GameSpec(moves, n2))
-    if not _targets_reachability_overlap(*(passage_gcd_reachability(s) for s in specs)):
-        return _trivial_result(
-            0, "asymmetric", witness="no index admits simultaneous first passage",
-        )
-    return _summed(specs, policy, "asymmetric", lambda k, r1, q1, r2, q2: (r1 * r2,), (1.0,))
-
-
-def race_identity_residual(
-    n1: int, n2: int, moves: MoveSet, policy: TailPolicy | None = None
-) -> SeriesResult:
-    """|p12 + p21 + sum r1 r2 - 1|, each summand evaluated independently.
-
-    The identity holds exactly when one of the players almost surely
-    wins, so negative drift (or an unreachable target) is rejected.
-    """
-    if moves.drift < 0:
-        raise ValueError("the accounting identity needs non-negative drift")
-    if passage_gcd_reachability(GameSpec(moves, max(n1, n2))).never:
-        raise ValueError("the accounting identity needs a reachable target")
-    p12 = win_prob_targets(n1, n2, moves, policy)
-    p21 = win_prob_targets(n2, n1, moves, policy)
-    both = passage_product_sum(n1, n2, moves, policy)
-    with mp.workdps(WORK_DPS):
-        residual = abs(p12.value + p21.value + both.value - 1)
-    verdicts = {p12.verdict, p21.verdict, both.verdict}
-    verdict = CONVERGED if verdicts == {CONVERGED} else INCONCLUSIVE
-    return SeriesResult(
-        value=residual,
-        truncation_k=max(p12.truncation_k, p21.truncation_k, both.truncation_k),
-        last_term=both.last_term,
-        tail_estimate=p12.tail_estimate + p21.tail_estimate + both.tail_estimate,
-        verdict=verdict,
-        method="asymmetric",
-        witness=None if verdict == CONVERGED else "a component series did not converge",
-        eval_error=p12.eval_error + p21.eval_error + both.eval_error,
-    )
-
-
 def expected_duration(spec: GameSpec, policy: TailPolicy | None = None) -> SeriesResult:
     """Expected number of rounds until someone wins: ``sum_k q(n, k)**2``
     over k >= 0.
 
-    The verdict is diverged when the fitted decay of the terms is not
-    summable: exponent <= 1 at zero drift (the symmetric race has
-    harmonic-tail terms for every target) or a term ratio pinned at 1
-    under negative drift (a positive fraction of races never ends).
+    The series diverges exactly when the drift is <= 0 (an unreachable
+    target has drift <= 0 too): zero drift gives ``q**2 ~ c / k`` and
+    negative drift leaves ``q`` above a positive limit.  That verdict is
+    returned before any term is summed, with the finite partial sum
+    through k = 0 as its value and an infinite tail.
     """
     spec = _validated(spec)
     if spec.n == 0:
         return _trivial_result(0, "duration", witness="zero target: the race is over before any move")
-
-    def finish(res):
-        value, tail, last_term, _ = _single(res)
-        return value, mpf("inf") if res.verdict == DIVERGED else tail, last_term, None
-
-    return _summed(
-        (spec,), policy, "duration", lambda k, r, q: (q * q,), (1.0,), finish,
-        head=1, divergence_watch=spec.moves.drift <= 0,
-    )
+    if spec.moves.drift <= 0:
+        return SeriesResult(
+            value=mpf(1),
+            truncation_k=0,
+            last_term=mpf(1),
+            tail_estimate=mpf("inf"),
+            verdict=DIVERGED,
+            method="duration",
+            witness=f"drift {spec.moves.drift} <= 0, so the terms q(n, k)**2 are not summable",
+        )
+    return _summed((spec,), policy, "duration", lambda k, r, q: (q * q,), (1.0,), head=1)
 
 
 def win_within(spec: GameSpec, k: int) -> Fraction:

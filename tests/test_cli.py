@@ -16,7 +16,9 @@ class TestPn:
         code, out = run_cli(capsys, "pn", "--moves=-1,1", "--n=1", "--tol=1e-8")
         assert code == 0
         assert "0.3633802" in out
-        assert "squares" in out and "direct" in out and "agreement_delta" in out
+        # at equal K the squared-passage sum repeats direct's value
+        assert "direct" in out
+        assert "squares" not in out and "agreement_delta" not in out
 
     def test_deterministic_race(self, capsys):
         code, out = run_cli(capsys, "pn", "--moves=1,1", "--n=5")
@@ -64,6 +66,12 @@ class TestWithin:
 class TestDuration:
     def test_diverged_is_a_valid_answer(self, capsys):
         code, out = run_cli(capsys, "duration", "--moves=-1,1", "--n=1")
+        assert code == 0
+        assert "diverged" in out
+
+    def test_diverged_at_a_small_cap(self, capsys):
+        # decided by the drift, so the cap cannot make it inconclusive
+        code, out = run_cli(capsys, "duration", "--moves=-1,1", "--n=1", "--max-k=64")
         assert code == 0
         assert "diverged" in out
 
@@ -131,6 +139,15 @@ class TestVerify:
         code, out = run_cli(capsys, "verify", "--tol=1e-8")
         assert code == 0
         assert "all_ok: True" in out
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="positive-drift tail under-reports: {-1,2} (3,3) errs by 5.09e-8 "
+        "against a bound of 4.89e-8 at tol 1e-7",
+    )
+    def test_residuals_at_tol_1e_7(self, capsys):
+        code, out = run_cli(capsys, "verify", "residuals", "--tol=1e-7")
+        assert code == 0
 
     def test_single_suite(self, capsys):
         code, out = run_cli(capsys, "verify", "recurrence")

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from mpmath import mp, mpf
@@ -9,10 +10,10 @@ from pilerace.passage import GameSpec, MoveSet, build_passage_table
 from pilerace.series import (
     CONVERGED,
     DIVERGED,
+    WORK_DPS,
     TailPolicy,
     expected_duration,
-    passage_product_sum,
-    race_identity_residual,
+    rq_stream,
     square_sum_sequence,
     square_sum_value,
     win_prob_direct,
@@ -168,37 +169,29 @@ class TestWinProbTargets:
         assert float(a.value + b.value) < 1 - 0.01
 
 
-class TestProductSum:
-    def test_parity_mismatch_is_structurally_zero(self):
-        res = passage_product_sum(1, 2, PM1)
-        assert res.value == 0 and res.tail_estimate == 0
-
-    def test_unit_step_equal_targets(self):
-        # sum r(1,k)^2 = 4/pi - 1
-        res = passage_product_sum(1, 1, PM1)
-        assert abs(res.value - pl(-1, 4)) < 1e-8
-
-
-class TestIdentityResidual:
-    @pytest.mark.parametrize("moves", [PM1, M12], ids=str)
-    def test_residual_small_on_grid(self, moves):
-        tol = 1e-9
-        for n1, n2 in [(1, 1), (1, 2), (2, 3), (3, 5)]:
-            res = race_identity_residual(n1, n2, moves, TailPolicy(tolerance=tol))
-            assert res.verdict == CONVERGED
-            assert float(res.value) < 3 * tol
-
-    def test_rejects_negative_drift(self):
-        with pytest.raises(ValueError):
-            race_identity_residual(1, 2, MoveSet(-2, 1))
-
-
 class TestExpectedDuration:
-    def test_unit_step_diverges(self):
-        for n in (1, 2, 3):
-            res = expected_duration(GameSpec(PM1, n))
-            assert res.verdict == DIVERGED
-            assert res.witness is not None
+    @pytest.mark.parametrize(
+        "moves, n",
+        [
+            (PM1, 1),
+            (PM1, 2),
+            (PM1, 3),
+            (MoveSet(-3, 3), 2),
+            (MoveSet(0, 0), 1),
+            (MoveSet(-2, 1), 1),
+            (MoveSet(-1, 0), 2),
+        ],
+        ids=str,
+    )
+    def test_drift_at_most_zero_diverges(self, moves, n):
+        # decided by the drift before any term is summed
+        res = expected_duration(GameSpec(moves, n))
+        assert res.verdict == DIVERGED
+        assert res.truncation_k == 0
+        assert res.tail_estimate == mpf("inf")
+        assert mp.isfinite(res.value)
+        assert res.formatted() == "?"
+        assert res.witness
 
     def test_deterministic_exact(self):
         res = expected_duration(GameSpec(MoveSet(1, 1), 4))
@@ -212,14 +205,6 @@ class TestExpectedDuration:
         table = build_passage_table(GameSpec(M12, 1), 400)
         partial = sum((q * q for q in table.q), F(0))
         assert abs(res.value - mpf(partial.numerator) / partial.denominator) < 1e-8
-
-    def test_zero_move_set_diverges(self):
-        res = expected_duration(GameSpec(MoveSet(0, 0), 1))
-        assert res.verdict == DIVERGED
-
-    def test_negative_drift_diverges(self):
-        res = expected_duration(GameSpec(MoveSet(-2, 1), 1))
-        assert res.verdict == DIVERGED
 
     def test_positive_drift_with_zero_move(self):
         # q(1,k) = 2^-k exactly, so the sum is 1/(1 - 1/4) = 4/3
@@ -294,26 +279,21 @@ class TestTailHonesty:
         assert abs(second.value - first.value) <= first.tail_estimate
 
 
-class TestExactZeroDriftPath:
-    """Zero-drift sums capped at or below EXACT_SUM_CAP run on exact
-    Catalan rationals; above it, on the mpf closed form."""
+class TestZeroDriftStream:
+    """Every zero-drift sum runs on the mpf closed-form stream; it must
+    match the exact Catalan stream to near the working precision."""
 
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda p: win_prob_squares(GameSpec(PM1, 1), p),
-            lambda p: win_prob_targets(1, 2, PM1, p),
-            lambda p: square_sum_value(PM1, 3, p),
-            lambda p: expected_duration(GameSpec(PM1, 1), p),
-        ],
-        ids=["squares", "targets", "square_sum", "duration"],
-    )
-    def test_exact_and_mpf_sums_agree(self, make):
-        exact = make(TailPolicy(tolerance=1e-6, max_k=4096))
-        floating = make(TailPolicy(tolerance=1e-6, max_k=20_000))
-        assert exact.truncation_k == floating.truncation_k
-        assert exact.verdict == floating.verdict
-        assert abs(exact.value - floating.value) <= exact.eval_error + floating.eval_error
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_mpf_stream_matches_exact(self, n):
+        spec = GameSpec(PM1, n)
+        with mp.workdps(WORK_DPS):
+            pairs = zip(rq_stream(spec, prefer_float=True), rq_stream(spec))
+            for (k, r, q), (_, r_exact, q_exact) in islice(pairs, 1024):
+                for x, exact in ((r, r_exact), (q, q_exact)):
+                    assert (x == 0) == (exact == 0), k
+                    if exact:
+                        ref = mpf(exact.numerator) / exact.denominator
+                        assert abs(x - ref) <= mpf("1e-35") * ref, k
 
 
 class TestScaledZeroDrift:
