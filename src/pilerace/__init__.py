@@ -22,8 +22,6 @@ from .numeric import (
     ApproxValue,
     PiLinear,
     as_fraction,
-    parse_rational,
-    pi_value,
     pilinear_eval,
     rational_pow2_scale,
     rational_str,
@@ -74,11 +72,9 @@ __all__ = [
     "expected_duration",
     "guess_recurrence",
     "iter_passage",
-    "parse_rational",
     "passage_gcd_reachability",
     "passage_prob_m1p2",
     "passage_prob_pm1",
-    "pi_value",
     "pilinear_eval",
     "raney_count",
     "rational_pow2_scale",

@@ -52,19 +52,6 @@ def rational_str(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_rational(text: str) -> Fraction:
-    """Inverse of :func:`rational_str`; accepts "3/16", "-5", "1/1"."""
-    return Fraction(text)
-
-
-def pi_value(digits: int) -> mpf:
-    """pi, computed with ``digits`` requested plus the guard margin."""
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
-    with mp.workdps(digits + PI_GUARD_DIGITS):
-        return +mp.pi
-
-
 @dataclass(frozen=True)
 class ApproxValue:
     """A high-precision decimal together with an absolute error bound.
@@ -161,13 +148,6 @@ class PiLinear:
 
     def approx(self, digits: int = 20) -> ApproxValue:
         return pilinear_eval(self, digits)
-
-    def to_json_dict(self) -> dict:
-        return {"const": rational_str(self.const), "inv_pi": rational_str(self.inv_pi)}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "PiLinear":
-        return cls(parse_rational(d["const"]), parse_rational(d["inv_pi"]))
 
     def __str__(self) -> str:
         if self.is_zero():

@@ -22,13 +22,12 @@ decided before anyone moves and is answered directly by the series layer.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .numeric import parse_rational, rational_str
+from .numeric import rational_str
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,26 +139,6 @@ class PassageTable:
     k_max: int
     r: tuple
     q: tuple
-
-    def to_json_dict(self) -> dict:
-        return {
-            "moves": [self.spec.moves.a, self.spec.moves.b],
-            "n": self.spec.n,
-            "k_max": self.k_max,
-            "r": [rational_str(x) for x in self.r[1:]],
-            "q": [rational_str(x) for x in self.q],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "PassageTable":
-        d = json.loads(text)
-        spec = GameSpec(MoveSet(d["moves"][0], d["moves"][1]), d["n"])
-        r = (Fraction(0),) + tuple(parse_rational(s) for s in d["r"])
-        q = tuple(parse_rational(s) for s in d["q"])
-        return cls(spec, d["k_max"], r, q)
 
     def write_csv(self, fileobj) -> None:
         """Rows of (k, exact r, exact q, 15-digit decimals) for inspection."""

@@ -21,13 +21,15 @@ the expected length at drift <= 0, is decided by the drift before any
 term is summed: at zero drift ``q(n, k)**2 ~ c / k``, below it ``q``
 does not tend to 0, and above it ``sum q**2 <= E[T] < inf``.
 
-Direct sums of ``q * r`` converge too slowly at zero drift to meet any
-reasonable tolerance on their own: the truncation error is exactly half
-the squared surviving mass plus half the tail of the ``r1 r2`` and
-cross-difference series (a consequence of the telescoped partial sums).
-The evaluators therefore add the exact split correction ``q1 q2 / 2``
-whenever the race almost surely terminates, and the reported tail
-estimate bounds the residual error of the corrected value.
+``p_n`` is the diagonal ``p_{n,n}`` of ``p_{n1,n2}``, so the three
+win-probability evaluators share one race body, ``_race``.  Direct sums
+of ``q1 r2`` converge too slowly at zero drift on their own: the partial
+sums telescope, leaving half the squared surviving mass plus half the
+``r1 r2`` and cross-difference tails.  When the race almost surely ends,
+the body sums the split-corrected form ``(1 - sum r1 r2 + sum (q1 r2 -
+q2 r1)) / 2``, which is ``(1 - sum r**2) / 2`` on equal targets.  Under
+negative drift the ``q1 r2`` terms, which decay at the walk's ratio
+rather than its square, are summed and fitted themselves.
 
 Every evaluator runs through one summation core, ``_summed``.  From the
 move set and the ``TailPolicy`` it picks the tail mode, the truncation
@@ -386,18 +388,6 @@ def _eval_rounding_bound(channels) -> mpf:
     return mpf(10) ** (-(WORK_DPS - 5)) * (n + 1)
 
 
-def _fit_block(*specs: GameSpec) -> int:
-    """Tail fits operate on blocks spanning one congruence period of the
-    participating walks, so that within-period term structure (zeros and
-    non-monotone wiggles) cannot masquerade as non-decay."""
-    block = 1
-    for spec in specs:
-        rv = passage_gcd_reachability(spec)
-        if not rv.never and rv.deterministic_k is None:
-            block = math.lcm(block, rv.modulus)
-    return min(block, 128)
-
-
 def _to_mpf(x) -> mpf:
     """A stream-typed value (``Fraction`` or ``mpf``) as an mpf."""
     if isinstance(x, Fraction):
@@ -428,7 +418,8 @@ def _summed(
     zero-drift walks are summed on the mpf closed-form stream, every
     other walk on the exact DP's rationals.  One spec gives its
     ``(k, r, q)`` stream as is; two specs (same moves) are zipped into
-    ``(k, r1, q1, r2, q2)``, an absorbed walk padded with zeros.
+    ``(k, r1, q1, r2, q2)``, an absorbed walk padded with zeros, and two
+    equal specs share one stream fed as ``(k, r, q, r, q)``.
     ``fmap(*item)`` gives one term per channel, channel i weighted by
     ``scales[i]`` in the stop rule and, when ``structural[i]`` is set,
     known to be identically zero.  ``head`` is a k = 0 term added to the
@@ -443,13 +434,18 @@ def _summed(
     exact = reduce_zero_drift(specs[0]) is None
     zero = Fraction(0) if exact else mpf(0)
     with mp.workdps(WORK_DPS):
-        streams = [rq_stream(spec, prefer_float=not exact) for spec in specs]
+        streams = [rq_stream(spec, prefer_float=not exact) for spec in dict.fromkeys(specs)]
         stream = streams[0]
-        if len(streams) == 2:
+        if len(specs) == 2 and len(streams) == 1:
+            stream = ((k, r, q, r, q) for k, r, q in stream)
+        elif len(streams) == 2:
             pad = (None, zero, zero)
             pairs = zip(count(1), zip_longest(*streams, fillvalue=pad))
             stream = ((k, r1, q1, r2, q2) for k, ((_, r1, q1), (_, r2, q2)) in pairs)
-        block = _fit_block(*specs)
+        # tail fits run on blocks spanning one congruence period b - a of
+        # the walk, so that within-period term structure (zeros and
+        # non-monotone wiggles) cannot masquerade as non-decay
+        block = min(max(moves.b - moves.a, 1), 128)
         channels = [
             _Channel(zero, block, scale, flag)
             for scale, flag in zip(scales, structural or (False,) * len(scales))
@@ -501,7 +497,8 @@ def win_prob_squares(spec: GameSpec, policy: TailPolicy | None = None) -> Series
     """Second player's win probability via ``1/2 - (1/2) sum r**2``.
 
     Valid only when the race almost surely ends (non-negative drift and a
-    reachable target); otherwise the direct method must be used.
+    reachable target); otherwise the direct method must be used.  Equal
+    to ``win_prob_direct`` and ``win_prob_targets(n, n)`` but for ``method``.
     """
     spec = _validated(spec)
     if spec.n == 0:
@@ -516,22 +513,17 @@ def win_prob_squares(spec: GameSpec, policy: TailPolicy | None = None) -> Series
             "the squared-passage identity needs an almost surely finished race, "
             "but these moves can never reach the target"
         )
-
-    def finish(res):
-        (ch,) = res.channels
-        return (1 - ch.total) / 2, res.tail_at(0) / 2, mpf(ch.last_nonzero) / 2, None
-
-    return _summed((spec,), policy, "squares", lambda k, r, q: (r * r,), (0.5,), finish)
+    return _race(spec.n, spec.n, spec.moves, policy, "squares")
 
 
 def win_prob_direct(spec: GameSpec, policy: TailPolicy | None = None) -> SeriesResult:
-    """Second player's win probability via the direct sum of ``q * r``.
+    """Second player's win probability, the sum of ``q * r``; valid for
+    every drift.
 
-    Valid for every drift.  When the race almost surely ends, the exact
-    split correction ``q_K**2 / 2`` is added (the not-yet-decided mass
-    divides evenly in the limit); the truncation error of the corrected
-    value is exactly half the remaining ``r**2`` tail, which is what the
-    tail estimate bounds.  With negative drift no correction applies and
+    At every K, ``sum_{k<=K} q r + q_K**2 / 2 = (1 - sum_{k<=K} r**2) / 2``,
+    so when the race almost surely ends the split-corrected direct sum is
+    the squared-passage series, tail included.  With negative drift no
+    correction applies: the ``q * r`` terms carry their own tail fit, and
     the never-decided probability estimate ``q_K**2`` is reported.
     """
     spec = _validated(spec)
@@ -541,21 +533,7 @@ def win_prob_direct(spec: GameSpec, policy: TailPolicy | None = None) -> SeriesR
         return _trivial_result(
             0, "direct", witness="moves can never reach the target", no_winner=1,
         )
-    negative_drift = spec.moves.drift < 0
-
-    def finish(res):
-        main, _ = res.channels
-        last_q = res.last[2]
-        if negative_drift:
-            value, no_winner = main.total, last_q * last_q
-        else:
-            value, no_winner = main.total + last_q * last_q / 2, None
-        return value, res.tail_at(1) / 2, mpf(main.last_nonzero), no_winner
-
-    # the fit channel carries r**2: it bounds the corrected value's error
-    # under non-negative drift, and decays like the q*r terms under
-    # negative drift
-    return _summed((spec,), policy, "direct", lambda k, r, q: (q * r, r * r), (0.0, 0.5), finish)
+    return _race(spec.n, spec.n, spec.moves, policy, "direct")
 
 
 def _targets_reachability_overlap(rv1: Reachability, rv2: Reachability) -> bool:
@@ -589,16 +567,23 @@ def win_prob_targets(
     correction ``q1 q2 / 2``; both component series have summable tails
     even at zero drift, where the direct terms alone decay too slowly.
     The cross-difference series is fitted on blocks of two indices
-    because consecutive terms alternate in sign across parities.
+    because consecutive terms alternate in sign across parities.  With
+    negative drift the ``q1 r2`` terms are summed and fitted directly, and
+    ``q1_K q2_K`` is reported as the never-decided mass.
     """
     if n1 < 1 or n2 < 1:
         raise ValueError("both targets must be >= 1")
-    specs = (GameSpec(moves, n1), GameSpec(moves, n2))
-    rv1, rv2 = (passage_gcd_reachability(s) for s in specs)
-    if rv2.never:
+    if passage_gcd_reachability(GameSpec(moves, n2)).never:
         return _trivial_result(
             0, "asymmetric", witness="the second walk can never reach its target",
         )
+    return _race(n1, n2, moves, policy, "asymmetric")
+
+
+def _race(n1: int, n2: int, moves: MoveSet, policy: TailPolicy | None, method: str) -> SeriesResult:
+    """``p(n1, n2)`` behind every win-probability evaluator: one ``q1 r2``
+    channel under negative drift, else the symmetrized pair."""
+    specs = (GameSpec(moves, n1), GameSpec(moves, n2))
     if moves.drift < 0:
 
         def finish_direct(res):
@@ -607,10 +592,10 @@ def win_prob_targets(
             return value, tail, last_term, q1 * q2
 
         return _summed(
-            specs, policy, "asymmetric", lambda k, r1, q1, r2, q2: (q1 * r2,), (1.0,), finish_direct,
+            specs, policy, method, lambda k, r1, q1, r2, q2: (q1 * r2,), (1.0,), finish_direct,
         )
 
-    overlap = _targets_reachability_overlap(rv1, rv2)
+    overlap = _targets_reachability_overlap(*(passage_gcd_reachability(s) for s in specs))
 
     def sym_terms(k, r1, q1, r2, q2):
         rr = r1 * r2 if overlap else 0
@@ -629,7 +614,7 @@ def win_prob_targets(
         return (1 - rr_ch.total + delta_ch.total) / 2, tail, last_term, None
 
     return _summed(
-        specs, policy, "asymmetric", sym_terms, (0.5, 0.5), finish,
+        specs, policy, method, sym_terms, (0.5, 0.5), finish,
         structural=(not overlap, n1 == n2),
     )
 

@@ -18,7 +18,6 @@ reproducibility contract the tests pin down.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -155,9 +154,6 @@ class SimReport:
             "mean_duration_uncensored": self.mean_duration_uncensored,
             "standard_errors": self.standard_errors(),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 def _chunk_schedule(t: int, horizon: int) -> int:

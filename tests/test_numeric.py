@@ -8,8 +8,6 @@ from pilerace.numeric import (
     ApproxValue,
     PiLinear,
     as_fraction,
-    parse_rational,
-    pi_value,
     pilinear_eval,
     rational_pow2_scale,
     rational_str,
@@ -43,12 +41,6 @@ class TestRationalRoundTrip:
         assert rational_str(Fraction(3, 16)) == "3/16"
         assert rational_str(Fraction(5)) == "5/1"
         assert rational_str(Fraction(-1, 2)) == "-1/2"
-
-    def test_parse_inverse(self):
-        rng = random.Random(20240)
-        for _ in range(200):
-            x = Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**12))
-            assert parse_rational(rational_str(x)) == x
 
     def test_exactness_round_trips(self):
         # (p+q)-q = p and (p*q)/q = p for random rationals
@@ -119,12 +111,6 @@ class TestPiLinear:
                 err = both.error_bound + apart_x.error_bound + apart_y.error_bound
                 assert abs(both.value - (apart_x.value + apart_y.value)) <= err
 
-    def test_json_round_trip(self):
-        x = PiLinear(Fraction(161), Fraction(-504))
-        d = x.to_json_dict()
-        assert d == {"const": "161/1", "inv_pi": "-504/1"}
-        assert PiLinear.from_json_dict(d) == x
-
     def test_str_forms(self):
         assert str(PiLinear(Fraction(161), Fraction(-504))) == "161 - 504/pi"
         assert str(PiLinear(Fraction(-1), Fraction(4))) == "-1 + 4/pi"
@@ -154,10 +140,3 @@ class TestApproxValue:
     def test_negative_bound_rejected(self):
         with pytest.raises(ValueError):
             ApproxValue(mpf(1), mpf(-1))
-
-
-def test_pi_value_guard_digits():
-    # requesting few digits must still give pi far beyond them
-    with mp.workdps(60):
-        reference = +mp.pi
-        assert abs(pi_value(10) - reference) < mpf(10) ** -55
