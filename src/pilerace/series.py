@@ -13,13 +13,16 @@ Everything here is a sum over the per-move first-passage probabilities
 
 Tail policy, by drift of the move set: positive or negative drift gives
 geometrically decaying terms, so the tail is bounded from the fitted
-ratio of recent nonzero terms; zero drift gives power-law terms, so a
-power-law exponent is fitted.  Each converged result carries the tail
-estimate that justified stopping; the test suite validates the
-estimates by doubling the truncation point.  The only divergent series,
-the expected length at drift <= 0, is decided by the drift before any
-term is summed: at zero drift ``q(n, k)**2 ~ c / k``, below it ``q``
-does not tend to 0, and above it ``sum q**2 <= E[T] < inf``.
+ratio of recent nonzero terms.  Zero drift gives power-law terms whose
+partial sums expand in integer powers of 1/K (Stirling on ``r(n, k) =
+(n/k) C(k, (k+n)/2) / 2**k``), so the totals at the checkpoints from
+K = max(16, n**2) on are extrapolated to 1/K = 0 (Richardson, by
+Neville's table), and the tail is the change from the previous order.
+Both tails are estimates, checked by the test suite by doubling the
+truncation point and against the exact constants.  The only divergent
+series, the expected length at drift <= 0, is decided by the drift
+before any term is summed: at zero drift ``q(n, k)**2 ~ c / k``, below
+it ``q`` does not tend to 0, and above it ``sum q**2 <= E[T] < inf``.
 
 ``p_n`` is the diagonal ``p_{n,n}`` of ``p_{n1,n2}``, so the three
 win-probability evaluators share one race body, ``_race``.  Direct sums
@@ -66,6 +69,7 @@ DEFAULT_MAX_K = 5_000
 DEFAULT_MAX_K_ZERO_DRIFT = 200_000
 FIT_WINDOW = 8
 _MIN_FIT_TERMS = 5
+_MIN_EXTRAPOLATION_POINTS = 4
 
 CONVERGED = "converged"
 DIVERGED = "diverged"
@@ -76,10 +80,12 @@ INCONCLUSIVE = "inconclusive"
 class TailPolicy:
     """Stopping rule for truncated summation.
 
-    ``max_k`` defaults by drift: 200000 at zero drift (power-law tails),
-    5000 otherwise (geometric tails).  ``min_k`` forces summation at
-    least that far even if the tolerance is met earlier; it exists for
-    honesty checks that re-run a converged series twice as far.
+    ``max_k`` defaults by drift: 200000 at zero drift ("power" mode: the
+    checkpoint totals are extrapolated, which meets 1e-9 by K = 16384 for
+    targets up to 12), 5000 otherwise ("geometric" mode: a fitted ratio).
+    ``min_k`` forces summation at least that far even if the tolerance is
+    met earlier; it exists for honesty checks that re-run a converged
+    series twice as far.
     """
 
     tolerance: float = DEFAULT_TOLERANCE
@@ -178,12 +184,7 @@ def _stream_unit_float(n: int):
     a running central-binomial ratio, so this stream is O(1) per term and
     carries no big integers.  Every zero-drift summation runs on it.
     """
-    if n % 2 == 1:
-        s = (n - 1) // 2
-        parity = 1
-    else:
-        s = n // 2
-        parity = 0
+    s, parity = n // 2, n % 2
     u = mpf(4) ** (-s)  # C(2m, m-s) / 4**m at m = s
     m = s
     q = mpf(1)
@@ -191,7 +192,7 @@ def _stream_unit_float(n: int):
     for k in count(1):
         r = zero
         if k % 2 == parity:
-            mm = k // 2 if parity == 0 else (k - 1) // 2
+            mm = k // 2
             while m < mm:
                 u *= mpf((2 * m + 1) * (m + 1)) / (2 * (m + 1 - s) * (m + 1 + s))
                 m += 1
@@ -226,15 +227,16 @@ def rq_stream(spec: GameSpec, *, prefer_float: bool = False):
 
 class _Channel:
     """One summed series: an accumulator in the stream's arithmetic
-    (``Fraction`` or ``mpf``, fixed by the zero it starts from) plus a
-    ring of recent nonzero block magnitudes for tail fitting.
+    (``Fraction`` or ``mpf``, fixed by the zero it starts from), a ring of
+    recent nonzero block magnitudes for the geometric tail fit, and the
+    checkpoint totals for the zero-drift extrapolation.
 
     ``block`` consecutive indices are fitted as one unit; the asymmetric
     cross-difference series alternates sign with parity and only its
-    2-blocks decay cleanly.
+    2-blocks decay cleanly.  Checkpoints are recorded from ``start`` on.
     """
 
-    def __init__(self, zero, block: int, scale: float, structural_zero: bool):
+    def __init__(self, zero, block: int, scale: float, structural_zero: bool, start: int):
         self.block = block
         self.scale = scale  # weight of this channel's tail in the stop rule
         self.total = zero
@@ -242,8 +244,18 @@ class _Channel:
         self.nterms = 0
         self.last_nonzero = 0.0
         self.structural_zero = structural_zero
+        self.start = start
+        self.ks: list[int] = []  # checkpoints K, with the totals through them
+        self.totals: list = []
+        self.extrapolated = None  # R[i][i] when the tail came from it
+        self.amplification = 1  # sum of |weights| of that extrapolation
         self._bsum = 0.0
         self._bstart = 1
+
+    @property
+    def value(self):
+        """The total the tail describes: extrapolated or partial."""
+        return self.total if self.extrapolated is None else self.extrapolated
 
     def add(self, k: int, term) -> None:
         if term:
@@ -262,47 +274,43 @@ class _Channel:
             self._bstart = k + 1
 
     def tail(self, mode: str, k: int) -> mpf | None:
-        """The tail bound; None when not yet fittable."""
-        if self.structural_zero or (self.nterms == 0 and self._bsum == 0.0):
-            # nothing ever contributed; only trusted when marked structural
-            return mpf(0) if self.structural_zero else None
+        """The tail estimate at checkpoint ``k`` (in power mode this also
+        records the checkpoint); None when not yet fittable."""
+        if self.structural_zero:
+            return mpf(0)
+        if mode == "power":
+            return self._extrapolate(k)
         if len(self.ring) < _MIN_FIT_TERMS:
             return None
-        if mode == "geometric":
-            rho = max(
-                self.ring[i][1] / self.ring[i - 1][1]
-                for i in range(1, len(self.ring))
-                if self.ring[i - 1][1] > 0
-            )
-            if rho >= 1:
-                return None
-            last = self.ring[-1][1]
-            return mpf(last) * rho / (1 - rho)
-        alpha = _power_fit(self.ring)
-        if alpha is None or alpha <= 1:
+        rho = max(
+            self.ring[i][1] / self.ring[i - 1][1]
+            for i in range(1, len(self.ring))
+            if self.ring[i - 1][1] > 0
+        )
+        if rho >= 1:
             return None
-        stride = self._stride()
         last = self.ring[-1][1]
-        return mpf(last) * (k / stride) / (alpha - 1)
+        return mpf(last) * rho / (1 - rho)
 
-    def _stride(self) -> float:
-        if len(self.ring) < 2:
-            return float(self.block)
-        return max((self.ring[-1][0] - self.ring[0][0]) / (len(self.ring) - 1), 1.0)
-
-
-def _power_fit(ring) -> float | None:
-    """Least-squares slope of log|term| against log k; returns -slope."""
-    pts = [(math.log(k), math.log(t)) for k, t in ring if k > 0 and t > 0]
-    if len(pts) < 2:
-        return None
-    mx = sum(x for x, _ in pts) / len(pts)
-    my = sum(y for _, y in pts) / len(pts)
-    sxx = sum((x - mx) ** 2 for x, _ in pts)
-    if sxx == 0:
-        return None
-    sxy = sum((x - mx) * (y - my) for x, y in pts)
-    return -sxy / sxx
+    def _extrapolate(self, k: int) -> mpf | None:
+        """Zero-drift tails expand in integer powers of h = 1/K, so the
+        polynomial in h through the checkpoint totals (Neville's table)
+        is evaluated at h = 0; the tail is the change from the previous
+        diagonal entry.  Unit-step terms live on one parity of k, so that
+        expansion holds along even K only (an odd cap is not recorded)."""
+        if k >= self.start and k % 2 == 0:
+            self.ks.append(k)
+            self.totals.append(self.total)
+        ks, diag = self.ks, list(self.totals)  # diag[i]: R[i][j] of column j
+        if len(ks) < _MIN_EXTRAPOLATION_POINTS:
+            return None
+        for j in range(1, len(ks)):
+            for i in range(len(ks) - 1, j - 1, -1):
+                diag[i] += (diag[i] - diag[i - 1]) * ks[i - j] / (ks[i] - ks[i - j])
+        # R[i][i] = sum_m w_m S_m with w_m = prod_{l != m} K_m / (K_m - K_l)
+        self.amplification = sum(abs(math.prod(K / (K - L) for L in ks if L != K)) for K in ks)
+        self.extrapolated = diag[-1]
+        return abs(diag[-1] - diag[-2])
 
 
 @dataclass
@@ -327,20 +335,13 @@ class _DriveResult:
 
 
 def _drive(
-    stream,
-    fmap,
-    channels: list[_Channel],
-    *,
-    mode: str,
-    tolerance: float,
-    max_k: int,
-    min_k: int = 0,
+    stream, fmap, channels: list[_Channel], *, mode: str, tolerance: float, max_k: int, min_k: int = 0
 ) -> _DriveResult:
     """Pull items from ``stream``, map each through ``fmap(*item)`` to one
     term per channel, until every channel's scaled tail estimate fits
     under ``tolerance`` (or the truncation cap is hit).
     Convergence cannot be declared before ``min_k`` or while any
-    channel's fit window is still filling.
+    channel's fit window or checkpoint record is still filling.
     """
     next_check = 16
     k = 0
@@ -364,15 +365,9 @@ def _drive(
             if weighted <= tolerance:
                 verdict = CONVERGED
                 break
-        if k >= max_k:
-            ok = all(t is not None for t in tails)
-            if ok:
-                weighted = sum(float(t) * ch.scale for t, ch in zip(tails, channels))
-                verdict = CONVERGED if weighted <= tolerance else INCONCLUSIVE
-            else:
-                verdict = INCONCLUSIVE
-            if verdict == INCONCLUSIVE:
-                witness = f"tail not below tolerance by the truncation cap k={max_k}"
+        if k >= max_k:  # max_k >= min_k, so the test above already failed
+            verdict = INCONCLUSIVE
+            witness = f"tail not below tolerance by the truncation cap k={max_k}"
             break
     else:
         # the walk was absorbed: every later term is exactly zero
@@ -384,7 +379,7 @@ def _drive(
 
 
 def _eval_rounding_bound(channels) -> mpf:
-    n = sum(ch.nterms for ch in channels)
+    n = sum(ch.nterms * ch.amplification for ch in channels)
     return mpf(10) ** (-(WORK_DPS - 5)) * (n + 1)
 
 
@@ -398,7 +393,7 @@ def _to_mpf(x) -> mpf:
 def _single(res: _DriveResult):
     """The finish of a plain one-channel sum: its total, tail and last term."""
     (ch,) = res.channels
-    return ch.total, res.tail_at(0), mpf(ch.last_nonzero), None
+    return ch.value, res.tail_at(0), mpf(ch.last_nonzero), None
 
 
 def _summed(
@@ -431,8 +426,12 @@ def _summed(
     policy = policy if policy is not None else TailPolicy()
     moves = specs[0].moves
     max_k = policy.resolved_max_k(moves)
-    exact = reduce_zero_drift(specs[0]) is None
+    unit_targets = [reduce_zero_drift(spec) for spec in specs]
+    exact = unit_targets[0] is None
     zero = Fraction(0) if exact else mpf(0)
+    # below K = n**2 the unit-step terms have not yet settled into their
+    # asymptotic expansion, so extrapolation starts no earlier
+    start = 16 if exact else max(16, max(unit_targets) ** 2)
     with mp.workdps(WORK_DPS):
         streams = [rq_stream(spec, prefer_float=not exact) for spec in dict.fromkeys(specs)]
         stream = streams[0]
@@ -447,7 +446,7 @@ def _summed(
         # non-monotone wiggles) cannot masquerade as non-decay
         block = min(max(moves.b - moves.a, 1), 128)
         channels = [
-            _Channel(zero, block, scale, flag)
+            _Channel(zero, block, scale, flag, start)
             for scale, flag in zip(scales, structural or (False,) * len(scales))
         ]
         if head:
@@ -566,10 +565,9 @@ def win_prob_targets(
     algebraically equal to the direct partial sum plus the split
     correction ``q1 q2 / 2``; both component series have summable tails
     even at zero drift, where the direct terms alone decay too slowly.
-    The cross-difference series is fitted on blocks of two indices
-    because consecutive terms alternate in sign across parities.  With
-    negative drift the ``q1 r2`` terms are summed and fitted directly, and
-    ``q1_K q2_K`` is reported as the never-decided mass.
+    Under zero drift both are extrapolated from their checkpoint totals.
+    With negative drift the ``q1 r2`` terms are summed and fitted
+    directly, and ``q1_K q2_K`` is reported as the never-decided mass.
     """
     if n1 < 1 or n2 < 1:
         raise ValueError("both targets must be >= 1")
@@ -611,7 +609,7 @@ def _race(n1: int, n2: int, moves: MoveSet, policy: TailPolicy | None, method: s
         rr_ch, delta_ch = res.channels
         tail = (res.tail_at(0) + res.tail_at(1)) / 2
         last_term = mpf(max(rr_ch.last_nonzero, delta_ch.last_nonzero)) / 2
-        return (1 - rr_ch.total + delta_ch.total) / 2, tail, last_term, None
+        return (1 - rr_ch.value + delta_ch.value) / 2, tail, last_term, None
 
     return _summed(
         specs, policy, method, sym_terms, (0.5, 0.5), finish,

@@ -1,8 +1,10 @@
 import json
 
 import pytest
+from mpmath import mp, mpf
 
 from pilerace.cli import OutputRecord, main
+from pilerace.reference import TARGET_TABLE_PM1
 
 
 def run_cli(capsys, *argv):
@@ -54,6 +56,16 @@ class TestPmn:
         code, out = run_cli(capsys, "pmn", "--moves=-1,1", "--n1=3", "--n2=2", "--tol=1e-8")
         assert code == 0
         assert "0.63380" in out
+
+    def test_zero_drift_cell_at_tol_1e_12(self, capsys):
+        code, out = run_cli(capsys, "pmn", "--moves=-1,1", "--n1=3", "--n2=2",
+                            "--tol=1e-12", "--json")
+        assert code == 0
+        res = json.loads(out)["results"]["p"]
+        assert res["verdict"] == "converged"
+        with mp.workdps(40):
+            err = abs(mpf(res["value"]) - TARGET_TABLE_PM1[3, 2].approx(30).value)
+            assert err <= mpf(res["tail_estimate"]) + mpf(res["eval_error"])
 
 
 class TestWithin:
@@ -148,6 +160,14 @@ class TestVerify:
     def test_residuals_at_tol_1e_7(self, capsys):
         code, out = run_cli(capsys, "verify", "residuals", "--tol=1e-7")
         assert code == 0
+
+    def test_zero_drift_residuals_have_margin(self, capsys):
+        code, out = run_cli(capsys, "verify", "residuals", "--json")
+        assert code == 0
+        checks = [c for c in json.loads(out)["results"]["checks"] if "moves=-1,1 " in c["check"]]
+        assert len(checks) == 9
+        for c in checks:
+            assert float(c["residual"]) <= float(c["bound"]) / 4, c["check"]
 
     def test_single_suite(self, capsys):
         code, out = run_cli(capsys, "verify", "recurrence")

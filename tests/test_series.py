@@ -8,9 +8,11 @@ from pilerace import series
 from pilerace.closedforms import win_within_one
 from pilerace.numeric import PiLinear
 from pilerace.passage import GameSpec, MoveSet, build_passage_table
+from pilerace.reference import SQUARE_SUM_RECURRENCE, SQUARE_SUMS_PM1, TARGET_TABLE_PM1
 from pilerace.series import (
     CONVERGED,
     DIVERGED,
+    INCONCLUSIVE,
     WORK_DPS,
     TailPolicy,
     expected_duration,
@@ -31,6 +33,18 @@ F = Fraction
 
 def pl(const, inv_pi):
     return PiLinear(F(const), F(inv_pi)).approx(30).value
+
+
+def square_sums_pm1(n_max):
+    """Exact T(n) = sum_k r(n, k)**2 on {-1,1} for n = 1..n_max: the
+    pinned T(1..6), continued by the pinned order-3 recurrence."""
+    rec = SQUARE_SUM_RECURRENCE
+    t = [SQUARE_SUMS_PM1[n] for n in range(1, 7)]
+    while len(t) < n_max:
+        n = len(t) - 2  # the window T(n..n+3) with T(n+3) unknown
+        lower = rec.apply(t[-3:] + [PiLinear.zero()], n)
+        t.append(lower * (-1 / rec.coefficient(3, n)))
+    return t[:n_max]
 
 
 class TestPolicy:
@@ -188,12 +202,15 @@ class TestWinProbTargets:
     def test_mixed_parity_pairs_sum_to_one(self):
         a = win_prob_targets(5, 4, PM1)
         b = win_prob_targets(4, 5, PM1)
-        assert abs(a.value + b.value - 1) < 2e-8
+        assert abs(a.value + b.value - 1) <= a.error_bound() + b.error_bound()
 
     def test_same_parity_pairs_sum_below_one(self):
+        # simultaneous arrivals are possible, so the pair leaves mass for ties
         a = win_prob_targets(3, 5, PM1)
         b = win_prob_targets(5, 3, PM1)
-        assert float(a.value + b.value) < 1 - 0.01
+        exact = (TARGET_TABLE_PM1[3, 5] + TARGET_TABLE_PM1[5, 3]).approx(30).value
+        assert exact < 1 - 0.01
+        assert abs(a.value + b.value - exact) <= a.error_bound() + b.error_bound()
 
 
 class TestExpectedDuration:
@@ -298,6 +315,9 @@ class TestTailHonesty:
                     "negative-drift tail under-reports by up to 1%",
                 ),
             ),
+            lambda p: square_sum_value(PM1, 6, p),
+            # mixed parity: the cross-difference channel carries the tail
+            lambda p: win_prob_targets(2, 3, PM1, p),
         ],
     )
     def test_doubling_stays_within_tail(self, make):
@@ -322,6 +342,56 @@ class TestZeroDriftStream:
                     if exact:
                         ref = mpf(exact.numerator) / exact.denominator
                         assert abs(x - ref) <= mpf("1e-35") * ref, k
+
+
+class TestZeroDriftConstants:
+    """Every exact zero-drift constant, reached by the extrapolated sums
+    with a quarter of the reported bound to spare."""
+
+    @staticmethod
+    def assert_within_quarter_bound(res, exact):
+        assert res.verdict == CONVERGED
+        with mp.workdps(WORK_DPS):
+            assert abs(res.value - exact.approx(40).value) <= res.error_bound() / 4
+
+    @pytest.mark.parametrize("n1, n2", sorted(TARGET_TABLE_PM1))
+    def test_target_table(self, n1, n2):
+        self.assert_within_quarter_bound(win_prob_targets(n1, n2, PM1), TARGET_TABLE_PM1[n1, n2])
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_square_sums(self, n):
+        self.assert_within_quarter_bound(square_sum_value(PM1, n), square_sums_pm1(n)[-1])
+
+    @pytest.mark.parametrize("max_k", [129, 1001])
+    @pytest.mark.parametrize("n1, n2", [(1, 2), (1, 5), (3, 4)])
+    def test_odd_cap_keeps_the_bound(self, n1, n2, max_k):
+        # the terms live on one parity of k, so an odd cap is no checkpoint
+        res = win_prob_targets(n1, n2, PM1, TailPolicy(tolerance=1e-30, max_k=max_k))
+        with mp.workdps(WORK_DPS):
+            exact = TARGET_TABLE_PM1[n1, n2].approx(40).value
+            assert abs(res.value - exact) <= res.error_bound() / 4
+
+    @pytest.mark.parametrize("n", [20, 30])
+    def test_far_targets_start_at_n_squared(self, n):
+        # checkpoints below K = n**2 would under-report the tail
+        res = square_sum_value(PM1, n, TailPolicy(tolerance=1e-6))
+        self.assert_within_quarter_bound(res, square_sums_pm1(n)[-1])
+
+    @pytest.mark.parametrize("n, first_k", [(1, 128), (5, 256), (30, 8192)])
+    def test_tail_needs_four_checkpoints_from_n_squared(self, n, first_k):
+        # checkpoints K = 16, 32, ... are recorded from K >= n**2 on
+        early = square_sum_value(PM1, n, TailPolicy(tolerance=0.5, max_k=first_k // 2))
+        assert early.verdict == INCONCLUSIVE and early.tail_estimate == mpf("inf")
+        first = square_sum_value(PM1, n, TailPolicy(tolerance=0.5, max_k=first_k))
+        assert first.verdict == CONVERGED and first.truncation_k == first_k
+
+    @pytest.mark.parametrize("n", [6, 12, 30])
+    def test_every_checkpoint_keeps_the_bound(self, n):
+        exact = square_sums_pm1(n)[-1]
+        for j in range(6, 14):
+            res = square_sum_value(PM1, n, TailPolicy(tolerance=1e-30, max_k=2**j))
+            with mp.workdps(WORK_DPS):
+                assert abs(res.value - exact.approx(40).value) <= res.error_bound() / 4, 2**j
 
 
 class TestScaledZeroDrift:
