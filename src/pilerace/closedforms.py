@@ -1,6 +1,6 @@
 """Closed-form counting formulas for the two classic move sets.
 
-These are the independent oracles against the window DP in
+These are the independent oracles against the lattice DP in
 :mod:`pilerace.passage`:
 
 * ``catalan_count(n, k)``: number of ±1 walks of length k that stay

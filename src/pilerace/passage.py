@@ -9,11 +9,12 @@ exact rationals,
 * ``q[k]``: probability the pile stays strictly below ``n`` through move
   ``k`` (``q[0] = 1``),
 
-by stepping the full distribution of surviving positions.  Position
-weights are big-integer numerators over the common denominator ``2**k``,
-so one step costs a single pass over the position window and no per-cell
-gcd work.  The window is never truncated probabilistically: tables are
-exact by construction.
+by stepping the exact distribution of surviving paths on the walk's
+lattice.  After k moves a path with j b-moves sits at ``a*k + (b-a)*j``,
+so the state is one big-integer weight per j over the common denominator
+``2**k``: a step is Pascal's rule, and the absorbed paths are a top run
+of j.  Nothing is truncated probabilistically: tables are exact by
+construction.
 
 The degenerate target ``n = 0`` is refused here; a zero-target race is
 decided before anyone moves and is answered directly by the series layer.
@@ -24,6 +25,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 import numpy as np
 
@@ -84,9 +86,13 @@ class GameSpec:
 def iter_passage(spec: GameSpec):
     """Yield ``(k, r_k, q_k)`` exactly for k = 1, 2, ...
 
-    The generator ends once the surviving mass hits zero (every later r
-    and q is exactly zero), which happens iff both moves are positive or
-    the walk is deterministic.
+    ``counts[j]`` is the weight over ``2**k`` of the surviving paths with
+    j b-moves, all at position ``a*k + (b-a)*j``.  Position rises with j,
+    so the paths absorbed at move k are the cells j >= ceil((n - a*k) /
+    (b-a)); they are cut into ``r_k``.  When a == b every path shares one
+    position and only the surviving weight is kept.  The generator ends
+    once the surviving mass hits zero (every later r and q is exactly
+    zero), which happens iff both moves are positive.
     """
     if spec.n < 1:
         raise ValueError(
@@ -96,35 +102,24 @@ def iter_passage(spec: GameSpec):
     a, b = spec.moves.a, spec.moves.b
     n = spec.n
     span = b - a
-    counts = [1]  # weights over positions [lo, lo + len - 1], denominator 2**k
-    lo = 0
+    counts = [1]
+    survived = 1
     pow2 = 1
     k = 0
     while True:
         k += 1
         pow2 <<= 1
-        nlo = lo + a
-        nhi = min(lo + len(counts) - 1 + b, n - 1)
-        new = [0] * max(nhi - nlo + 1, 0)
-        win = 0
-        for i, c in enumerate(counts):
-            if not c:
-                continue
-            pa = nlo + i
-            if pa >= n:
-                win += c
-            else:
-                new[i] += c
-            if pa + span >= n:
-                win += c
-            else:
-                new[i + span] += c
-        survived = sum(new)
+        if span:
+            counts = list(map(add, counts + [0], [0] + counts))
+            cut = max(_ceil_div(n - a * k, span), 0)
+            win = sum(counts[cut:])
+            del counts[cut:]
+        else:
+            win = 2 * survived if a * k >= n else 0
+        survived = 2 * survived - win
         yield k, Fraction(win, pow2), Fraction(survived, pow2)
         if survived == 0:
             return
-        counts = new
-        lo = nlo
 
 
 @dataclass(frozen=True)
@@ -169,7 +164,7 @@ def build_passage_table(spec: GameSpec, k_max: int) -> PassageTable:
 
 def enumerate_first_passage(moves: MoveSet, n: int, k_max: int) -> list:
     """Exact r values for k <= k_max by exhausting all 2**k_max move
-    sequences.  Independent of the window DP; intended as an oracle.
+    sequences.  Independent of the lattice DP; intended as an oracle.
     """
     if n < 1:
         raise ValueError("target must be >= 1")

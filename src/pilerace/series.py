@@ -210,7 +210,7 @@ def rq_stream(spec: GameSpec, *, prefer_float: bool = False):
 
     Zero-drift sets reduce to the unit-step walk and use closed forms
     (exact, or O(1)-per-term floats when ``prefer_float``).  Everything
-    else runs the exact window DP.  DP-backed streams end once the walk
+    else runs the exact lattice DP.  DP-backed streams end once the walk
     is absorbed; closed-form streams are infinite.
     """
     reduced = reduce_zero_drift(spec)
@@ -645,18 +645,24 @@ def expected_duration(spec: GameSpec, policy: TailPolicy | None = None) -> Serie
 
 def win_within(spec: GameSpec, k: int) -> Fraction:
     """Exact probability the second player wins within ``k`` moves: the
-    partial sum of ``q * r`` through ``k`` as a rational."""
+    partial sum of ``q * r`` through ``k`` as a rational.
+
+    Every r and q at index j is a count over ``2**j``, so the sum is kept
+    as one integer over ``4**j`` and reduced once at the end."""
     spec = _validated(spec)
     if spec.n < 1:
         raise ValueError("target must be >= 1")
     if k < 1:
         raise ValueError("k must be >= 1")
-    total = Fraction(0)
+    total = last = 0
     for j, r, q in rq_stream(spec):
         if j > k:
             break
-        total += q * r
-    return total
+        w = r.numerator << (j + 1 - r.denominator.bit_length())
+        s = q.numerator << (j + 1 - q.denominator.bit_length())
+        total = (total << 2) + w * s
+        last = j
+    return Fraction(total, 4**last)
 
 
 def square_sum_value(

@@ -112,14 +112,14 @@ class TestRaneyCount:
 class TestPassageEquivalence:
     def test_unit_step_counts_equal_dp(self):
         for n in range(1, 10):
-            table = build_passage_table(GameSpec(MoveSet(-1, 1), n), 61)
-            for k in range(1, 62):
+            table = build_passage_table(GameSpec(MoveSet(-1, 1), n), 400)
+            for k in range(1, 401):
                 assert passage_prob_pm1(n, k) == table.r[k]
 
     def test_minus12_counts_equal_dp(self):
         for n in range(1, 8):
-            table = build_passage_table(GameSpec(MoveSet(-1, 2), n), 46)
-            for k in range(1, 47):
+            table = build_passage_table(GameSpec(MoveSet(-1, 2), n), 400)
+            for k in range(1, 401):
                 assert passage_prob_m1p2(n, k) == table.r[k]
 
 

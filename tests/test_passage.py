@@ -1,7 +1,11 @@
+import hashlib
 import io
 from fractions import Fraction
+from itertools import islice
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pilerace.passage import (
     GameSpec,
@@ -184,3 +188,43 @@ class TestZeroDriftReduction:
 def test_iter_passage_stops_at_absorption():
     ks = [k for k, _, _ in iter_passage(GameSpec(MoveSet(1, 2), 3))]
     assert ks == [1, 2, 3]
+
+
+# sha256 of the "num/den" lines of r[1:] + q, frozen from the exact output of
+# the position-window DP that the lattice DP replaced.
+PINNED_DIGESTS = [
+    ((-3, 4), 1, 2048, "cf9258c6e83a2c3a9bd64dc7b99cace12274bd634c1512d378c7a4ce63b50e77"),
+    ((-2, 3), 2, 1024, "c9a1a869c6189f32a7c92f7b6097cafcee4afed711c9d7851c04785e68fe8449"),
+    ((-3, 2), 1, 1024, "4977a0175049b03d2fd3a700a7bce8e212d803c9fb61d867cd8610c10bd2e9bb"),
+    ((-1, 3), 50, 2000, "9f66b213dbbab48cfb6791e05cf7659e0b2e456a609b125165d689adb3a551d0"),
+    ((2, 5), 9, 40, "ff8c131b45bd413d1a83d5d4c3dfc745ce95e76815222d7c6795cbda031e804a"),
+    ((-4, -1), 1, 300, "d5704aefbccc226211239842b41ba9edbd85e59ad2c4f4fd1e0b9c866e872363"),
+    ((3, 3), 7, 10, "bd84a160fb61196086863fef0f1c567d33416e7f0b0645f1b791a182c560cb5c"),
+    ((0, 0), 2, 50, "0f3ff4cf6655ee6cdd484ba0796321b605f34fa13c85eee4f4f07b1248228873"),
+    ((-5, 1), 3, 500, "868e093846bc3fa6143279b182ed7792948268a1f324184c3cfa42adf4d7e581"),
+]
+
+
+@pytest.mark.parametrize(
+    "moves,n,k_max,digest", PINNED_DIGESTS, ids=[f"{m}-n{n}-K{k}" for m, n, k, _ in PINNED_DIGESTS]
+)
+def test_table_matches_pinned_digest(moves, n, k_max, digest):
+    table = build_passage_table(GameSpec(MoveSet(*moves), n), k_max)
+    text = "\n".join(f"{v.numerator}/{v.denominator}" for v in table.r[1:] + table.q)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@given(moves=st.builds(MoveSet, st.integers(-5, 5), st.integers(-5, 5)), n=st.integers(1, 8))
+def test_table_equals_enumeration(moves, n):
+    table = build_passage_table(GameSpec(moves, n), 12)
+    assert list(table.r) == enumerate_first_passage(moves, n, 12)
+    for k in range(13):
+        assert table.q[k] == 1 - sum(table.r[: k + 1])
+
+
+@given(moves=st.builds(MoveSet, st.integers(1, 5), st.integers(1, 5)), n=st.integers(1, 8))
+def test_positive_walk_stops_at_its_last_win(moves, n):
+    last = -(-n // moves.a)  # the all-a path is absorbed last
+    items = list(islice(iter_passage(GameSpec(moves, n)), last + 1))
+    k, r, q = items[-1]
+    assert (k, q) == (last, 0) and r != 0
