@@ -8,6 +8,12 @@ is exact, and with honest tail estimates where an infinite series has to
 be truncated.  A vectorized, reproducibly seeded simulator provides an
 independent Monte Carlo check, and a small recurrence lab verifies and
 guesses the linear recurrences satisfied by the exact constants.
+
+numpy is loaded only by the simulator and by the exhaustive oracle
+``enumerate_first_passage``.  Importing it costs more than half of a
+``pilerace`` process's start-up, and none of the exact or series answers
+use it, so ``SimConfig``, ``SimReport`` and ``run_simulation`` are served
+lazily from ``pilerace.simulate`` on first access.
 """
 
 from .closedforms import (
@@ -48,7 +54,17 @@ from .series import (
     win_prob_targets,
     win_within,
 )
-from .simulate import SimConfig, SimReport, run_simulation
+
+_LAZY_SIMULATE = ("SimConfig", "SimReport", "run_simulation")
+
+
+def __getattr__(name):
+    if name in _LAZY_SIMULATE:
+        from . import simulate
+
+        return getattr(simulate, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

@@ -39,7 +39,6 @@ from .series import (
     win_prob_targets,
     win_within,
 )
-from .simulate import SimConfig, run_simulation
 
 USAGE_ERROR = 1
 CONVERGENCE_ERROR = 2
@@ -116,6 +115,8 @@ def _add_series_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _policy_from(args) -> TailPolicy:
+    if args.digits < 1:
+        raise ValueError(f"--digits must be >= 1, got {args.digits}")
     kwargs = {}
     if args.tol is not None:
         kwargs["tolerance"] = args.tol
@@ -363,6 +364,8 @@ def _cmd_passage(args) -> tuple[OutputRecord, int]:
 
 
 def _cmd_simulate(args) -> tuple[OutputRecord, int]:
+    from .simulate import SimConfig, run_simulation
+
     cfg = SimConfig(
         moves=args.moves,
         n1=args.n1,
@@ -520,7 +523,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         record, code = _COMMANDS[args.subcommand](args)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OSError) as exc:
         print(f"pilerace: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     print(record.to_json() if getattr(args, "json", False) else record.render_human())

@@ -27,8 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
-import numpy as np
-
 from .numeric import rational_str
 
 
@@ -166,6 +164,8 @@ def enumerate_first_passage(moves: MoveSet, n: int, k_max: int) -> list:
     """Exact r values for k <= k_max by exhausting all 2**k_max move
     sequences.  Independent of the lattice DP; intended as an oracle.
     """
+    import numpy as np
+
     if n < 1:
         raise ValueError("target must be >= 1")
     if not 1 <= k_max <= 20:

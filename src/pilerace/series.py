@@ -53,7 +53,6 @@ from itertools import count, zip_longest
 
 from mpmath import mp, mpf
 
-from .closedforms import catalan_count
 from .passage import (
     GameSpec,
     MoveSet,
@@ -169,10 +168,23 @@ class SeriesResult:
 
 
 def _stream_unit_exact(n: int):
-    """(k, r, q) for the unit-step symmetric walk, exact rationals."""
+    """(k, r, q) for the unit-step symmetric walk, exact rationals.
+
+    The walk first hits n only at k = n + 2j, with count n C(k, j) / k
+    (hitting-time theorem).  The binomial is kept as a running integer,
+    ``C(k + 2, j + 1) = C(k, j) (k + 1)(k + 2) / ((j + 1)(n + j + 1))``,
+    so each term is one multiply and two exact divisions.
+    """
     q = Fraction(1)
+    zero = Fraction(0)
+    binom = 1  # C(k, j) at the next hitting index k = n + 2j
     for k in count(1):
-        r = Fraction(catalan_count(n, k - 1), 1 << k)
+        if k < n or (k - n) % 2:
+            yield k, zero, q
+            continue
+        j = (k - n) // 2
+        r = Fraction(n * binom // k, 1 << k)
+        binom = binom * (k + 1) * (k + 2) // ((j + 1) * (n + j + 1))
         q -= r
         yield k, r, q
 

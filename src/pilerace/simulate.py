@@ -14,6 +14,12 @@ consumed at a given round is a fixed function of the round index alone.
 Results are therefore bit-identical however the trials are partitioned
 into batches or row groups (or distributed across workers), which is the
 reproducibility contract the tests pin down.
+
+This is the one module that imports numpy at load time; the only other
+user, the exhaustive oracle ``enumerate_first_passage``, imports it when
+called.  The package and the CLI load this module on first use, so the
+exact and series commands never pay numpy's import, which is most of a
+``pilerace`` process's start-up.
 """
 
 from __future__ import annotations

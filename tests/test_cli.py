@@ -50,6 +50,14 @@ class TestPn:
         code = main(["pn", "--moves=-1,1", "--n=-2"])
         assert code == 1
 
+    @pytest.mark.parametrize("digits", ["0", "-3"])
+    def test_digits_below_one_is_a_usage_error(self, capsys, digits):
+        code = main(["pn", "--moves=-1,2", "--n=1", f"--digits={digits}"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"pilerace: error: --digits must be >= 1, got {digits}\n"
+
 
 class TestPmn:
     def test_table_cell(self, capsys):
@@ -113,6 +121,12 @@ class TestTable:
         assert len(lines) == 7
         assert lines[0].startswith("n,exact_form")
 
+    def test_unwritable_csv_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "t.csv"
+        code = main(["table", "t_values", "--tol=1e-6", f"--csv={path}"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("pilerace: error: ")
+
 
 class TestPassage:
     def test_human_output(self, capsys):
@@ -129,6 +143,12 @@ class TestPassage:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "k,r,q,r_decimal,q_decimal"
         assert len(lines) == 10
+
+    def test_unwritable_csv_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "rq.csv"
+        code = main(["passage", "--moves=-1,1", "--n=1", "--max-k=8", f"--csv={path}"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("pilerace: error: ")
 
 
 class TestSimulate:
