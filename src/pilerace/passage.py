@@ -1,8 +1,8 @@
 """Exact first-passage engine for two-move coin-flip walks.
 
 A player's pile follows a walk that adds ``a`` or ``b`` chips per move,
-each with probability 1/2.  For a target ``n`` the engine computes, as
-exact rationals,
+each with probability 1/2.  For a target ``n`` the engine computes
+exactly
 
 * ``r[k]``: probability the pile first reaches ``>= n`` on move ``k``
   (overshoot counts; there is no exact-landing mode), and
@@ -13,8 +13,9 @@ by stepping the exact distribution of surviving paths on the walk's
 lattice.  After k moves a path with j b-moves sits at ``a*k + (b-a)*j``,
 so the state is one big-integer weight per j over the common denominator
 ``2**k``: a step is Pascal's rule, and the absorbed paths are a top run
-of j.  Nothing is truncated probabilistically: tables are exact by
-construction.
+of j.  The stream yields r and q as integer numerators over ``2**k``;
+``build_passage_table`` turns them into ``Fraction``s.  Nothing is
+truncated probabilistically: tables are exact by construction.
 
 The degenerate target ``n = 0`` is refused here; a zero-target race is
 decided before anyone moves and is answered directly by the series layer.
@@ -82,7 +83,8 @@ class GameSpec:
 
 
 def iter_passage(spec: GameSpec):
-    """Yield ``(k, r_k, q_k)`` exactly for k = 1, 2, ...
+    """Yield ``(k, win, survived)`` for k = 1, 2, ...: the integer
+    numerators of ``r_k`` and ``q_k`` over ``2**k``.
 
     ``counts[j]`` is the weight over ``2**k`` of the surviving paths with
     j b-moves, all at position ``a*k + (b-a)*j``.  Position rises with j,
@@ -102,11 +104,9 @@ def iter_passage(spec: GameSpec):
     span = b - a
     counts = [1]
     survived = 1
-    pow2 = 1
     k = 0
     while True:
         k += 1
-        pow2 <<= 1
         if span:
             counts = list(map(add, counts + [0], [0] + counts))
             cut = max(_ceil_div(n - a * k, span), 0)
@@ -115,7 +115,7 @@ def iter_passage(spec: GameSpec):
         else:
             win = 2 * survived if a * k >= n else 0
         survived = 2 * survived - win
-        yield k, Fraction(win, pow2), Fraction(survived, pow2)
+        yield k, win, survived
         if survived == 0:
             return
 
@@ -149,9 +149,9 @@ def build_passage_table(spec: GameSpec, k_max: int) -> PassageTable:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     r = [Fraction(0)]
     q = [Fraction(1)]
-    for k, rk, qk in iter_passage(spec):
-        r.append(rk)
-        q.append(qk)
+    for k, win, survived in iter_passage(spec):
+        r.append(Fraction(win, 1 << k))
+        q.append(Fraction(survived, 1 << k))
         if k == k_max:
             break
     while len(r) <= k_max:  # walk was absorbed early: all later mass is gone

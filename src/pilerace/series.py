@@ -35,13 +35,16 @@ negative drift the ``q1 r2`` terms, which decay at the walk's ratio
 rather than its square, are summed and fitted themselves.
 
 Every evaluator runs through one summation core, ``_summed``.  From the
-move set and the ``TailPolicy`` it picks the tail mode, the truncation
-cap and the arithmetic (``mpf`` at zero drift, exact ``Fraction``
-otherwise); it builds the single ``(k, r, q)`` stream or the zipped
+move set and the ``TailPolicy`` it picks the tail mode and the
+truncation cap; it builds the single ``(k, r, q)`` stream or the zipped
 ``(k, r1, q1, r2, q2)`` stream of two targets, drives the channels and
 assembles the ``SeriesResult``.  An evaluator supplies only its input
 guards, its per-term map, its channel scales and structural zeros, and
 how the channel totals become a value, a tail bound and a last term.
+The core sums in one arithmetic, ``mpf`` at ``WORK_DPS``, for every
+move set; the rounding is covered by the result's ``eval_error``.
+Exact streams (integer numerators over ``2**k``) feed only
+``win_within``, whose caller gets a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -116,10 +119,10 @@ class TailPolicy:
 class SeriesResult:
     """Outcome of one truncated series evaluation.
 
-    ``value`` is the estimate (exact partial sums are converted only at
-    the end when the summation stayed exact); ``tail_estimate`` bounds
-    what truncation may still be missing, and ``eval_error`` bounds
-    arithmetic rounding.  A diverged verdict always carries a witness.
+    Every number is an mpf; sums run at ``WORK_DPS``.  ``value`` is the
+    estimate; ``tail_estimate`` bounds what truncation may still be
+    missing, and ``eval_error`` bounds arithmetic rounding.  A diverged
+    verdict always carries a witness.
     """
 
     value: mpf
@@ -142,12 +145,7 @@ class SeriesResult:
 
     def to_json_dict(self) -> dict:
         def num(x):
-            if x is None:
-                return None
-            if not isinstance(x, mpf):
-                with mp.workdps(WORK_DPS):
-                    x = mpf(x)
-            return mp.nstr(x, 24)
+            return None if x is None else mp.nstr(x, 24)
 
         return {
             "value": num(self.value),
@@ -168,22 +166,23 @@ class SeriesResult:
 
 
 def _stream_unit_exact(n: int):
-    """(k, r, q) for the unit-step symmetric walk, exact rationals.
+    """(k, r, q) for the unit-step symmetric walk, exact: r and q as
+    integer numerators over ``2**k``, the format of ``iter_passage``.
 
     The walk first hits n only at k = n + 2j, with count n C(k, j) / k
     (hitting-time theorem).  The binomial is kept as a running integer,
     ``C(k + 2, j + 1) = C(k, j) (k + 1)(k + 2) / ((j + 1)(n + j + 1))``,
     so each term is one multiply and two exact divisions.
     """
-    q = Fraction(1)
-    zero = Fraction(0)
+    q = 1
     binom = 1  # C(k, j) at the next hitting index k = n + 2j
     for k in count(1):
+        q <<= 1
         if k < n or (k - n) % 2:
-            yield k, zero, q
+            yield k, 0, q
             continue
         j = (k - n) // 2
-        r = Fraction(n * binom // k, 1 << k)
+        r = n * binom // k
         binom = binom * (k + 1) * (k + 2) // ((j + 1) * (n + j + 1))
         q -= r
         yield k, r, q
@@ -220,17 +219,21 @@ def _stream_unit_float(n: int):
 def rq_stream(spec: GameSpec, *, prefer_float: bool = False):
     """(k, r, q) for any move set.
 
-    Zero-drift sets reduce to the unit-step walk and use closed forms
-    (exact, or O(1)-per-term floats when ``prefer_float``).  Everything
-    else runs the exact lattice DP.  DP-backed streams end once the walk
-    is absorbed; closed-form streams are infinite.
+    Zero-drift sets reduce to the unit-step walk and use its closed
+    forms; everything else runs the exact lattice DP.  By default r and
+    q are exact, integer numerators over ``2**k``.  ``prefer_float``
+    gives mpf values at the current precision instead: the O(1)-per-term
+    closed-form stream, or the DP's numerators each rounded once.
+    DP-backed streams end once the walk is absorbed; closed-form streams
+    are infinite.
     """
     reduced = reduce_zero_drift(spec)
     if reduced is not None:
-        if prefer_float:
-            return _stream_unit_float(reduced)
-        return _stream_unit_exact(reduced)
-    return iter_passage(spec)
+        return _stream_unit_float(reduced) if prefer_float else _stream_unit_exact(reduced)
+    dp = iter_passage(spec)
+    if prefer_float:
+        return ((k, mpf((w, -k)), mpf((s, -k))) for k, w, s in dp)
+    return dp
 
 
 # ---------------------------------------------------------------------------
@@ -238,20 +241,19 @@ def rq_stream(spec: GameSpec, *, prefer_float: bool = False):
 
 
 class _Channel:
-    """One summed series: an accumulator in the stream's arithmetic
-    (``Fraction`` or ``mpf``, fixed by the zero it starts from), a ring of
-    recent nonzero block magnitudes for the geometric tail fit, and the
-    checkpoint totals for the zero-drift extrapolation.
+    """One summed series: an mpf accumulator, a ring of recent nonzero
+    block magnitudes for the geometric tail fit, and the checkpoint
+    totals for the zero-drift extrapolation.
 
     ``block`` consecutive indices are fitted as one unit; the asymmetric
     cross-difference series alternates sign with parity and only its
     2-blocks decay cleanly.  Checkpoints are recorded from ``start`` on.
     """
 
-    def __init__(self, zero, block: int, scale: float, structural_zero: bool, start: int):
+    def __init__(self, block: int, scale: float, structural_zero: bool, start: int):
         self.block = block
         self.scale = scale  # weight of this channel's tail in the stop rule
-        self.total = zero
+        self.total = mpf(0)
         self.ring: list[tuple[float, float]] = []  # (k, |block sum|)
         self.nterms = 0
         self.last_nonzero = 0.0
@@ -395,13 +397,6 @@ def _eval_rounding_bound(channels) -> mpf:
     return mpf(10) ** (-(WORK_DPS - 5)) * (n + 1)
 
 
-def _to_mpf(x) -> mpf:
-    """A stream-typed value (``Fraction`` or ``mpf``) as an mpf."""
-    if isinstance(x, Fraction):
-        return mpf(x.numerator) / x.denominator
-    return mpf(x)
-
-
 def _single(res: _DriveResult):
     """The finish of a plain one-channel sum: its total, tail and last term."""
     (ch,) = res.channels
@@ -421,9 +416,9 @@ def _summed(
 ) -> SeriesResult:
     """The summation core behind every evaluator.
 
-    The move set and ``policy`` fix the tail mode and truncation cap;
-    zero-drift walks are summed on the mpf closed-form stream, every
-    other walk on the exact DP's rationals.  One spec gives its
+    The move set and ``policy`` fix the tail mode and truncation cap.
+    Every walk is summed on its mpf stream: the closed form at zero
+    drift, the once-rounded DP items otherwise.  One spec gives its
     ``(k, r, q)`` stream as is; two specs (same moves) are zipped into
     ``(k, r1, q1, r2, q2)``, an absorbed walk padded with zeros, and two
     equal specs share one stream fed as ``(k, r, q, r, q)``.
@@ -431,26 +426,23 @@ def _summed(
     ``scales[i]`` in the stop rule and, when ``structural[i]`` is set,
     known to be identically zero.  ``head`` is a k = 0 term added to the
     first channel before the stream starts.  ``finish(drive_result)``
-    returns ``(value, tail, last_term, no_winner)``, the value and
-    no-winner mass still in the stream's arithmetic; everything runs at
+    returns ``(value, tail, last_term, no_winner)``; everything runs at
     ``WORK_DPS``.
     """
     policy = policy if policy is not None else TailPolicy()
     moves = specs[0].moves
     max_k = policy.resolved_max_k(moves)
     unit_targets = [reduce_zero_drift(spec) for spec in specs]
-    exact = unit_targets[0] is None
-    zero = Fraction(0) if exact else mpf(0)
     # below K = n**2 the unit-step terms have not yet settled into their
     # asymptotic expansion, so extrapolation starts no earlier
-    start = 16 if exact else max(16, max(unit_targets) ** 2)
+    start = 16 if unit_targets[0] is None else max(16, max(unit_targets) ** 2)
     with mp.workdps(WORK_DPS):
-        streams = [rq_stream(spec, prefer_float=not exact) for spec in dict.fromkeys(specs)]
+        streams = [rq_stream(spec, prefer_float=True) for spec in dict.fromkeys(specs)]
         stream = streams[0]
         if len(specs) == 2 and len(streams) == 1:
             stream = ((k, r, q, r, q) for k, r, q in stream)
         elif len(streams) == 2:
-            pad = (None, zero, zero)
+            pad = (None, mpf(0), mpf(0))
             pairs = zip(count(1), zip_longest(*streams, fillvalue=pad))
             stream = ((k, r1, q1, r2, q2) for k, ((_, r1, q1), (_, r2, q2)) in pairs)
         # tail fits run on blocks spanning one congruence period b - a of
@@ -458,25 +450,25 @@ def _summed(
         # non-monotone wiggles) cannot masquerade as non-decay
         block = min(max(moves.b - moves.a, 1), 128)
         channels = [
-            _Channel(zero, block, scale, flag, start)
+            _Channel(block, scale, flag, start)
             for scale, flag in zip(scales, structural or (False,) * len(scales))
         ]
         if head:
-            channels[0].add(0, zero + head)
+            channels[0].add(0, mpf(head))
         res = _drive(
             stream, fmap, channels, mode=policy.mode_for(moves), tolerance=policy.tolerance,
             max_k=max_k, min_k=policy.min_k,
         )
         value, tail, last_term, no_winner = finish(res)
         return SeriesResult(
-            value=_to_mpf(value),
+            value=value,
             truncation_k=res.truncation_k,
             last_term=last_term,
             tail_estimate=tail,
             verdict=res.verdict,
             method=method,
             witness=res.witness,
-            no_winner=None if no_winner is None else _to_mpf(no_winner),
+            no_winner=no_winner,
             eval_error=_eval_rounding_bound(channels),
         )
 
@@ -659,20 +651,19 @@ def win_within(spec: GameSpec, k: int) -> Fraction:
     """Exact probability the second player wins within ``k`` moves: the
     partial sum of ``q * r`` through ``k`` as a rational.
 
-    Every r and q at index j is a count over ``2**j``, so the sum is kept
-    as one integer over ``4**j`` and reduced once at the end."""
+    The exact stream gives every r and q at index j as a count over
+    ``2**j``, so the sum is kept as one integer over ``4**j`` and reduced
+    once at the end."""
     spec = _validated(spec)
     if spec.n < 1:
         raise ValueError("target must be >= 1")
     if k < 1:
         raise ValueError("k must be >= 1")
     total = last = 0
-    for j, r, q in rq_stream(spec):
+    for j, win, survived in rq_stream(spec):
         if j > k:
             break
-        w = r.numerator << (j + 1 - r.denominator.bit_length())
-        s = q.numerator << (j + 1 - q.denominator.bit_length())
-        total = (total << 2) + w * s
+        total = (total << 2) + win * survived
         last = j
     return Fraction(total, 4**last)
 
@@ -683,7 +674,10 @@ def square_sum_value(
     """The sum ``sum_k r(n, k)**2`` for a single target."""
     if n < 1:
         raise ValueError("target must be >= 1")
-    return _summed((GameSpec(moves, n),), policy, "square_sum", lambda k, r, q: (r * r,), (1.0,))
+    spec = GameSpec(moves, n)
+    if passage_gcd_reachability(spec).never:
+        return _trivial_result(0, "square_sum", witness="moves can never reach the target")
+    return _summed((spec,), policy, "square_sum", lambda k, r, q: (r * r,), (1.0,))
 
 
 def square_sum_sequence(

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, zip_longest
 
 import pytest
 from mpmath import mp, mpf
@@ -297,6 +297,15 @@ class TestSquareSums:
         res = square_sum_value(M12, 2)
         assert abs(res.value - mpf("0.2886887304423")) < 1e-9
 
+    @pytest.mark.parametrize("moves", [MoveSet(-1, 0), MoveSet(-3, -1), MoveSet(0, 0)], ids=str)
+    def test_unreachable_target_is_exactly_zero(self, moves):
+        # decided by the move set before any term is summed
+        res = square_sum_value(moves, 2)
+        assert res.verdict == CONVERGED
+        assert res.value == 0
+        assert res.truncation_k == 0
+        assert res.witness == "moves can never reach the target"
+
 
 class TestTailHonesty:
     @pytest.mark.parametrize(
@@ -327,21 +336,61 @@ class TestTailHonesty:
         assert abs(second.value - first.value) <= first.tail_estimate
 
 
-class TestZeroDriftStream:
-    """Every zero-drift sum runs on the mpf closed-form stream; it must
-    match the exact Catalan stream to near the working precision."""
+# zero-drift closed forms (ids 1..6), then lattice-DP walks of every kind:
+# positive, negative and no drift, and one that is absorbed
+STREAMS = [(PM1, n) for n in range(1, 7)] + [
+    (M12, 3), (MoveSet(-3, 4), 2), (MoveSet(-2, 1), 1), (MoveSet(1, 2), 5), (MoveSet(0, 0), 2),
+]
 
-    @pytest.mark.parametrize("n", range(1, 7))
-    def test_mpf_stream_matches_exact(self, n):
-        spec = GameSpec(PM1, n)
+
+class TestZeroDriftStream:
+    """Every sum runs on a stream's mpf form: the closed form at zero
+    drift, the once-rounded DP otherwise.  It must match the exact stream,
+    integer numerators over 2**k, to near the working precision, with the
+    same zeros and the same end."""
+
+    @pytest.mark.parametrize(
+        "moves, n", STREAMS, ids=[str(n) if m == PM1 else f"{m}-n{n}" for m, n in STREAMS]
+    )
+    def test_mpf_stream_matches_exact(self, moves, n):
+        spec = GameSpec(moves, n)
         with mp.workdps(WORK_DPS):
-            pairs = zip(rq_stream(spec, prefer_float=True), rq_stream(spec))
-            for (k, r, q), (_, r_exact, q_exact) in islice(pairs, 1024):
-                for x, exact in ((r, r_exact), (q, q_exact)):
+            pairs = zip_longest(rq_stream(spec, prefer_float=True), rq_stream(spec))
+            for item, exact_item in islice(pairs, 1024):
+                assert item is not None and exact_item is not None, "one stream ended first"
+                (k, *xs), (k_exact, *exacts) = item, exact_item
+                assert k == k_exact
+                for x, exact in zip(xs, exacts):
+                    assert type(exact) is int, k
                     assert (x == 0) == (exact == 0), k
-                    if exact:
-                        ref = mpf(exact.numerator) / exact.denominator
-                        assert abs(x - ref) <= mpf("1e-35") * ref, k
+                    ref = mpf(exact) / 2**k
+                    assert abs(x - ref) <= mpf("1e-35") * ref, k
+
+
+class TestRoundingBound:
+    """Non-zero-drift sums are rounded at WORK_DPS; the result's
+    eval_error must cover that against the exact sum over k = 0..K."""
+
+    @pytest.mark.parametrize(
+        "evaluate, spec, term",
+        [
+            (lambda s: square_sum_value(s.moves, s.n), GameSpec(M12, 100), lambda r, q: r * r),
+            (
+                lambda s: expected_duration(s, TailPolicy(tolerance=1e-20)),
+                GameSpec(MoveSet(-2, 3), 10), lambda r, q: q * q,
+            ),
+            (win_prob_direct, GameSpec(MoveSet(-3, 2), 1), lambda r, q: q * r),
+        ],
+        ids=["square_sum", "duration", "direct"],
+    )
+    def test_rounding_within_eval_error(self, evaluate, spec, term):
+        res = evaluate(spec)
+        assert res.verdict == CONVERGED
+        t = build_passage_table(spec, res.truncation_k)
+        exact = sum(term(t.r[k], t.q[k]) for k in range(res.truncation_k + 1))
+        with mp.workdps(100):
+            err = abs(res.value - mpf(exact.numerator) / exact.denominator)
+        assert err <= res.eval_error
 
 
 class TestZeroDriftConstants:
