@@ -6,8 +6,8 @@ computes the second player's win probability (equal or distinct targets),
 win-within-k curves and expected game lengths -- exactly where the math
 is exact, and with honest tail estimates where an infinite series has to
 be truncated.  A vectorized, reproducibly seeded simulator provides an
-independent Monte Carlo check, and a small recurrence lab verifies and
-guesses the linear recurrences satisfied by the exact constants.
+independent Monte Carlo check, and ``verify_recurrence`` checks the
+pinned recurrence of the squared-passage sums exactly.
 
 numpy is loaded only by the simulator and by the exhaustive oracle
 ``enumerate_first_passage``.  Importing it costs more than half of a
@@ -42,7 +42,7 @@ from .passage import (
     iter_passage,
     passage_gcd_reachability,
 )
-from .recurrence import LinearRecurrence, VerifyResult, guess_recurrence, verify_recurrence
+from .recurrence import LinearRecurrence, VerifyResult, verify_recurrence
 from .series import (
     SeriesResult,
     TailPolicy,
@@ -86,7 +86,6 @@ __all__ = [
     "catalan_count",
     "enumerate_first_passage",
     "expected_duration",
-    "guess_recurrence",
     "iter_passage",
     "passage_gcd_reachability",
     "passage_prob_m1p2",

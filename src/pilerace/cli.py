@@ -8,16 +8,19 @@ reproduce.  ``--json`` switches to the machine-readable rendering of the
 same record; the two renderings always agree because the human table is
 generated from the JSON dictionary.
 
-Exit codes: 0 on success, 1 on usage errors, 2 when a series fails to
-converge or a verification suite finds a broken identity.
+Exit codes: 0 on success, 1 on usage errors or when stdout is closed
+before the output is written (``pilerace ... | head``), 2 when a series
+fails to converge or a verification suite finds a broken identity.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
+from itertools import islice
 
 from mpmath import mp, mpf
 
@@ -335,18 +338,8 @@ def _cmd_passage(args) -> tuple[OutputRecord, int]:
     table = build_passage_table(spec, args.max_k)
     reach = passage_gcd_reachability(spec)
     shown = min(args.max_k, 20)
-    rows = [
-        {
-            "k": k,
-            "r": rational_str(table.r[k]) if k else "",
-            "q": rational_str(table.q[k]),
-            "r_decimal": f"{float(table.r[k]):.15g}" if k else "",
-            "q_decimal": f"{float(table.q[k]):.15g}",
-        }
-        for k in range(shown + 1)
-    ]
     results = {
-        "rows": rows,
+        "rows": list(islice(table.rows(), shown + 1)),
         "reachability": reach.to_json_dict(),
     }
     if args.max_k > shown:
@@ -531,7 +524,16 @@ def main(argv=None) -> int:
 
 
 def script() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away.  Point stdout at devnull so the flush at
+        # interpreter exit cannot raise a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(USAGE_ERROR)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -132,12 +132,6 @@ class PiLinear:
         other = PiLinear.of(other)
         return PiLinear(self.const - other.const, self.inv_pi - other.inv_pi)
 
-    def __rsub__(self, other):
-        return PiLinear.of(other) - self
-
-    def __neg__(self):
-        return PiLinear(-self.const, -self.inv_pi)
-
     def __mul__(self, scalar):
         if isinstance(scalar, PiLinear):
             raise TypeError("product of two pi-linear values is not pi-linear")

@@ -31,6 +31,12 @@ from operator import add
 from .numeric import rational_str
 
 
+def require_int(value, what: str) -> None:
+    """Raise TypeError unless ``value`` is an int (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class MoveSet:
     """The two equally likely per-move increments; order-insensitive."""
@@ -40,8 +46,7 @@ class MoveSet:
 
     def __post_init__(self):
         for v in (self.a, self.b):
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise TypeError(f"moves must be integers, got {v!r}")
+            require_int(v, "moves")
         if self.a > self.b:
             a, b = self.b, self.a
             object.__setattr__(self, "a", a)
@@ -60,10 +65,6 @@ class MoveSet:
         """Mean increment per move, (a + b) / 2."""
         return Fraction(self.a + self.b, 2)
 
-    @property
-    def deterministic(self) -> bool:
-        return self.a == self.b
-
     def __str__(self) -> str:
         return f"{self.a},{self.b}"
 
@@ -76,8 +77,9 @@ class GameSpec:
     n: int
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, int):
-            raise TypeError(f"target must be an integer, got {self.n!r}")
+        if not isinstance(self.moves, MoveSet):
+            raise TypeError(f"moves must be a MoveSet, got {self.moves!r}")
+        require_int(self.n, "target")
         if self.n < 0:
             raise ValueError(f"target must be >= 0, got {self.n}")
 
@@ -133,14 +135,26 @@ class PassageTable:
     r: tuple
     q: tuple
 
-    def write_csv(self, fileobj) -> None:
-        """Rows of (k, exact r, exact q, 15-digit decimals) for inspection."""
-        writer = csv.writer(fileobj)
-        writer.writerow(["k", "r", "q", "r_decimal", "q_decimal"])
+    def rows(self):
+        """Yield one dict per k: exact r and q and their 15-digit decimals
+        (r is blank at k = 0, where there is no move)."""
         for k in range(self.k_max + 1):
-            r_s = rational_str(self.r[k]) if k else ""
-            r_d = f"{float(self.r[k]):.15g}" if k else ""
-            writer.writerow([k, r_s, rational_str(self.q[k]), r_d, f"{float(self.q[k]):.15g}"])
+            yield {
+                "k": k,
+                "r": rational_str(self.r[k]) if k else "",
+                "q": rational_str(self.q[k]),
+                "r_decimal": f"{float(self.r[k]):.15g}" if k else "",
+                "q_decimal": f"{float(self.q[k]):.15g}",
+            }
+
+    def write_csv(self, fileobj) -> None:
+        """Write ``rows()`` as CSV under a header line."""
+        rows = self.rows()
+        first = next(rows)
+        writer = csv.DictWriter(fileobj, fieldnames=list(first))
+        writer.writeheader()
+        writer.writerow(first)
+        writer.writerows(rows)
 
 
 def build_passage_table(spec: GameSpec, k_max: int) -> PassageTable:

@@ -4,25 +4,20 @@ sequences.
 A recurrence of order N is ``sum_i (a_i*n + b_i) * T(n+i) = 0`` for
 i = 0..N with rational ``a_i, b_i``.  Verification is exact; sequences
 whose entries live in span{1, 1/pi} are checked componentwise (rational
-coefficients act on each coordinate separately).  Guessing sets up the
-linear system obtained by plugging consecutive indices into the ansatz
-and extracts an exact nullspace vector, then insists the candidate also
-holds on held-out trailing terms.
+coefficients act on each coordinate separately).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 
 from .numeric import PiLinear, as_fraction
 
 
 @dataclass(frozen=True)
 class LinearRecurrence:
-    """Coefficient pairs ``(a_i, b_i)`` for i = 0..N, normalized to
-    integer entries with content 1 and a positive leading pair."""
+    """Coefficient pairs ``(a_i, b_i)`` for i = 0..N, as rationals."""
 
     coeffs: tuple
 
@@ -32,7 +27,7 @@ class LinearRecurrence:
             raise ValueError("a recurrence needs order >= 1 (two coefficient pairs)")
         if pairs[-1] == (0, 0):
             raise ValueError("leading coefficient pair must not vanish")
-        object.__setattr__(self, "coeffs", _normalize(pairs))
+        object.__setattr__(self, "coeffs", pairs)
 
     @property
     def order(self) -> int:
@@ -51,59 +46,12 @@ class LinearRecurrence:
             acc = acc + PiLinear.of(value) * self.coefficient(i, n)
         return acc
 
-    def __str__(self) -> str:
-        parts = []
-        for i in range(self.order, -1, -1):
-            a, b = self.coeffs[i]
-            if a == 0 and b == 0:
-                continue
-            sign, body = _poly_str(a, b)
-            term = f"{body}*T(n+{i})" if i else f"{body}*T(n)"
-            if not parts:
-                parts.append(term if sign > 0 else f"-{term}")
-            else:
-                parts.append(f"+ {term}" if sign > 0 else f"- {term}")
-        return " ".join(parts) + " = 0"
-
-
-def _normalize(pairs):
-    denominators = [x.denominator for a, b in pairs for x in (a, b)]
-    scale = Fraction(lcm(*denominators))
-    ints = [int(x * scale) for a, b in pairs for x in (a, b)]
-    content = 0
-    for v in ints:
-        content = gcd(content, abs(v))
-    if content > 1:
-        ints = [v // content for v in ints]
-    a_n, b_n = ints[-2], ints[-1]
-    lead = a_n if a_n != 0 else b_n
-    if lead < 0:
-        ints = [-v for v in ints]
-    it = iter(ints)
-    return tuple((Fraction(a), Fraction(b)) for a, b in zip(it, it))
-
-
-def _poly_str(a: Fraction, b: Fraction) -> tuple[int, str]:
-    """Render a*n + b without a leading sign; returns (sign, body)."""
-    if a == 0:
-        return (1 if b > 0 else -1), str(abs(b))
-    sign = 1 if a > 0 else -1
-    a_abs, b_signed = abs(a), b * sign
-    n_part = "n" if a_abs == 1 else f"{a_abs}*n"
-    if b_signed == 0:
-        return sign, n_part
-    op = "+" if b_signed > 0 else "-"
-    return sign, f"({n_part}{op}{abs(b_signed)})"
-
 
 @dataclass(frozen=True)
 class VerifyResult:
     ok: bool
     failed_at: int | None = None
     checked: int = 0
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def verify_recurrence(rec: LinearRecurrence, seq, n_start: int = 1) -> VerifyResult:
@@ -124,88 +72,3 @@ def verify_recurrence(rec: LinearRecurrence, seq, n_start: int = 1) -> VerifyRes
             return VerifyResult(False, failed_at=n, checked=checked)
         checked += 1
     return VerifyResult(True, checked=checked)
-
-
-def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Exact nullspace basis of the row system (reduced row echelon form)."""
-    matrix = [row[:] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(matrix)) if matrix[i][c] != 0), None)
-        if pivot is None:
-            continue
-        matrix[r], matrix[pivot] = matrix[pivot], matrix[r]
-        inv = 1 / matrix[r][c]
-        matrix[r] = [v * inv for v in matrix[r]]
-        for i in range(len(matrix)):
-            if i != r and matrix[i][c] != 0:
-                f = matrix[i][c]
-                matrix[i] = [vi - f * vr for vi, vr in zip(matrix[i], matrix[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(matrix):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for row_idx, pc in enumerate(pivots):
-            vec[pc] = -matrix[row_idx][fc]
-        basis.append(vec)
-    return basis
-
-
-def guess_recurrence(
-    seq, max_order: int, n_start: int = 0, holdout: int = 2
-) -> LinearRecurrence | None:
-    """Search for the minimal-order recurrence annihilating ``seq``.
-
-    The equations come from sliding the ansatz over the sequence with the
-    last ``holdout`` terms withheld; a candidate from the exact nullspace
-    is accepted only if it also verifies on the full sequence.  Returns
-    None when no order up to ``max_order`` works (a legitimate outcome).
-    """
-    if max_order < 1:
-        raise ValueError("max_order must be >= 1")
-    values = [as_fraction(x) for x in seq]
-    if len(values) < 2 * (max_order + 1) + 2:
-        raise ValueError(
-            f"need at least {2 * (max_order + 1) + 2} terms to overdetermine "
-            f"an order-{max_order} ansatz"
-        )
-    for order in range(1, max_order + 1):
-        ncols = 2 * (order + 1)
-        usable = len(values) - holdout
-        rows = []
-        for j in range(usable - order):
-            n = n_start + j
-            row = []
-            for i in range(order + 1):
-                t = values[j + i]
-                row.append(t * n)  # coefficient of a_i
-                row.append(t)  # coefficient of b_i
-            rows.append(row)
-        if len(rows) <= ncols:
-            continue
-        candidates = []
-        for vec in _nullspace(rows, ncols):
-            pairs = [(vec[2 * i], vec[2 * i + 1]) for i in range(order + 1)]
-            if pairs[-1] == (Fraction(0), Fraction(0)):
-                continue
-            candidate = LinearRecurrence(tuple(pairs))
-            if verify_recurrence(candidate, values, n_start=n_start):
-                candidates.append(candidate)
-        if candidates:
-            # when the nullspace is fat, prefer the plainest relation:
-            # fewest nonzero coefficients, then fewest n-dependent ones
-            return min(candidates, key=_simplicity)
-    return None
-
-
-def _simplicity(rec: LinearRecurrence) -> tuple:
-    flat = [x for pair in rec.coeffs for x in pair]
-    nonzero = sum(1 for x in flat if x != 0)
-    n_dependent = sum(1 for a, _ in rec.coeffs if a != 0)
-    return (nonzero, n_dependent, [abs(x) for x in flat])

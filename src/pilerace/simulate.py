@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .passage import MoveSet
+from .passage import MoveSet, require_int
 
 _U64 = np.uint64
 _GOLDEN = _U64(0x9E3779B97F4A7C15)
@@ -73,6 +73,12 @@ class SimConfig:
     max_moves_per_game: int | None = None
 
     def __post_init__(self):
+        if not isinstance(self.moves, MoveSet):
+            raise TypeError(f"moves must be a MoveSet, got {self.moves!r}")
+        for name in ("n1", "n2", "trials", "seed"):
+            require_int(getattr(self, name), name)
+        if self.max_moves_per_game is not None:
+            require_int(self.max_moves_per_game, "max_moves_per_game")
         if self.n1 < 1 or self.n2 < 1:
             raise ValueError("both targets must be >= 1")
         if self.trials < 1:

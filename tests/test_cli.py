@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from mpmath import mp, mpf
 
+import pilerace
 from pilerace.cli import OutputRecord, main
 from pilerace.reference import TARGET_TABLE_PM1
 
@@ -208,3 +213,19 @@ class TestOutputRecord:
         _, out1 = run_cli(capsys, *args)
         _, out2 = run_cli(capsys, *args)
         assert out1 == out2
+
+
+def test_closed_stdout_exits_quietly():
+    # the reader of a pipe leaves before any output, as `| head` may
+    src = str(Path(pilerace.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pilerace.cli", "passage", "--moves=-1,2", "--n=1",
+         "--max-k=20"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""

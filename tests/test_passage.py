@@ -46,6 +46,14 @@ class TestMoveSet:
         with pytest.raises(ValueError):
             GameSpec(MoveSet(-1, 1), -1)
 
+    @pytest.mark.parametrize(
+        "moves, n",
+        [((-1, 2), 3), ("-1,2", 3), (MoveSet(-1, 2), 1.0), (MoveSet(-1, 2), True)],
+    )
+    def test_spec_field_types(self, moves, n):
+        with pytest.raises(TypeError):
+            GameSpec(moves, n)
+
 
 class TestTableExamples:
     def test_unit_step_target_one(self):

@@ -1,17 +1,12 @@
 from fractions import Fraction
-from math import comb, factorial
 
 import pytest
 
 from pilerace.numeric import PiLinear
-from pilerace.recurrence import LinearRecurrence, guess_recurrence, verify_recurrence
+from pilerace.recurrence import LinearRecurrence, verify_recurrence
 from pilerace.reference import SQUARE_SUMS_PM1, SQUARE_SUM_RECURRENCE
 
 F = Fraction
-
-
-def catalan(n):
-    return comb(2 * n, n) // (n + 1)
 
 
 class TestVerify:
@@ -45,61 +40,6 @@ class TestVerify:
 
 
 class TestRecurrenceType:
-    def test_normalization_clears_denominators(self):
-        rec = LinearRecurrence(((F(-2), F(-1)), (F(1, 2), F(1))))
-        assert rec.coeffs == ((F(-4), F(-2)), (F(1), F(2)))
-
     def test_leading_pair_must_not_vanish(self):
         with pytest.raises(ValueError):
             LinearRecurrence(((F(1), F(0)), (F(0), F(0))))
-
-    def test_string_form(self):
-        assert (
-            str(SQUARE_SUM_RECURRENCE)
-            == "(n+3)*T(n+3) - (7*n+16)*T(n+2) + (7*n+5)*T(n+1) - n*T(n) = 0"
-        )
-
-
-class TestGuess:
-    def test_catalan_numbers(self):
-        seq = [catalan(n) for n in range(10)]
-        rec = guess_recurrence(seq, max_order=1)
-        assert rec is not None
-        assert rec.order == 1
-        # known ratio identity: (n+2) C(n+1) = (4n+2) C(n); check on 20 terms
-        longer = [catalan(n) for n in range(20)]
-        assert verify_recurrence(rec, longer, n_start=0).ok
-        assert rec.coeffs == ((F(-4), F(-2)), (F(1), F(2)))
-
-    def test_constant_sequence(self):
-        rec = guess_recurrence([F(5)] * 8, max_order=1)
-        assert rec is not None
-        assert rec.coeffs == ((F(0), F(-1)), (F(0), F(1)))
-
-    def test_factorials(self):
-        seq = [factorial(n) for n in range(10)]
-        rec = guess_recurrence(seq, max_order=1)
-        assert rec is not None
-        # T(n+1) - (n+1) T(n) = 0; check on 15 terms
-        assert verify_recurrence(rec, [factorial(n) for n in range(15)], n_start=0).ok
-        assert rec.coeffs == ((F(-1), F(-1)), (F(0), F(1)))
-
-    def test_scale_invariance(self):
-        seq = [catalan(n) for n in range(10)]
-        scaled = [F(7, 3) * c for c in seq]
-        assert guess_recurrence(seq, 1) == guess_recurrence(scaled, 1)
-
-    def test_holdout_rejects_accidental_fits(self):
-        # a sequence with no degree-1 order-1 recurrence: primes
-        primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
-        assert guess_recurrence(primes, max_order=1) is None
-
-    def test_insufficient_data(self):
-        with pytest.raises(ValueError):
-            guess_recurrence([1, 2, 3], max_order=2)
-
-    def test_guessed_recurrence_always_verifies(self):
-        for seq in ([catalan(n) for n in range(12)], [2**n for n in range(10)]):
-            rec = guess_recurrence(seq, max_order=2)
-            assert rec is not None
-            assert verify_recurrence(rec, seq, n_start=0).ok

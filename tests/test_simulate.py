@@ -122,6 +122,24 @@ class TestValidation:
         with pytest.raises(ValueError):
             SimConfig(MoveSet(-1, 1), 1, 1, trials=1, seed=2**64)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("moves", (-1, 2)),
+            ("n1", 1.5),
+            ("n2", True),
+            ("trials", 10.5),
+            ("seed", 0.0),
+            ("max_moves_per_game", 10.0),
+        ],
+    )
+    def test_field_types(self, field, value):
+        fields = dict(moves=MoveSet(-1, 2), n1=1, n2=1, trials=10, seed=0,
+                      max_moves_per_game=None)
+        fields[field] = value
+        with pytest.raises(TypeError):
+            SimConfig(**fields)
+
     def test_json_fields(self):
         rep = run_simulation(SimConfig(MoveSet(-1, 1), 1, 1, trials=1_000, seed=1))
         d = rep.to_json_dict()
