@@ -13,7 +13,18 @@ stream whose key is mixed from ``(seed, i)``, and the stream position
 consumed at a given round is a fixed function of the round index alone.
 Results are therefore bit-identical however the trials are partitioned
 into batches or row groups (or distributed across workers), which is the
-reproducibility contract the tests pin down.
+reproducibility contract the tests pin down.  The stream layout is part
+of that contract.  Games advance in chunks of rounds set by
+``_chunk_schedule``.  A chunk of ``r`` rounds reads the next
+``ceil(2r / 64)`` words of the trial's stream, and unread bits of its last
+word are dropped.  Round ``i`` of a chunk reads bits ``2i`` (player A) and
+``2i + 1`` (player B), little-endian within and across words; a set bit
+moves the pile by ``b``, a clear one by ``a``.
+
+Piles are cumulative sums in ``int32`` when ``(|a| + |b|) * horizon`` is
+below ``2**31``, which bounds every pile and every intermediate of the
+pile arithmetic, and in ``int64`` otherwise.  ``SimConfig`` rejects move
+sets and horizons whose bound reaches ``2**63``.
 
 This is the one module that imports numpy at load time; the only other
 user, the exhaustive oracle ``enumerate_first_passage``, imports it when
@@ -39,7 +50,9 @@ _MIX2 = _U64(0x94D049BB133111EB)
 DEFAULT_HORIZON_ZERO_DRIFT = 1_000_000
 DEFAULT_HORIZON = 10_000
 _CHUNK_CAP = 32_768  # rounds per fetch once the schedule has grown
-_ELEMENT_BUDGET = 1 << 22  # per-array element cap for one row group
+# Unpacked bits (bytes) per row group: rows * 2 * rounds.  Each player's
+# pile array then holds half as many elements.
+_ELEMENT_BUDGET = 1 << 22
 
 
 def _mix64(x):
@@ -55,10 +68,11 @@ def _trial_keys(seed: int, trial_ids):
         )
 
 
-def _stream_words(keys, block: int):
-    # SplitMix64 output sequence per key; block indexes the stream position.
+def _stream_words(keys, blocks):
+    # SplitMix64 output sequence per key; blocks index stream positions,
+    # and the two arrays broadcast against each other.
     with np.errstate(over="ignore"):
-        return _mix64(keys + _U64(block + 1) * _GOLDEN)
+        return _mix64(keys + (blocks + _U64(1)) * _GOLDEN)
 
 
 @dataclass(frozen=True)
@@ -87,6 +101,11 @@ class SimConfig:
             raise ValueError("seed must fit in 64 unsigned bits")
         if self.max_moves_per_game is not None and self.max_moves_per_game < 1:
             raise ValueError("the censoring horizon must be >= 1")
+        if self._pile_bound >= 2**63:
+            raise ValueError(
+                "piles could leave the 64-bit range within the horizon: "
+                "(|a| + |b|) * horizon must be below 2**63"
+            )
 
     @property
     def horizon(self) -> int:
@@ -95,6 +114,12 @@ class SimConfig:
         if self.moves.drift == 0:
             return DEFAULT_HORIZON_ZERO_DRIFT
         return DEFAULT_HORIZON
+
+    @property
+    def _pile_bound(self) -> int:
+        """Bounds the magnitude of every pile, and of every intermediate
+        of ``_play_rows``' pile arithmetic, within the horizon."""
+        return (abs(self.moves.a) + abs(self.moves.b)) * self.horizon
 
 
 @dataclass(frozen=True)
@@ -190,26 +215,26 @@ class _Tally:
         self.dur_sumsq = 0
 
 
-def _play_rows(cfg, keys, rows, pos1, pos2, t, rounds, block, nwords, tally):
+def _play_rows(cfg, keys, rows, piles, t, rounds, block, nwords, tally):
     """Advance one group of live games by ``rounds`` rounds; returns the
     surviving row indices."""
-    kact = keys[rows]
-    bits = np.empty((rows.size, nwords * 64), dtype=np.uint8)
-    shifts = np.arange(64, dtype=_U64)
-    for j in range(nwords):
-        w = _stream_words(kact, block + j)
-        bits[:, j * 64 : (j + 1) * 64] = ((w[:, None] >> shifts[None, :]) & _U64(1)).astype(
-            np.uint8
-        )
+    words = _stream_words(keys[rows, None], np.arange(block, block + nwords, dtype=_U64))
+    bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), axis=1,
+                         count=2 * rounds, bitorder="little")
     a, b = cfg.moves.a, cfg.moves.b
-    steps1 = a + (b - a) * bits[:, 0 : 2 * rounds : 2].astype(np.int64)
-    steps2 = a + (b - a) * bits[:, 1 : 2 * rounds : 2].astype(np.int64)
-    cum1 = pos1[rows, None] + np.cumsum(steps1, axis=1)
-    cum2 = pos2[rows, None] + np.cumsum(steps2, axis=1)
-    hit1 = cum1 >= cfg.n1
-    hit2 = cum2 >= cfg.n2
-    first1 = np.where(hit1.any(axis=1), hit1.argmax(axis=1), rounds)
-    first2 = np.where(hit2.any(axis=1), hit2.argmax(axis=1), rounds)
+    a_steps = np.arange(1, rounds + 1, dtype=piles[0].dtype) * a
+    firsts = []
+    for p, n in enumerate((cfg.n1, cfg.n2)):
+        pile = np.cumsum(bits[:, p::2], axis=1, dtype=piles[p].dtype)  # b-moves so far
+        pile *= b - a
+        pile += a_steps
+        pile += piles[p][rows, None]
+        first = np.full(rows.size, rounds)
+        hit = np.flatnonzero(pile.max(axis=1) >= n)
+        first[hit] = (pile[hit] >= n).argmax(axis=1)
+        firsts.append(first)
+        piles[p][rows] = pile[:, -1]
+    first1, first2 = firsts
     done = (first1 < rounds) | (first2 < rounds)
     a_wins = done & (first1 <= first2)  # A moves first: simultaneous hits go to A
     b_wins = done & (first2 < first1)
@@ -218,16 +243,14 @@ def _play_rows(cfg, keys, rows, pos1, pos2, t, rounds, block, nwords, tally):
     ends = t + 1 + np.where(a_wins, first1, first2)[done]
     tally.dur_sum += int(ends.sum())
     tally.dur_sumsq += int((ends * ends).sum())
-    pos1[rows] = cum1[:, -1]
-    pos2[rows] = cum2[:, -1]
     return rows[~done]
 
 
 def _run_batch(cfg: SimConfig, start: int, count: int, tally: _Tally) -> int:
     horizon = cfg.horizon
     keys = _trial_keys(cfg.seed, np.arange(start, start + count, dtype=np.int64))
-    pos1 = np.zeros(count, dtype=np.int64)
-    pos2 = np.zeros(count, dtype=np.int64)
+    dt = np.int32 if cfg._pile_bound < 2**31 else np.int64
+    piles = (np.zeros(count, dtype=dt), np.zeros(count, dtype=dt))
     alive = np.arange(count)
     t = 0
     block = 0
@@ -238,9 +261,7 @@ def _run_batch(cfg: SimConfig, start: int, count: int, tally: _Tally) -> int:
         survivors = []
         for g0 in range(0, alive.size, group):
             rows = alive[g0 : g0 + group]
-            survivors.append(
-                _play_rows(cfg, keys, rows, pos1, pos2, t, rounds, block, nwords, tally)
-            )
+            survivors.append(_play_rows(cfg, keys, rows, piles, t, rounds, block, nwords, tally))
         alive = survivors[0] if len(survivors) == 1 else np.concatenate(survivors)
         t += rounds
         block += nwords

@@ -170,6 +170,14 @@ class TestSimulate:
         _, out2 = run_cli(capsys, *args)
         assert out1 == out2
 
+    def test_piles_beyond_64_bits_are_a_usage_error(self, capsys):
+        code = main(["simulate", "--moves=-4611686018427387904,4611686018427387904",
+                     "--n1=1", "--n2=1", "--trials=10"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("pilerace: error:")
+        assert len(err.splitlines()) == 1
+
 
 class TestVerify:
     def test_all_suites_pass(self, capsys):

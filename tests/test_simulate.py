@@ -1,14 +1,99 @@
 import math
+import tracemalloc
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from pilerace.passage import MoveSet
-from pilerace.simulate import SimConfig, SimReport, run_simulation
+from pilerace.simulate import SimConfig, SimReport, _chunk_schedule, run_simulation
 
 
 def counts(report: SimReport):
     return (report.p1_wins, report.p2_wins, report.censored, report.duration_sum,
             report.duration_sumsq)
+
+
+# A scalar simulator on Python ints: SplitMix64 by hand, one trial at a
+# time, reading the stream layout the module docstring states.
+M64 = 2**64 - 1
+GOLDEN, MIX1, MIX2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+
+
+def _mix(x):
+    x = (x ^ (x >> 30)) * MIX1 & M64
+    x = (x ^ (x >> 27)) * MIX2 & M64
+    return x ^ (x >> 31)
+
+
+def _reference_game(cfg, key):
+    """(winner, duration) of one game, or None when it is censored."""
+    a, b = cfg.moves.a, cfg.moves.b
+    piles, targets, t, block = [0, 0], (cfg.n1, cfg.n2), 0, 0
+    while t < cfg.horizon:
+        rounds = _chunk_schedule(t, cfg.horizon)
+        nwords = (2 * rounds + 63) // 64
+        bits = sum(_mix(key + (block + j + 1) * GOLDEN & M64) << 64 * j for j in range(nwords))
+        for k in range(2 * rounds):  # bit 2i moves A in round i, bit 2i + 1 moves B
+            piles[k % 2] += b if bits >> k & 1 else a
+            if piles[k % 2] >= targets[k % 2]:
+                return k % 2, t + k // 2 + 1
+        t, block = t + rounds, block + nwords
+    return None
+
+
+def reference_counts(cfg):
+    base = _mix(cfg.seed + GOLDEN & M64)
+    games = [_reference_game(cfg, _mix(base ^ (i * MIX1 + GOLDEN & M64)))
+             for i in range(cfg.trials)]
+    ended = [g for g in games if g is not None]
+    return (sum(w == 0 for w, _ in ended), sum(w == 1 for w, _ in ended),
+            cfg.trials - len(ended), sum(d for _, d in ended), sum(d * d for _, d in ended))
+
+
+@given(a=st.integers(-5, 5), b=st.integers(-5, 5), n1=st.integers(1, 6),
+       n2=st.integers(1, 6), horizon=st.integers(1, 300), seed=st.integers(0, 2**64 - 1),
+       trials=st.integers(1, 40))
+# int64 piles: just past int32 range, far past it, and at the largest
+# bound SimConfig accepts
+@example(a=1, b=2**30, n1=2**31, n2=2**31, horizon=2, seed=0, trials=40)
+@example(a=-(2**31), b=2**31 + 5, n1=2**33, n2=3 * 2**31 + 7, horizon=2_000,
+         seed=2**64 - 1, trials=40)
+@example(a=-1, b=2**62 - 2, n1=2**62 - 2, n2=2**63 - 4, horizon=2, seed=0, trials=40)
+def test_matches_scalar_reference(a, b, n1, n2, horizon, seed, trials):
+    cfg = SimConfig(MoveSet(a, b), n1, n2, trials, seed, horizon)
+    assert counts(run_simulation(cfg)) == reference_counts(cfg)
+
+
+# Tallies frozen from the shift-and-mask simulator that preceded
+# unpackbits: the benchmark's monte_carlo configurations at 20k trials, a
+# long censored run past the chunk cap, and a move set with int64 piles.
+@pytest.mark.parametrize(
+    "moves, n1, n2, trials, seed, horizon, expected",
+    [
+        ((-1, 2), 3, 3, 20_000, 901, None, (11593, 8407, 0, 72918, 426990)),
+        ((-1, 3), 5, 5, 20_000, 902, None, (11661, 8339, 0, 69675, 340415)),
+        ((-1, 1), 2, 2, 20_000, 903, 10_000, (10978, 9013, 9, 386242, 393588676)),
+        ((-2, 1), 1, 1, 20_000, 904, 10_000, (11189, 5883, 2928, 30725, 237095)),
+        ((-2, 1), 1, 1, 1_000, 905, 100_000, (553, 289, 158, 1352, 7802)),
+        ((-(2**31), 2**31 + 5), 2**33, 3 * 2**31 + 7, 20_000, 2**64 - 1, 2_000,
+         (8130, 11816, 54, 738644, 278524588)),
+    ],
+)
+def test_pinned_tallies(moves, n1, n2, trials, seed, horizon, expected):
+    cfg = SimConfig(MoveSet(*moves), n1, n2, trials, seed, horizon)
+    assert counts(run_simulation(cfg)) == expected
+
+
+def test_peak_memory():
+    cfg = SimConfig(MoveSet(-1, 2), 3, 3, trials=200_000, seed=5)
+    tracemalloc.start()
+    try:
+        run_simulation(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
 
 
 class TestDeterminism:
@@ -115,6 +200,20 @@ class TestValidation:
     def test_bad_trials(self):
         with pytest.raises(ValueError):
             SimConfig(MoveSet(-1, 1), 1, 1, trials=0, seed=0)
+
+    def test_piles_beyond_64_bits_rejected(self):
+        # two b-moves would carry a pile past 2**63 - 1 within the horizon
+        with pytest.raises(ValueError, match="64-bit"):
+            SimConfig(MoveSet(1, 2**62), 2**63 - 1, 2**63 - 1, 1_000, 0, 100)
+        with pytest.raises(ValueError, match="64-bit"):
+            SimConfig(MoveSet(0, 2**62), 1, 1, trials=1, seed=0, max_moves_per_game=2)
+        SimConfig(MoveSet(-1, 2**62 - 2), 1, 1, trials=1, seed=0, max_moves_per_game=2)
+
+    def test_unreachable_target(self):
+        rep = run_simulation(SimConfig(MoveSet(-1, 2), 10**30, 1, trials=1_000, seed=3,
+                                       max_moves_per_game=50))
+        assert rep.p1_wins == 0
+        assert rep.p2_wins + rep.censored == 1_000
 
     def test_bad_seed(self):
         with pytest.raises(ValueError):
