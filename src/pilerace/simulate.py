@@ -21,10 +21,17 @@ word are dropped.  Round ``i`` of a chunk reads bits ``2i`` (player A) and
 ``2i + 1`` (player B), little-endian within and across words; a set bit
 moves the pile by ``b``, a clear one by ``a``.
 
-Piles are cumulative sums in ``int32`` when ``(|a| + |b|) * horizon`` is
-below ``2**31``, which bounds every pile and every intermediate of the
-pile arithmetic, and in ``int64`` otherwise.  ``SimConfig`` rejects move
-sets and horizons whose bound reaches ``2**63``.
+Each stream byte holds four whole rounds, so games advance four rounds
+per table lookup.  ``_byte_tables`` gives, per player and byte value, the
+pile change over the byte's first k rounds and the highest pile reached
+inside them; a cumulative sum of the changes gives the pile at every
+byte's end, and a hit's round is sought only in the first byte that
+reaches the target.  Piles are ``int32`` when ``(|a| + |b|) * horizon``
+is below ``2**31`` and ``int64`` otherwise.  No table covers more rounds
+than the horizon, so that bound covers every table entry too: at
+``{-1, 2**62 - 2}`` with horizon 2, a four-round sum would leave
+``int64``.  ``SimConfig`` rejects move sets and horizons whose bound
+reaches ``2**63``.
 
 This is the one module that imports numpy at load time; the only other
 user, the exhaustive oracle ``enumerate_first_passage``, imports it when
@@ -50,9 +57,9 @@ _MIX2 = _U64(0x94D049BB133111EB)
 DEFAULT_HORIZON_ZERO_DRIFT = 1_000_000
 DEFAULT_HORIZON = 10_000
 _CHUNK_CAP = 32_768  # rounds per fetch once the schedule has grown
-# Unpacked bits (bytes) per row group: rows * 2 * rounds.  Each player's
-# pile array then holds half as many elements.
-_ELEMENT_BUDGET = 1 << 22
+# Stream bytes per row group, rows * ceil(rounds / 4): few enough that the group's
+# arrays stay in a 2 MB L2 cache, and enough that per-group overhead stays small.
+_ELEMENT_BUDGET = 1 << 17
 
 
 def _mix64(x):
@@ -194,15 +201,20 @@ class SimReport:
 
 
 def _chunk_schedule(t: int, horizon: int) -> int:
-    """Rounds to simulate next, given ``t`` rounds done already.  A fixed
-    function of t and the horizon only, so that the words each trial
-    consumes never depend on how trials were grouped."""
-    chunk = 4
-    done = 0
-    while done < t:
-        done += chunk
-        chunk = min(chunk * 2, _CHUNK_CAP)
-    return min(chunk, horizon - t)
+    """Rounds to simulate next, given ``t`` rounds done already: 4, 8, 16,
+    ... up to ``_CHUNK_CAP``, then the cap (a t between chunk starts gets
+    the next one's), so that no trial's words depend on its grouping."""
+    return min(4 << ((t + 3) // 4).bit_length(), _CHUNK_CAP, horizon - t)
+
+
+def _byte_tables(cfg: SimConfig) -> list:
+    """Per player, ``(step, over)`` in the pile dtype: the pile change over the first
+    k rounds of byte v, ``step[k - 1, v]``, and their highest prefix minus it, ``over``."""
+    dt = np.int32 if cfg._pile_bound < 2**31 else np.int64
+    m = np.arange(min(4, cfg.horizon))[:, None]  # round m of a byte reads bit 2m (A) or 2m + 1 (B)
+    moved = [np.array((cfg.moves.a, cfg.moves.b), dt)[np.arange(256) >> (2 * m + p) & 1]
+             for p in (0, 1)]
+    return [(s, np.maximum.accumulate(s, axis=0) - s) for s in np.cumsum(moved, axis=1, dtype=dt)]
 
 
 class _Tally:
@@ -215,25 +227,34 @@ class _Tally:
         self.dur_sumsq = 0
 
 
-def _play_rows(cfg, keys, rows, piles, t, rounds, block, nwords, tally):
-    """Advance one group of live games by ``rounds`` rounds; returns the
-    surviving row indices."""
+def _play_rows(cfg, tables, keys, rows, piles, t, rounds, block, nwords, tally):
+    """Advance one group of live games by ``rounds`` rounds, a stream byte
+    at a time; returns the surviving row indices."""
     words = _stream_words(keys[rows, None], np.arange(block, block + nwords, dtype=_U64))
-    bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), axis=1,
-                         count=2 * rounds, bitorder="little")
-    a, b = cfg.moves.a, cfg.moves.b
-    a_steps = np.arange(1, rounds + 1, dtype=piles[0].dtype) * a
+    nbytes = (rounds + 3) // 4
+    data = np.ascontiguousarray(words.astype("<u8", copy=False).view(np.uint8)[:, :nbytes])
+    k, last = min(4, rounds), rounds - 4 * (nbytes - 1)  # rounds in a full and the last byte
     firsts = []
     for p, n in enumerate((cfg.n1, cfg.n2)):
-        pile = np.cumsum(bits[:, p::2], axis=1, dtype=piles[p].dtype)  # b-moves so far
-        pile *= b - a
-        pile += a_steps
-        pile += piles[p][rows, None]
+        step, over = tables[p]
+        inc, reach = np.take(step[k - 1], data), np.take(over[k - 1], data)
+        if last < k:
+            inc[:, -1], reach[:, -1] = step[last - 1, data[:, -1]], over[last - 1, data[:, -1]]
+        end = np.cumsum(inc, axis=1, dtype=inc.dtype) + piles[p][rows, None]  # at each byte's end
+        reach += end  # the highest pile inside each byte
+        hit = np.flatnonzero(reach.max(axis=1) >= n)
+        j = (reach[hit] >= n).argmax(axis=1)  # the first byte that reaches n
+        at = hit * nbytes + j  # its flat index
+        v, before = np.take(data, at), np.take(end, at) - np.take(inc, at)
+        # the first round of byte j that reaches n, reading no round past the
+        # chunk's last, so that every sum stays within the pile bound
+        left, inner = rounds - 1 - 4 * j, np.full(hit.size, step.shape[0] - 1)
+        for r in range(step.shape[0] - 2, -1, -1):
+            inner[before + np.take(step, v + 256 * np.minimum(r, left)) >= n] = r
         first = np.full(rows.size, rounds)
-        hit = np.flatnonzero(pile.max(axis=1) >= n)
-        first[hit] = (pile[hit] >= n).argmax(axis=1)
+        first[hit] = 4 * j + inner
         firsts.append(first)
-        piles[p][rows] = pile[:, -1]
+        piles[p][rows] = end[:, -1]
     first1, first2 = firsts
     done = (first1 < rounds) | (first2 < rounds)
     a_wins = done & (first1 <= first2)  # A moves first: simultaneous hits go to A
@@ -241,15 +262,17 @@ def _play_rows(cfg, keys, rows, piles, t, rounds, block, nwords, tally):
     tally.wins1 += int(a_wins.sum())
     tally.wins2 += int(b_wins.sum())
     ends = t + 1 + np.where(a_wins, first1, first2)[done]
+    if ends.size * (t + rounds) ** 2 >= 2**63:  # the int64 sum of squares could wrap
+        ends = np.array(ends.tolist(), dtype=object)
     tally.dur_sum += int(ends.sum())
     tally.dur_sumsq += int((ends * ends).sum())
     return rows[~done]
 
 
-def _run_batch(cfg: SimConfig, start: int, count: int, tally: _Tally) -> int:
+def _run_batch(cfg: SimConfig, tables, start: int, count: int, tally: _Tally) -> int:
     horizon = cfg.horizon
     keys = _trial_keys(cfg.seed, np.arange(start, start + count, dtype=np.int64))
-    dt = np.int32 if cfg._pile_bound < 2**31 else np.int64
+    dt = tables[0][0].dtype
     piles = (np.zeros(count, dtype=dt), np.zeros(count, dtype=dt))
     alive = np.arange(count)
     t = 0
@@ -257,11 +280,12 @@ def _run_batch(cfg: SimConfig, start: int, count: int, tally: _Tally) -> int:
     while alive.size and t < horizon:
         rounds = _chunk_schedule(t, horizon)
         nwords = (2 * rounds + 63) // 64
-        group = max(1, _ELEMENT_BUDGET // (2 * rounds))
+        group = max(1, _ELEMENT_BUDGET // ((rounds + 3) // 4))
         survivors = []
         for g0 in range(0, alive.size, group):
             rows = alive[g0 : g0 + group]
-            survivors.append(_play_rows(cfg, keys, rows, piles, t, rounds, block, nwords, tally))
+            survivors.append(_play_rows(cfg, tables, keys, rows, piles, t, rounds, block, nwords,
+                                        tally))
         alive = survivors[0] if len(survivors) == 1 else np.concatenate(survivors)
         t += rounds
         block += nwords
@@ -273,9 +297,10 @@ def run_simulation(cfg: SimConfig, batch_size: int = 500_000) -> SimReport:
     independent of ``batch_size`` (a memory/performance knob only)."""
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
+    tables = _byte_tables(cfg)
     tally = _Tally()
     censored = 0
     for start in range(0, cfg.trials, batch_size):
         count = min(batch_size, cfg.trials - start)
-        censored += _run_batch(cfg, start, count, tally)
+        censored += _run_batch(cfg, tables, start, count, tally)
     return SimReport(cfg, tally.wins1, tally.wins2, censored, tally.dur_sum, tally.dur_sumsq)

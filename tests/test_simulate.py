@@ -1,12 +1,14 @@
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pilerace.passage import MoveSet
-from pilerace.simulate import SimConfig, SimReport, _chunk_schedule, run_simulation
+from pilerace.simulate import (SimConfig, SimReport, _byte_tables, _chunk_schedule, _play_rows,
+                                _Tally, _trial_keys, run_simulation)
 
 
 def counts(report: SimReport):
@@ -26,12 +28,23 @@ def _mix(x):
     return x ^ (x >> 31)
 
 
+def _loop_schedule(t, horizon, cap=32_768):
+    """The chunk schedule as a loop from t = 0: 4, 8, 16, ... rounds up to
+    the cap, then the cap."""
+    chunk = 4
+    done = 0
+    while done < t:
+        done += chunk
+        chunk = min(chunk * 2, cap)
+    return min(chunk, horizon - t)
+
+
 def _reference_game(cfg, key):
     """(winner, duration) of one game, or None when it is censored."""
     a, b = cfg.moves.a, cfg.moves.b
     piles, targets, t, block = [0, 0], (cfg.n1, cfg.n2), 0, 0
     while t < cfg.horizon:
-        rounds = _chunk_schedule(t, cfg.horizon)
+        rounds = _loop_schedule(t, cfg.horizon)
         nwords = (2 * rounds + 63) // 64
         bits = sum(_mix(key + (block + j + 1) * GOLDEN & M64) << 64 * j for j in range(nwords))
         for k in range(2 * rounds):  # bit 2i moves A in round i, bit 2i + 1 moves B
@@ -60,6 +73,16 @@ def reference_counts(cfg):
 @example(a=-(2**31), b=2**31 + 5, n1=2**33, n2=3 * 2**31 + 7, horizon=2_000,
          seed=2**64 - 1, trials=40)
 @example(a=-1, b=2**62 - 2, n1=2**62 - 2, n2=2**63 - 4, horizon=2, seed=0, trials=40)
+# a final partial byte after the chunk cap (65,532 + 32,768 rounds, then 1
+# to 3): trial 0 of each seed is one below both targets at round 98,300 and
+# ends in the last byte, at its first, second and third round
+@example(a=0, b=1, n1=49_019, n2=49_354, horizon=98_301, seed=33, trials=1)
+@example(a=0, b=1, n1=49_329, n2=49_169, horizon=98_302, seed=40, trials=1)
+@example(a=0, b=1, n1=49_042, n2=49_222, horizon=98_303, seed=61, trials=1)
+# int32 piles, where a four-round table sum would not fit
+@example(a=1, b=2**29, n1=2**29 + 2, n2=2**30 + 1, horizon=1, seed=0, trials=40)
+@example(a=1, b=2**29, n1=2**29 + 2, n2=2**30 + 1, horizon=2, seed=0, trials=40)
+@example(a=1, b=2**29, n1=2**29 + 2, n2=2**30 + 1, horizon=3, seed=0, trials=40)
 def test_matches_scalar_reference(a, b, n1, n2, horizon, seed, trials):
     cfg = SimConfig(MoveSet(a, b), n1, n2, trials, seed, horizon)
     assert counts(run_simulation(cfg)) == reference_counts(cfg)
@@ -83,6 +106,75 @@ def test_matches_scalar_reference(a, b, n1, n2, horizon, seed, trials):
 def test_pinned_tallies(moves, n1, n2, trials, seed, horizon, expected):
     cfg = SimConfig(MoveSet(*moves), n1, n2, trials, seed, horizon)
     assert counts(run_simulation(cfg)) == expected
+
+
+def test_chunk_schedule_closed_form():
+    horizon = 2 * 10**9
+    starts, chunk, done = [], 4, 0  # chunk starts up to 10**9, as the loop walks them
+    while done <= 10**9:
+        starts.append((done, chunk))
+        done += chunk
+        chunk = min(chunk * 2, 32_768)
+    i = 0
+    for t in range(2**18 + 1):  # the loop gives the chunk at the first start >= t
+        while starts[i][0] < t:
+            i += 1
+        assert _chunk_schedule(t, horizon) == starts[i][1]
+    for (t, chunk), (_, after) in zip(starts, starts[1:]):
+        assert _chunk_schedule(t, horizon) == chunk
+        assert _chunk_schedule(t + 1, horizon) == after
+        assert t == 0 or _chunk_schedule(t - 1, horizon) == chunk
+        assert _chunk_schedule(t, t + 3) == min(chunk, 3)
+    for t in (0, 1, 5, 100, 32_764, 65_532, 65_533, 10**6):
+        for h in (t + 1, t + 7, 10**7):
+            assert _chunk_schedule(t, h) == _loop_schedule(t, h)
+
+
+@pytest.mark.parametrize("a, b, horizon, dtype", [
+    (-1, 2, 10, np.int32), (-3, 5, 10, np.int32), (-(2**31), 2**31 + 5, 10, np.int64),
+    (1, 2**29, 3, np.int32), (-1, 2**62 - 2, 2, np.int64), (2, 2, 1, np.int32)])
+def test_byte_tables_match_bit_walk(a, b, horizon, dtype):
+    rounds = min(4, horizon)  # no table covers more rounds than the horizon
+    for p, (step, over) in enumerate(_byte_tables(SimConfig(MoveSet(a, b), 1, 1, 1, 0, horizon))):
+        assert step.shape == over.shape == (rounds, 256)
+        assert step.dtype == over.dtype == dtype
+        for v in range(256):
+            piles = []
+            for m in range(rounds):  # round m moves the pile by bit 2m + p of v
+                piles.append((piles[-1] if piles else 0) + (b if v >> (2 * m + p) & 1 else a))
+            for k in range(1, rounds + 1):
+                assert step[k - 1, v] == piles[k - 1]
+                assert over[k - 1, v] == max(piles[:k]) - piles[k - 1]
+
+
+def test_partial_last_byte_reads_only_its_rounds():
+    # a horizon of 10 clips the second chunk to 6 rounds, two bytes of which
+    # the last holds 2 rounds; the piles after it must count those alone
+    cfg = SimConfig(MoveSet(-3, 5), 10**6, 10**6, 64, 5, 10)
+    keys, rows = _trial_keys(cfg.seed, np.arange(64)), np.arange(64)
+    piles, tally = (np.zeros(64, np.int32), np.zeros(64, np.int32)), _Tally()
+    assert _chunk_schedule(4, 10) == 6
+    _play_rows(cfg, _byte_tables(cfg), keys, rows, piles, 4, 6, 1, 1, tally)  # word 2
+    for i, key in enumerate(keys.tolist()):
+        word = _mix(key + 2 * GOLDEN & M64)
+        for p in (0, 1):
+            assert piles[p][i] == sum(5 if word >> (2 * r + p) & 1 else -3 for r in range(6))
+
+
+def test_duration_moments_past_int64():
+    # {1,1} races end at round n exactly; run one game's last chunk to 3.1e9
+    horizon = 3_100_000_000
+    cfg = SimConfig(MoveSet(1, 1), horizon, horizon, 1, 0, horizon)
+    t = 0
+    while t + _chunk_schedule(t, horizon) < horizon:
+        t += _chunk_schedule(t, horizon)
+    rounds, tally = horizon - t, _Tally()
+    piles, row = (np.array([t]), np.array([t])), np.arange(1)
+    alive = _play_rows(cfg, _byte_tables(cfg), _trial_keys(0, row), row, piles, t, rounds, 0,
+                       (2 * rounds + 63) // 64, tally)
+    assert alive.size == 0 and tally.wins1 == 1
+    assert tally.dur_sum == horizon
+    assert tally.dur_sumsq == horizon**2 == 9_610_000_000_000_000_000
 
 
 def test_peak_memory():
