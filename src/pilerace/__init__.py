@@ -6,8 +6,9 @@ computes the second player's win probability (equal or distinct targets),
 win-within-k curves and expected game lengths -- exactly where the math
 is exact, and with honest tail estimates where an infinite series has to
 be truncated.  A vectorized, reproducibly seeded simulator provides an
-independent Monte Carlo check, and ``verify_recurrence`` checks the
-pinned recurrence of the squared-passage sums exactly.
+independent Monte Carlo check, and ``pilerace verify`` checks the
+engine against exact laws, closed-form counts, pinned constants and the
+recurrence of the unit-step squared-passage sums.
 
 numpy is loaded only by the simulator and by the exhaustive oracle
 ``enumerate_first_passage``.  Importing it costs more than half of a
@@ -29,7 +30,6 @@ from .numeric import (
     PiLinear,
     as_fraction,
     pilinear_eval,
-    rational_pow2_scale,
     rational_str,
 )
 from .passage import (
@@ -42,12 +42,11 @@ from .passage import (
     iter_passage,
     passage_gcd_reachability,
 )
-from .recurrence import LinearRecurrence, VerifyResult, verify_recurrence
+from .recurrence import LinearRecurrence
 from .series import (
     SeriesResult,
     TailPolicy,
     expected_duration,
-    square_sum_sequence,
     square_sum_value,
     win_prob_direct,
     win_prob_squares,
@@ -80,7 +79,6 @@ __all__ = [
     "SimConfig",
     "SimReport",
     "TailPolicy",
-    "VerifyResult",
     "as_fraction",
     "build_passage_table",
     "catalan_count",
@@ -92,13 +90,10 @@ __all__ = [
     "passage_prob_pm1",
     "pilinear_eval",
     "raney_count",
-    "rational_pow2_scale",
     "rational_str",
     "run_simulation",
-    "square_sum_sequence",
     "square_sum_value",
     "survival_one",
-    "verify_recurrence",
     "win_prob_direct",
     "win_prob_squares",
     "win_prob_targets",

@@ -10,7 +10,7 @@ generated from the JSON dictionary.
 
 Exit codes: 0 on success, 1 on usage errors or when stdout is closed
 before the output is written (``pilerace ... | head``), 2 when a series
-fails to converge or a verification suite finds a broken identity.
+fails to converge or a verification check fails.
 """
 
 from __future__ import annotations
@@ -20,14 +20,14 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice, repeat
 
 from mpmath import mp, mpf
 
 from . import reference
 from .numeric import ApproxValue, rational_str
-from .passage import GameSpec, MoveSet, build_passage_table, passage_gcd_reachability
-from .recurrence import verify_recurrence
+from .passage import (GameSpec, MoveSet, build_passage_table, iter_passage,
+                      passage_gcd_reachability)
 from .series import (
     CONVERGED,
     DIVERGED,
@@ -35,10 +35,8 @@ from .series import (
     SeriesResult,
     TailPolicy,
     expected_duration,
-    square_sum_sequence,
     square_sum_value,
     win_prob_direct,
-    win_prob_squares,
     win_prob_targets,
     win_within,
 )
@@ -181,9 +179,15 @@ def build_parser() -> _Parser:
     p.add_argument("--horizon", type=int, default=None,
                    help="censoring horizon in rounds (default by drift)")
 
-    p = sub.add_parser("verify", help="run the identity/oracle verification suites")
+    p = sub.add_parser(
+        "verify",
+        help="check the engine: the DP against the hitting-time and binomial laws "
+        "(identities), Catalan, Raney and unit-step closed forms (oracles), pinned win "
+        "probabilities (residuals), the engine's unit-step T(n) against their "
+        "recurrence (recurrence)",
+    )
     p.add_argument("suite", nargs="?", default="all",
-                   choices=["all", "identities", "oracles", "residuals", "recurrence"])
+                   choices=["all", *_SUITES])
     p.add_argument("--json", action="store_true")
     _add_series_flags(p)
 
@@ -281,7 +285,7 @@ def _cmd_table(args) -> tuple[OutputRecord, int]:
         provenance = "win-probability table for distinct targets, unit-step race"
     elif args.which == "t_values":
         moves = MoveSet(-1, 1)
-        series = square_sum_sequence(moves, 6, policy)
+        series = [square_sum_value(moves, n, policy) for n in range(1, 7)]
         for n, res in enumerate(series, start=1):
             form = reference.SQUARE_SUMS_PM1[n]
             exact = form.approx(20)
@@ -300,18 +304,20 @@ def _cmd_table(args) -> tuple[OutputRecord, int]:
         moves = MoveSet(-1, 2)
         for n, (sumsq_ref, p_ref) in sorted(reference.MINUS12_REFERENCE.items()):
             t_res = square_sum_value(moves, n, policy)
-            p_res = win_prob_squares(GameSpec(moves, n), policy)
+            # the race almost surely ends, so p = (1 - sum r**2) / 2 exactly
+            with mp.workdps(WORK_DPS):
+                p = ApproxValue((1 - t_res.value) / 2, t_res.error_bound() / 2)
             rows.append(
                 {
                     "n": n,
                     "sum_squares": t_res.formatted(args.digits),
                     "sum_squares_ref": sumsq_ref,
-                    "p": p_res.formatted(args.digits),
+                    "p": p.formatted(args.digits),
                     "p_ref": p_ref,
-                    "abs_delta_p": _fmt_delta(p_res.value, mpf(p_ref)),
+                    "abs_delta_p": _fmt_delta(p.value, mpf(p_ref)),
                 }
             )
-            outputs.extend([t_res, p_res])
+            outputs.append(t_res)
         provenance = "win probabilities for the {-1,2} move set"
     record = OutputRecord(
         command="table",
@@ -389,22 +395,26 @@ def _cmd_simulate(args) -> tuple[OutputRecord, int]:
 
 
 def _verify_identities(policy: TailPolicy, lines: list[dict]) -> bool:
-    from .passage import check_claim_partial_sums
+    """The DP's numerators for k <= 100 and n = 1..5 against two exact laws
+    that share no code with it; a stream that ends early is read as zeros."""
+    from .closedforms import hitting_time_count, monotone_survival_count
 
     ok = True
-    move_sets = [MoveSet(-1, 1), MoveSet(-1, 2), MoveSet(1, 2), MoveSet(-2, 1), MoveSet(0, 1)]
-    for moves in move_sets:
-        for n in range(1, 5):
-            table = build_passage_table(GameSpec(moves, n), 100)
-            try:
-                check_claim_partial_sums(table)
-                lines.append({"check": f"mass identities moves={moves} n={n} K=100", "ok": True})
-            except AssertionError as exc:
-                lines.append(
-                    {"check": f"mass identities moves={moves} n={n} K=100", "ok": False,
-                     "detail": str(exc)}
-                )
-                ok = False
+    for a, b in [(-3, 1), (-2, 1), (-1, 1), (0, 1), (0, 2), (1, 2), (1, 3)]:
+        skip_free, monotone = b == 1 and a <= 0, a >= 0
+        mismatches = 0
+        for n in range(1, 6):
+            items = chain(iter_passage(GameSpec(MoveSet(a, b), n)), repeat((0, 0, 0)))
+            for k, (_, win, survived) in zip(range(1, 101), items):
+                if skip_free and win != hitting_time_count(a, n, k):
+                    mismatches += 1
+                if monotone and survived != monotone_survival_count(a, b, n, k):
+                    mismatches += 1
+        used = [("hitting-time theorem", skip_free), ("binomial survival law", monotone)]
+        laws = " and ".join(law for law, applies in used if applies)
+        lines.append({"check": f"{laws} on the DP moves={a},{b} n=1..5 k<=100",
+                      "ok": not mismatches, "mismatches": mismatches})
+        ok &= not mismatches
     return ok
 
 
@@ -465,36 +475,55 @@ def _verify_residuals(policy: TailPolicy, lines: list[dict]) -> bool:
 
 
 def _verify_recurrence_suite(policy: TailPolicy, lines: list[dict]) -> bool:
-    seq = [reference.SQUARE_SUMS_PM1[n] for n in range(1, 7)]
-    res = verify_recurrence(reference.SQUARE_SUM_RECURRENCE, seq, n_start=1)
-    lines.append(
-        {
-            "check": "squared-sum recurrence on the six exact values",
-            "ok": bool(res.ok),
-            "instances": res.checked,
-        }
-    )
-    return res.ok
+    """The engine's sums T(1..6) on {-1,1} against the pinned order-3
+    recurrence: each converged window's residual must lie within the
+    coefficient-weighted error bounds of its four sums."""
+    rec = reference.SQUARE_SUM_RECURRENCE
+    sums = [square_sum_value(MoveSet(-1, 1), n, policy) for n in range(1, 7)]
+    ok = True
+    for n in range(1, len(sums) - rec.order + 1):
+        window = sums[n - 1 : n + rec.order]
+        with mp.workdps(WORK_DPS):
+            coeffs = [mpf(c.numerator) / c.denominator
+                      for c in (rec.coefficient(i, n) for i in range(rec.order + 1))]
+            residual = abs(sum(c * t.value for c, t in zip(coeffs, window)))
+            bound = sum(abs(c) * t.error_bound() for c, t in zip(coeffs, window))
+        good = all(t.verdict == CONVERGED for t in window) and residual <= bound
+        lines.append(
+            {
+                "check": f"squared-sum recurrence on the engine's T({n}..{n + rec.order})",
+                "ok": bool(good),
+                "residual": mp.nstr(residual, 6),
+                "bound": mp.nstr(bound, 6),
+            }
+        )
+        ok &= good
+    return ok
+
+
+# each suite with the provenance its record carries
+_SUITES = {
+    "identities": (_verify_identities,
+                   "the DP's numerators against the hitting-time and binomial survival laws"),
+    "oracles": (_verify_oracles, "exact identity and oracle verification"),
+    "residuals": (_verify_residuals, "exact identity and oracle verification"),
+    "recurrence": (_verify_recurrence_suite,
+                   "the engine's unit-step sums T(n) against their pinned recurrence"),
+}
 
 
 def _cmd_verify(args) -> tuple[OutputRecord, int]:
     policy = _policy_from(args)
     lines: list[dict] = []
     ok = True
-    suites = {
-        "identities": _verify_identities,
-        "oracles": _verify_oracles,
-        "residuals": _verify_residuals,
-        "recurrence": _verify_recurrence_suite,
-    }
-    chosen = suites if args.suite == "all" else {args.suite: suites[args.suite]}
-    for fn in chosen.values():
+    chosen = _SUITES if args.suite == "all" else {args.suite: _SUITES[args.suite]}
+    for fn, _ in chosen.values():
         ok &= fn(policy, lines)
     record = OutputRecord(
         command="verify",
         inputs={"suite": args.suite},
         results={"checks": lines, "all_ok": bool(ok)},
-        provenance="exact identity and oracle verification",
+        provenance="; ".join(dict.fromkeys(what for _, what in chosen.values())),
     )
     return record, 0 if ok else CONVERGENCE_ERROR
 

@@ -10,6 +10,8 @@ These are the independent oracles against the lattice DP in
   strictly below n and end at n - 1 or n - 2.  First-passage mass for
   {-1, 2} is ``raney_count(n, k - 1) / 2**k``.  The base row n = 1
   consists of the 3-Raney numbers interleaved with their companions.
+* ``hitting_time_count`` and ``monotone_survival_count``: r and q
+  numerators over ``2**k`` for the walks {a, 1}, a <= 0, and 0 <= a < b.
 
 The rational-looking expressions are evaluated in exact integer
 arithmetic with the division performed last and checked exact: these
@@ -21,8 +23,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-
-from .numeric import rational_pow2_scale
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -128,11 +128,30 @@ def passage_prob_pm1(n: int, k: int) -> Fraction:
     """Exact first-passage probability for {-1, 1}: catalan_count(n, k-1) / 2**k."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return rational_pow2_scale(catalan_count(n, k - 1), k)
+    return Fraction(catalan_count(n, k - 1), 1 << k)
 
 
 def passage_prob_m1p2(n: int, k: int) -> Fraction:
     """Exact first-passage probability for {-1, 2}: raney_count(n, k-1) / 2**k."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return rational_pow2_scale(raney_count(n, k - 1), k)
+    return Fraction(raney_count(n, k - 1), 1 << k)
+
+
+def hitting_time_count(a: int, n: int, k: int) -> int:
+    """First-passage numerator over ``2**k`` of the walk {a, 1}, a <= 0,
+    to n >= 1 at move k >= 1.  The walk climbs one chip at a time, so by
+    the hitting-time theorem (van der Hofstad & Keane, Amer. Math. Monthly
+    2008) it is n/k times the count at n: n C(k, j) / k with j = (n - a k)
+    / (1 - a) up-moves."""
+    j, rem = divmod(n - a * k, 1 - a)
+    if rem or not 0 <= j <= k:
+        return 0
+    return _exact_div(n * comb(k, j), k)
+
+
+def monotone_survival_count(a: int, b: int, n: int, k: int) -> int:
+    """Survival numerator over ``2**k`` of the walk {a, b}, 0 <= a < b:
+    the pile never falls, so it is below n after k moves exactly when
+    a k + (b - a) j <= n - 1, with j ~ Binomial(k, 1/2) b-moves."""
+    return sum(comb(k, j) for j in range(min(k, (n - 1 - a * k) // (b - a)) + 1))

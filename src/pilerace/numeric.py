@@ -39,13 +39,6 @@ def as_fraction(x) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-def rational_pow2_scale(c: int, k: int) -> Fraction:
-    """Exact c / 2**k in lowest terms; k must be non-negative."""
-    if k < 0:
-        raise ValueError(f"power-of-two scale needs k >= 0, got {k}")
-    return Fraction(c, 1 << k)
-
-
 def rational_str(x) -> str:
     """Serialize a rational as "num/den" (denominator always shown)."""
     x = as_fraction(x)
@@ -80,7 +73,9 @@ class ApproxValue:
 
     def formatted(self, max_digits: int = 17) -> str:
         if self.value == 0:
-            return "0"
+            # a zero has no significant digits; "0" is backed only when
+            # the bound cannot move it at the last displayable place
+            return "0" if 2 * self.error_bound < mpf(10) ** -max_digits else "?"
         digits = min(self.guaranteed_digits(), max_digits)
         if digits <= 0:
             # no digit is backed by the bound; never print false precision

@@ -258,24 +258,6 @@ def passage_gcd_reachability(spec: GameSpec) -> Reachability:
     return Reachability(g, residues, min_k, max_k)
 
 
-def check_claim_partial_sums(table: PassageTable) -> None:
-    """Assert the exact structural identities of a finished table.
-
-    Raises AssertionError if mass conservation is broken anywhere:
-    r[k] = q[k-1] - q[k], q[K] = 1 - sum(r), and the telescoped
-    sum((q[k-1] + q[k]) * r[k]) = 1 - q[K]**2.
-    """
-    K = table.k_max
-    total_r = Fraction(0)
-    telescoped = Fraction(0)
-    for k in range(1, K + 1):
-        assert table.r[k] == table.q[k - 1] - table.q[k], f"delta-q identity fails at k={k}"
-        total_r += table.r[k]
-        telescoped += (table.q[k - 1] + table.q[k]) * table.r[k]
-    assert table.q[K] == 1 - total_r, "q != 1 - sum(r)"
-    assert telescoped == 1 - table.q[K] ** 2, "telescoped sum != 1 - q[K]^2"
-
-
 def _ceil_div(p: int, q: int) -> int:
     return -(-p // q)
 

@@ -1,10 +1,11 @@
-"""Linear recurrences with degree-1 polynomial coefficients, over exact
-sequences.
+"""Linear recurrences with degree-1 polynomial coefficients.
 
 A recurrence of order N is ``sum_i (a_i*n + b_i) * T(n+i) = 0`` for
-i = 0..N with rational ``a_i, b_i``.  Verification is exact; sequences
-whose entries live in span{1, 1/pi} are checked componentwise (rational
-coefficients act on each coordinate separately).
+i = 0..N with rational ``a_i, b_i``.  ``apply`` evaluates the left-hand
+side exactly on rationals or on values in span{1, 1/pi}, componentwise
+(rational coefficients act on each coordinate separately); ``verify
+recurrence`` in the CLI weighs the same coefficients against the
+engine's decimal sums.
 """
 
 from __future__ import annotations
@@ -46,29 +47,3 @@ class LinearRecurrence:
             acc = acc + PiLinear.of(value) * self.coefficient(i, n)
         return acc
 
-
-@dataclass(frozen=True)
-class VerifyResult:
-    ok: bool
-    failed_at: int | None = None
-    checked: int = 0
-
-
-def verify_recurrence(rec: LinearRecurrence, seq, n_start: int = 1) -> VerifyResult:
-    """Check the recurrence exactly on every admissible window of ``seq``.
-
-    ``seq`` entries may be rationals or PiLinear values; the first entry
-    is ``T(n_start)``.  Returns the first failing index if any.
-    """
-    values = [PiLinear.of(x) for x in seq]
-    if len(values) < rec.order + 1:
-        raise ValueError(
-            f"need at least {rec.order + 1} terms to check an order-{rec.order} recurrence"
-        )
-    checked = 0
-    for j in range(len(values) - rec.order):
-        n = n_start + j
-        if not rec.apply(values[j : j + rec.order + 1], n).is_zero():
-            return VerifyResult(False, failed_at=n, checked=checked)
-        checked += 1
-    return VerifyResult(True, checked=checked)

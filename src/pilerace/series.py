@@ -679,11 +679,3 @@ def square_sum_value(
         return _trivial_result(0, "square_sum", witness="moves can never reach the target")
     return _summed((spec,), policy, "square_sum", lambda k, r, q: (r * r,), (1.0,))
 
-
-def square_sum_sequence(
-    moves: MoveSet, n_max: int, policy: TailPolicy | None = None
-) -> list[SeriesResult]:
-    """The sums ``sum_k r(n, k)**2`` for n = 1..n_max."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    return [square_sum_value(moves, n, policy) for n in range(1, n_max + 1)]

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import count
 from pathlib import Path
 
 import pytest
@@ -118,6 +119,13 @@ class TestTable:
         assert code == 0
         assert "0.33891390869471156" in out  # reference column
 
+    def test_unbacked_zero_prints_no_digit(self, capsys):
+        # r(100, k) = 0 for k <= 16: the n = 100 sum is 0 with an unknown tail
+        code, out = run_cli(capsys, "table", "case_minus1_2", "--max-k=16", "--json")
+        assert code == 2
+        row = json.loads(out)["results"]["rows"][-1]
+        assert (row["n"], row["sum_squares"], row["p"]) == (100, "?", "?")
+
     def test_csv_export(self, capsys, tmp_path):
         path = tmp_path / "t.csv"
         code, _ = run_cli(capsys, "table", "t_values", "--tol=1e-6", f"--csv={path}")
@@ -206,6 +214,41 @@ class TestVerify:
         code, out = run_cli(capsys, "verify", "recurrence")
         assert code == 0
         assert "recurrence" in out
+
+    def test_suites_fail_on_a_wrong_engine(self, capsys, monkeypatch):
+        def patch_everywhere(name, fake):
+            real = getattr(pilerace.series, name)
+            for module in [m for k, m in sys.modules.items() if k.split(".")[0] == "pilerace"]:
+                if getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, fake)
+
+        def late_cut(spec):
+            # the lattice DP with its cut one cell too high from move 40 on
+            a, b, n = spec.moves.a, spec.moves.b, spec.n
+            cells, survived = [1], 1
+            for k in count(1):
+                cells = [x + y for x, y in zip(cells + [0], [0] + cells)]
+                cut = max(-(-(n - a * k) // (b - a)), 0) + (k >= 40)
+                win = sum(cells[cut:])
+                del cells[cut:]
+                survived = 2 * survived - win
+                yield k, win, survived
+                if survived == 0:
+                    return
+
+        unit_stream = pilerace.series._stream_unit_float
+
+        def skewed(n):
+            # the zero-drift stream with r off by a relative 1e-6 for target 4
+            for k, r, q in unit_stream(n):
+                yield k, r * (1 + mpf("1e-6")) if n == 4 else r, q
+
+        with monkeypatch.context():
+            patch_everywhere("iter_passage", late_cut)
+            assert run_cli(capsys, "verify", "identities")[0] == 2
+        with monkeypatch.context():
+            patch_everywhere("_stream_unit_float", skewed)
+            assert run_cli(capsys, "verify", "recurrence")[0] == 2
 
 
 class TestOutputRecord:

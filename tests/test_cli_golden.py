@@ -43,6 +43,7 @@ COMMANDS = [
     ("passage", "--moves=-1,2", "--n=1", "--max-k=20"),
     ("passage", "--moves=-3,4", "--n=2", "--max-k=60"),
     ("table", "case_minus1_2"),
+    ("table", "case_minus1_2", "--tol=1e-12"),
     ("table", "t_values"),
     ("table", "table1"),
     ("verify", "identities"),

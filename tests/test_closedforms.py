@@ -5,6 +5,8 @@ import pytest
 
 from pilerace.closedforms import (
     catalan_count,
+    hitting_time_count,
+    monotone_survival_count,
     passage_prob_m1p2,
     passage_prob_pm1,
     raney_count,
@@ -121,6 +123,21 @@ class TestPassageEquivalence:
             table = build_passage_table(GameSpec(MoveSet(-1, 2), n), 400)
             for k in range(1, 401):
                 assert passage_prob_m1p2(n, k) == table.r[k]
+
+
+class TestClassicalLaws:
+    @pytest.mark.parametrize("a", [-3, -2, -1, 0])
+    def test_hitting_time_equals_walk_count(self, a):
+        # a skip-free walk first reaches n by an up-move from n - 1
+        for n in range(1, 5):
+            for k in range(1, 16):
+                assert hitting_time_count(a, n, k) == walk_count((a, 1), n, k - 1, {n - 1})
+
+    @pytest.mark.parametrize("a, b", [(0, 1), (0, 2), (1, 2), (1, 3), (2, 5)])
+    def test_monotone_survival_equals_walk_count(self, a, b):
+        for n in range(1, 7):
+            for k in range(0, 16):
+                assert monotone_survival_count(a, b, n, k) == walk_count((a, b), n, k, range(n))
 
 
 class TestSurvivalOne:

@@ -9,31 +9,10 @@ from pilerace.numeric import (
     PiLinear,
     as_fraction,
     pilinear_eval,
-    rational_pow2_scale,
     rational_str,
 )
-
-
-class TestPow2Scale:
-    def test_one_move_one_path(self):
-        assert rational_pow2_scale(1, 1) == Fraction(1, 2)
-
-    def test_reduces(self):
-        assert rational_pow2_scale(2, 4) == Fraction(1, 8)
-
-    def test_reduction_matches_gcd_oracle(self):
-        # independent route: reduce 6/32 by the gcd directly
-        import math
-
-        g = math.gcd(6, 32)
-        assert rational_pow2_scale(6, 5) == Fraction(6 // g, 32 // g) == Fraction(3, 16)
-
-    def test_negative_numerator(self):
-        assert rational_pow2_scale(-6, 5) == Fraction(-3, 16)
-
-    def test_rejects_negative_k(self):
-        with pytest.raises(ValueError):
-            rational_pow2_scale(1, -1)
+from pilerace.passage import MoveSet
+from pilerace.series import TailPolicy, square_sum_value
 
 
 class TestRationalRoundTrip:
@@ -136,6 +115,16 @@ class TestApproxValue:
 
     def test_unresolved_value_prints_no_digits(self):
         assert ApproxValue(mpf("0.5"), mpf("inf")).formatted() == "?"
+
+    def test_zero_prints_only_when_backed(self):
+        assert ApproxValue(mpf(0), mpf(0)).formatted() == "0"
+        assert ApproxValue(mpf(0), mpf("2e-35")).formatted() == "0"
+        assert ApproxValue(mpf(0), mpf("1e-9")).formatted() == "?"
+        assert ApproxValue(mpf(0), mpf("inf")).formatted() == "?"
+        # r(100, k) = 0 for every k <= 16, so the sum is 0 with an unknown tail
+        res = square_sum_value(MoveSet(-1, 2), 100, TailPolicy(max_k=16))
+        assert res.value == 0 and res.tail_estimate == mpf("inf")
+        assert res.formatted() == "?"
 
     def test_negative_bound_rejected(self):
         with pytest.raises(ValueError):

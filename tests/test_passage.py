@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pilerace.closedforms import hitting_time_count, monotone_survival_count, passage_prob_m1p2
 from pilerace.passage import (
     GameSpec,
     MoveSet,
     build_passage_table,
-    check_claim_partial_sums,
     enumerate_first_passage,
     iter_passage,
     passage_gcd_reachability,
@@ -86,9 +86,18 @@ class TestExactIdentities:
     @pytest.mark.parametrize("moves", MOVE_MATRIX, ids=str)
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     def test_mass_identities(self, moves, n):
-        # r = delta q, q = 1 - sum r, telescoped sum = 1 - q^2, all exact
+        # the exact r and q masses against laws that share no code with the
+        # DP: the hitting-time theorem ({a, 1}, a <= 0), the binomial
+        # survival law (0 <= a < b) and the Raney counts ({-1, 2})
+        a, b = moves.a, moves.b
         table = build_passage_table(GameSpec(moves, n), 120)
-        check_claim_partial_sums(table)
+        for k in range(1, 121):
+            if b == 1 and a <= 0:
+                assert table.r[k] == F(hitting_time_count(a, n, k), 1 << k)
+            if a >= 0:
+                assert table.q[k] == F(monotone_survival_count(a, b, n, k), 1 << k)
+            if (a, b) == (-1, 2):
+                assert table.r[k] == passage_prob_m1p2(n, k)
 
     @pytest.mark.parametrize("moves", MOVE_MATRIX, ids=str)
     def test_brute_force_equivalence(self, moves):

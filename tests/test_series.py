@@ -17,7 +17,6 @@ from pilerace.series import (
     TailPolicy,
     expected_duration,
     rq_stream,
-    square_sum_sequence,
     square_sum_value,
     win_prob_direct,
     win_prob_squares,
@@ -289,9 +288,8 @@ class TestWinWithin:
 
 class TestSquareSums:
     def test_unit_step_values(self):
-        seq = square_sum_sequence(PM1, 3)
-        assert abs(seq[0].value - pl(-1, 4)) < 1e-8
-        assert abs(seq[2].value - pl(-25, F(236, 3))) < 1e-8
+        assert abs(square_sum_value(PM1, 1).value - pl(-1, 4)) < 1e-8
+        assert abs(square_sum_value(PM1, 3).value - pl(-25, F(236, 3))) < 1e-8
 
     def test_minus12_value(self):
         res = square_sum_value(M12, 2)

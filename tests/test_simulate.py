@@ -45,13 +45,13 @@ def _reference_game(cfg, key):
     piles, targets, t, block = [0, 0], (cfg.n1, cfg.n2), 0, 0
     while t < cfg.horizon:
         rounds = _loop_schedule(t, cfg.horizon)
-        nwords = (2 * rounds + 63) // 64
-        bits = sum(_mix(key + (block + j + 1) * GOLDEN & M64) << 64 * j for j in range(nwords))
         for k in range(2 * rounds):  # bit 2i moves A in round i, bit 2i + 1 moves B
-            piles[k % 2] += b if bits >> k & 1 else a
+            if k % 64 == 0:  # the chunk's next 64-bit word
+                word = _mix(key + (block + k // 64 + 1) * GOLDEN & M64)
+            piles[k % 2] += b if word >> k % 64 & 1 else a
             if piles[k % 2] >= targets[k % 2]:
                 return k % 2, t + k // 2 + 1
-        t, block = t + rounds, block + nwords
+        t, block = t + rounds, block + (2 * rounds + 63) // 64
     return None
 
 
