@@ -3,12 +3,12 @@
 Two players each flip a fair coin every turn to add ``a`` or ``b`` chips
 to their own pile; whoever collects ``n`` chips first wins.  This package
 computes the second player's win probability (equal or distinct targets),
-win-within-k curves and expected game lengths -- exactly where the math
-is exact, and with honest tail estimates where an infinite series has to
-be truncated.  A vectorized, reproducibly seeded simulator provides an
-independent Monte Carlo check, and ``pilerace verify`` checks the
-engine against exact laws, closed-form counts, pinned constants and the
-recurrence of the unit-step squared-passage sums.
+win-within-k curves and expected game lengths.  Zero-drift move sets are
+answered exactly, in span{1, 1/pi}; other drifts sum an infinite series
+with an honest tail estimate.  A vectorized, reproducibly seeded
+simulator provides an independent Monte Carlo check, and ``pilerace
+verify`` checks the engine against exact laws, closed-form counts, pinned
+constants and the recurrence of the unit-step squared-passage sums.
 
 numpy is loaded only by the simulator and by the exhaustive oracle
 ``enumerate_first_passage``.  Importing it costs more than half of a

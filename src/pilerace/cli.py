@@ -24,7 +24,7 @@ from itertools import chain, islice, repeat
 
 from mpmath import mp, mpf
 
-from . import reference
+from . import closedforms, reference
 from .numeric import ApproxValue, rational_str
 from .passage import (GameSpec, MoveSet, build_passage_table, iter_passage,
                       passage_gcd_reachability)
@@ -108,15 +108,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _add_series_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=None, help="tail tolerance (default 1e-9)")
-    p.add_argument("--max-k", type=int, default=None, help="truncation cap")
-    p.add_argument("--min-k", type=int, default=0, help="force summation at least this far")
-    p.add_argument("--digits", type=int, default=17, help="max displayed digits")
+def _add_series_flags(p: argparse.ArgumentParser, digits: bool = True) -> None:
+    only = " (summed, non-zero drift series only; zero-drift answers are exact)"
+    p.add_argument("--tol", type=float, default=None, help="tail tolerance, default 1e-9" + only)
+    p.add_argument("--max-k", type=int, default=None, help="truncation cap" + only)
+    p.add_argument("--min-k", type=int, default=0, help="sum at least this far" + only)
+    if digits:
+        p.add_argument("--digits", type=int, default=17, help="max displayed digits")
 
 
 def _policy_from(args) -> TailPolicy:
-    if args.digits < 1:
+    if getattr(args, "digits", 1) < 1:
         raise ValueError(f"--digits must be >= 1, got {args.digits}")
     kwargs = {}
     if args.tol is not None:
@@ -183,13 +185,13 @@ def build_parser() -> _Parser:
         "verify",
         help="check the engine: the DP against the hitting-time and binomial laws "
         "(identities), Catalan, Raney and unit-step closed forms (oracles), pinned win "
-        "probabilities (residuals), the engine's unit-step T(n) against their "
+        "probabilities (residuals), the engine's exact unit-step T(n) against their "
         "recurrence (recurrence)",
     )
     p.add_argument("suite", nargs="?", default="all",
                    choices=["all", *_SUITES])
     p.add_argument("--json", action="store_true")
-    _add_series_flags(p)
+    _add_series_flags(p, digits=False)
 
     return parser
 
@@ -307,6 +309,7 @@ def _cmd_table(args) -> tuple[OutputRecord, int]:
             # the race almost surely ends, so p = (1 - sum r**2) / 2 exactly
             with mp.workdps(WORK_DPS):
                 p = ApproxValue((1 - t_res.value) / 2, t_res.error_bound() / 2)
+                ref = mpf(p_ref)
             rows.append(
                 {
                     "n": n,
@@ -314,7 +317,7 @@ def _cmd_table(args) -> tuple[OutputRecord, int]:
                     "sum_squares_ref": sumsq_ref,
                     "p": p.formatted(args.digits),
                     "p_ref": p_ref,
-                    "abs_delta_p": _fmt_delta(p.value, mpf(p_ref)),
+                    "abs_delta_p": _fmt_delta(p.value, ref),
                 }
             )
             outputs.append(t_res)
@@ -475,29 +478,16 @@ def _verify_residuals(policy: TailPolicy, lines: list[dict]) -> bool:
 
 
 def _verify_recurrence_suite(policy: TailPolicy, lines: list[dict]) -> bool:
-    """The engine's sums T(1..6) on {-1,1} against the pinned order-3
-    recurrence: each converged window's residual must lie within the
-    coefficient-weighted error bounds of its four sums."""
+    """The engine's exact sums T(1..40) on {-1,1} against the pinned
+    order-3 recurrence: every window's left-hand side must be exactly 0."""
     rec = reference.SQUARE_SUM_RECURRENCE
-    sums = [square_sum_value(MoveSet(-1, 1), n, policy) for n in range(1, 7)]
+    sums = [closedforms.unit_step_sum(n) for n in range(1, 41)]
     ok = True
     for n in range(1, len(sums) - rec.order + 1):
-        window = sums[n - 1 : n + rec.order]
-        with mp.workdps(WORK_DPS):
-            coeffs = [mpf(c.numerator) / c.denominator
-                      for c in (rec.coefficient(i, n) for i in range(rec.order + 1))]
-            residual = abs(sum(c * t.value for c, t in zip(coeffs, window)))
-            bound = sum(abs(c) * t.error_bound() for c, t in zip(coeffs, window))
-        good = all(t.verdict == CONVERGED for t in window) and residual <= bound
-        lines.append(
-            {
-                "check": f"squared-sum recurrence on the engine's T({n}..{n + rec.order})",
-                "ok": bool(good),
-                "residual": mp.nstr(residual, 6),
-                "bound": mp.nstr(bound, 6),
-            }
-        )
-        ok &= good
+        residual = rec.apply(sums[n - 1 : n + rec.order], n)
+        check = f"squared-sum recurrence on the engine's exact T({n}..{n + rec.order})"
+        lines.append({"check": check, "ok": residual.is_zero(), "residual": str(residual)})
+        ok &= residual.is_zero()
     return ok
 
 
@@ -505,10 +495,12 @@ def _verify_recurrence_suite(policy: TailPolicy, lines: list[dict]) -> bool:
 _SUITES = {
     "identities": (_verify_identities,
                    "the DP's numerators against the hitting-time and binomial survival laws"),
-    "oracles": (_verify_oracles, "exact identity and oracle verification"),
-    "residuals": (_verify_residuals, "exact identity and oracle verification"),
+    "oracles": (_verify_oracles,
+                "the DP's exact tables against Catalan, Raney and unit-step closed forms"),
+    "residuals": (_verify_residuals,
+                  "win probabilities against the pinned {-1,1} forms and {-1,2} decimals"),
     "recurrence": (_verify_recurrence_suite,
-                   "the engine's unit-step sums T(n) against their pinned recurrence"),
+                   "the engine's exact unit-step sums T(n) against their pinned recurrence"),
 }
 
 

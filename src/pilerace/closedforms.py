@@ -13,6 +13,10 @@ These are the independent oracles against the lattice DP in
 * ``hitting_time_count`` and ``monotone_survival_count``: r and q
   numerators over ``2**k`` for the walks {a, 1}, a <= 0, and 0 <= a < b.
 
+``unit_step_sum`` is the exact evaluator behind every zero-drift answer:
+the sums ``sum_k r(n, k)**2`` and ``sum_k q(n1, k) r(n2, k)`` of the
+{-1, 1} walk as exact values in span{1, 1/pi}.
+
 The rational-looking expressions are evaluated in exact integer
 arithmetic with the division performed last and checked exact: these
 counts are integers by construction, so an inexact division is a bug,
@@ -21,8 +25,11 @@ not a rounding issue.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
+
+from .numeric import PiLinear
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -155,3 +162,93 @@ def monotone_survival_count(a: int, b: int, n: int, k: int) -> int:
     the pile never falls, so it is below n after k moves exactly when
     a k + (b - a) j <= n - 1, with j ~ Binomial(k, 1/2) b-moves."""
     return sum(comb(k, j) for j in range(min(k, (n - 1 - a * k) // (b - a)) + 1))
+
+
+def _partial_fractions(scale: Fraction, zeros, npoles: int) -> tuple:
+    """``scale * prod(m - z) / prod_{p=1..npoles} (m + p)``, with at most
+    ``npoles`` zeros, as ``(constant, {p: residue at m = -p})``."""
+    residues = {}
+    for p in range(1, npoles + 1):
+        num = scale
+        for z in zeros:
+            num *= -p - z
+        residues[p] = num / ((-1) ** (p - 1) * factorial(p - 1) * factorial(npoles - p))
+    return (scale if len(zeros) == npoles else 0), residues
+
+
+def _times(f: tuple, g: tuple) -> dict:
+    """``f * g`` for partial fractions ``f`` and ``g``, g without a
+    constant: ``{p: [coefficient of 1/(m + p), of 1/(m + p)**2]}``."""
+    (c, fs), (_, gs) = f, g
+    out = {p: [c * gs.get(p, 0), Fraction(0)] for p in fs.keys() | gs.keys()}
+    for p, a in fs.items():
+        for l, b in gs.items():
+            if p == l:
+                out[p][1] += a * b
+            else:  # 1/((m+p)(m+l)) = (1/(m+p) - 1/(m+l)) / (l - p)
+                out[p][0] += a * b / (l - p)
+                out[l][0] -= a * b / (l - p)
+    return out
+
+
+def unit_step_sum(n2: int, n1: int | None = None) -> PiLinear:
+    """Exact ``sum_k r(n2, k)**2`` (``n1`` None) or ``sum_k q(n1, k) r(n2, k)``
+    for the {-1, 1} walk: T(n2) and the race probability p(n1, n2).
+
+    r lives on k = 2m + e, e = n2 mod 2.  With c_m = C(2m, m) / 4**m,
+    ``C(2m + e, m + e + t) / 2**k = c_m ((m + 1/2) / (m + 1))**e
+    prod_{i<t} (m - i) / (m + 1 + e + i)``.  The hitting-time theorem
+    makes r that at t = n2 // 2 times n2 / k, and reflection makes q(n1, k)
+    = P(-n1 <= S_k <= n1 - 1) a sum of them.  So each summand is u_m R(m),
+    u_m = c_m**2, with R -> 0 at infinity and poles of order <= 2 at
+    m = -1, -2, ...
+
+    As u_{m+1} / u_m = rho(m) = ((2m + 1) / (2m + 2))**2, every
+    L[P](m) = rho(m) P(m + 1) - P(m) telescopes: sum_{m >= m0} u_m L[P](m)
+    = -u_{m0} P(m0) for bounded P.  R's poles are cancelled from the
+    farthest, m = -N, towards -1 by terms y/(m + c) + x/(m + c)**2 of P
+    (Abramov's reduction), the double pole left at -1 by a constant p0,
+    leaving alpha / (m + 1).  Gauss's 2F1(1/2, 1/2; 2; 1) gives
+    sum_{m >= 0} u_m / (m + 1) = 4/pi, so the sum is ``-u_{m0} P(m0) +
+    alpha (4/pi - sum_{m < m0} u_m / (m + 1))`` with m0 = 1 - e, the first
+    m with k >= 1.  Every step is exact (Petkovsek, Wilf & Zeilberger,
+    *A = B*, 1996).
+    """
+    if n2 < 1 or (n1 is not None and n1 < 1):
+        raise ValueError("targets must be >= 1")
+    e, t = n2 % 2, n2 // 2
+    # n2 / k times the ratio at t, k = 2m + e cancelling its zero m (e = 0) or m + 1/2 (e = 1)
+    r = _partial_fractions(Fraction(n2, 2), range(1 - e, t), t + e)
+    if n1 is None:
+        R = _times(r, r)
+    else:  # S_k = s, of k's parity, is C(k, (k + s) / 2) / 2**k: offset |s| // 2
+        q_const, q_res = Fraction(0), Counter()
+        for off, mult in Counter(abs(s) // 2 for s in range(-n1, n1) if (s - e) % 2 == 0).items():
+            zeros = [Fraction(-1, 2)] * e + list(range(off))
+            const, res = _partial_fractions(Fraction(1), zeros, off + e)
+            q_const += mult * const
+            q_res.update({p: mult * a for p, a in res.items()})
+        R = _times((q_const, q_res), r)
+
+    x, y = {}, {}  # P's coefficients of 1/(m + c)**2 and 1/(m + c)
+    for pole in range(max(R), 1, -1):
+        a1, a2 = R.pop(pole)
+        c = pole - 1
+        lead = Fraction((2 * c + 1) ** 2, 4 * c * c)  # rho(-pole)
+        x[c] = a2 / lead
+        y[c] = (a1 - x[c] * Fraction(2 * c + 1, 2 * c**3)) / lead
+        # subtract L[x/(m + c)**2 + y/(m + c)]: its -P(m) part sits at -c,
+        # and rho's double pole at -1 leaves a part there
+        R[c][0] += y[c]
+        R[c][1] += x[c]
+        for coef, s in ((x[c], 2), (y[c], 1)):
+            R[1][1] -= coef * Fraction(1, 4 * c**s)
+            R[1][0] += coef * (Fraction(1, c**s) + Fraction(s, 4 * c ** (s + 1)))
+    a1, a2 = R[1]
+    p0 = 4 * a2  # L[p0] = p0 (1/(4 (m + 1)**2) - 1/(m + 1))
+    alpha = a1 + p0
+    m0 = 1 - e
+    at_m0 = p0 + sum(y[c] / (m0 + c) + x[c] / (m0 + c) ** 2 for c in x)
+    # u_0 = 1 and u_1 = 1/4; for m0 = 1 the head sum is u_0 / 1 = 1
+    u_m0, head = (Fraction(1, 4), 1) if m0 else (1, 0)
+    return PiLinear(-u_m0 * at_m0 - alpha * head, 4 * alpha)

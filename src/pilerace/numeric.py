@@ -18,8 +18,9 @@ from numbers import Rational as _RationalABC
 from mpmath import mp, mpf
 
 # Guard digits carried beyond any requested precision whenever pi enters a
-# computation.  Table verification at 10+ digits must never be limited by
-# the pi source.
+# computation, on top of the digits of the larger rational part (parts of
+# exact sums grow with the target and cancel to a value below 1).  Table
+# verification at 10+ digits must never be limited by the pi source.
 PI_GUARD_DIGITS = 50
 
 
@@ -159,12 +160,16 @@ class PiLinear:
 
 def pilinear_eval(x: PiLinear, digits: int) -> ApproxValue:
     """Decimal approximation of ``const + inv_pi/pi`` to ``digits``
-    significant digits, with an honest absolute error bound."""
+    significant digits, with an honest absolute error bound.  The working
+    precision grows with the size of the parts, so that their
+    cancellation does not eat the requested digits."""
     if digits < 1:
         raise ValueError("digits must be >= 1")
     if x.const == 0 and x.inv_pi == 0:
         return ApproxValue(mpf(0), mpf(0))
-    work = digits + PI_GUARD_DIGITS
+    # parts far above 1 may cancel to a small value: carry their digits too
+    work = digits + PI_GUARD_DIGITS + max(
+        len(str(abs(f.numerator) // f.denominator)) for f in (x.const, x.inv_pi))
     with mp.workdps(work):
         c0 = mpf(x.const.numerator) / x.const.denominator
         c1 = mpf(x.inv_pi.numerator) / x.inv_pi.denominator

@@ -3,9 +3,8 @@
 A recurrence of order N is ``sum_i (a_i*n + b_i) * T(n+i) = 0`` for
 i = 0..N with rational ``a_i, b_i``.  ``apply`` evaluates the left-hand
 side exactly on rationals or on values in span{1, 1/pi}, componentwise
-(rational coefficients act on each coordinate separately); ``verify
-recurrence`` in the CLI weighs the same coefficients against the
-engine's decimal sums.
+(rational coefficients act on each coordinate separately), so ``verify
+recurrence`` in the CLI checks the engine's exact sums against it.
 """
 
 from __future__ import annotations

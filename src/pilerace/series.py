@@ -1,61 +1,48 @@
-"""Truncated evaluation of the race's infinite series with explicit
-tail policies.
+"""The race's infinite series: exact at zero drift, summed with
+explicit tail policies otherwise.
 
 Everything here is a sum over the per-move first-passage probabilities
-``r(n, k)`` and survival probabilities ``q(n, k)`` of a single walk:
+``r(n, k)`` and survival probabilities ``q(n, k)`` of a single walk: the
+second player's win probability ``sum q(n1, k) r(n2, k)`` (``p_n`` is its
+diagonal, also ``1/2 - (1/2) sum r**2``), the expected game length
+``sum q**2`` and exact win-within-k partial sums.
 
-* the second player's win probability, through the squared-passage
-  series ``1/2 - (1/2) sum r**2`` or through the direct sum of
-  ``q * r`` terms;
-* the asymmetric-target variant ``sum q(n1, k) r(n2, k)``;
-* the expected game length ``sum q**2``;
-* exact win-within-k partial sums.
+Zero drift is not summed.  A {-c, c} walk is the unit-step walk with
+target ``ceil(n / c)``, and ``closedforms.unit_step_sum`` telescopes each
+win-probability and squared-passage series to its exact value in
+span{1, 1/pi}; the result carries only the error of its decimal.
 
-Tail policy, by drift of the move set: positive or negative drift gives
-geometrically decaying terms, so the tail is bounded from the fitted
-ratio of recent nonzero terms.  Zero drift gives power-law terms whose
-partial sums expand in integer powers of 1/K (Stirling on ``r(n, k) =
-(n/k) C(k, (k+n)/2) / 2**k``), so the totals at the checkpoints from
-K = max(16, n**2) on are extrapolated to 1/K = 0 (Richardson, by
-Neville's table), and the tail is the change from the previous order.
-Both tails are estimates, checked by the test suite by doubling the
-truncation point and against the exact constants.  The only divergent
-series, the expected length at drift <= 0, is decided by the drift
-before any term is summed: at zero drift ``q(n, k)**2 ~ c / k``, below
-it ``q`` does not tend to 0, and above it ``sum q**2 <= E[T] < inf``.
+Every other drift is summed, and the tail is bounded from the fitted
+geometric ratio of recent nonzero terms: an estimate, checked by the test
+suite by doubling the truncation point.  The only divergent series, the
+expected length at drift <= 0, is decided by the drift before any term is
+summed.  The three win-probability evaluators share one race body,
+``_race``: when the race almost surely ends it sums the split-corrected
+form ``(1 - sum r1 r2 + sum (q1 r2 - q2 r1)) / 2``; under negative drift
+it sums and fits the ``q1 r2`` terms themselves.
 
-``p_n`` is the diagonal ``p_{n,n}`` of ``p_{n1,n2}``, so the three
-win-probability evaluators share one race body, ``_race``.  Direct sums
-of ``q1 r2`` converge too slowly at zero drift on their own: the partial
-sums telescope, leaving half the squared surviving mass plus half the
-``r1 r2`` and cross-difference tails.  When the race almost surely ends,
-the body sums the split-corrected form ``(1 - sum r1 r2 + sum (q1 r2 -
-q2 r1)) / 2``, which is ``(1 - sum r**2) / 2`` on equal targets.  Under
-negative drift the ``q1 r2`` terms, which decay at the walk's ratio
-rather than its square, are summed and fitted themselves.
-
-Every evaluator runs through one summation core, ``_summed``.  From the
-move set and the ``TailPolicy`` it picks the tail mode and the
-truncation cap; it builds the single ``(k, r, q)`` stream or the zipped
-``(k, r1, q1, r2, q2)`` stream of two targets, drives the channels and
-assembles the ``SeriesResult``.  An evaluator supplies only its input
-guards, its per-term map, its channel scales and structural zeros, and
-how the channel totals become a value, a tail bound and a last term.
-The core sums in one arithmetic, ``mpf`` at ``WORK_DPS``, for every
-move set; the rounding is covered by the result's ``eval_error``.
-Exact streams (integer numerators over ``2**k``) feed only
-``win_within``, whose caller gets a ``Fraction``.
+Every summed evaluator runs through one core, ``_summed``, which builds
+the ``(k, r, q)`` stream (or the zipped ``(k, r1, q1, r2, q2)`` stream of
+two targets), drives the channels in ``mpf`` at ``WORK_DPS`` and
+assembles the ``SeriesResult``; the rounding is covered by its
+``eval_error``.  An evaluator supplies its guards, per-term map, channel
+scales and structural zeros, and how the channel totals become a value,
+a tail bound and a last term.  Exact streams (integer numerators over
+``2**k``) feed ``win_within``, whose caller gets a ``Fraction``.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count, zip_longest
+from itertools import count, pairwise, zip_longest
 
 from mpmath import mp, mpf
 
+from .closedforms import unit_step_sum
+from .numeric import ApproxValue, PiLinear
 from .passage import (
     GameSpec,
     MoveSet,
@@ -68,10 +55,8 @@ from .passage import (
 WORK_DPS = 40
 DEFAULT_TOLERANCE = 1e-9
 DEFAULT_MAX_K = 5_000
-DEFAULT_MAX_K_ZERO_DRIFT = 200_000
 FIT_WINDOW = 8
 _MIN_FIT_TERMS = 5
-_MIN_EXTRAPOLATION_POINTS = 4
 
 CONVERGED = "converged"
 DIVERGED = "diverged"
@@ -80,39 +65,29 @@ INCONCLUSIVE = "inconclusive"
 
 @dataclass(frozen=True)
 class TailPolicy:
-    """Stopping rule for truncated summation.
+    """Stopping rule of the summed (non-zero drift) series; exact
+    zero-drift answers ignore it.
 
-    ``max_k`` defaults by drift: 200000 at zero drift ("power" mode: the
-    checkpoint totals are extrapolated, which meets 1e-9 by K = 16384 for
-    targets up to 12), 5000 otherwise ("geometric" mode: a fitted ratio).
-    ``min_k`` forces summation at least that far even if the tolerance is
-    met earlier; it exists for honesty checks that re-run a converged
-    series twice as far.
+    Summation stops once the fitted geometric tail is below ``tolerance``,
+    or at the cap ``max_k``.  ``min_k`` forces summation at least that far
+    (raising the cap to it); it exists for honesty checks that re-run a
+    converged series twice as far.
     """
 
     tolerance: float = DEFAULT_TOLERANCE
-    max_k: int | None = None
+    max_k: int = DEFAULT_MAX_K
     min_k: int = 0
 
     def __post_init__(self):
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
-        if self.max_k is not None and self.max_k < 16:
+        if self.max_k < 16:
             raise ValueError("max_k must be at least 16")
         if self.min_k < 0:
             raise ValueError("min_k must be >= 0")
 
-    def mode_for(self, moves: MoveSet) -> str:
-        return "power" if moves.drift == 0 else "geometric"
-
-    def resolved_max_k(self, moves: MoveSet) -> int:
-        if self.max_k is not None:
-            cap = self.max_k
-        elif moves.drift == 0:
-            cap = DEFAULT_MAX_K_ZERO_DRIFT
-        else:
-            cap = DEFAULT_MAX_K
-        return max(cap, self.min_k)
+    def resolved_max_k(self) -> int:
+        return max(self.max_k, self.min_k)
 
 
 @dataclass(frozen=True)
@@ -121,8 +96,8 @@ class SeriesResult:
 
     Every number is an mpf; sums run at ``WORK_DPS``.  ``value`` is the
     estimate; ``tail_estimate`` bounds what truncation may still be
-    missing, and ``eval_error`` bounds arithmetic rounding.  A diverged
-    verdict always carries a witness.
+    missing (zero for an exact answer), and ``eval_error`` bounds
+    arithmetic rounding.  A diverged verdict always carries a witness.
     """
 
     value: mpf
@@ -139,16 +114,15 @@ class SeriesResult:
         return self.tail_estimate + self.eval_error
 
     def formatted(self, max_digits: int = 17) -> str:
-        from .numeric import ApproxValue
-
         return ApproxValue(self.value, self.error_bound()).formatted(max_digits)
 
     def to_json_dict(self) -> dict:
-        def num(x):
-            return None if x is None else mp.nstr(x, 24)
+        def num(x, digits=24):
+            return None if x is None else mp.nstr(x, digits)
 
         return {
-            "value": num(self.value),
+            # nothing truncated: every working digit of the value is backed
+            "value": num(self.value, 24 if self.tail_estimate else WORK_DPS),
             "display": self.formatted(),
             "truncation_k": self.truncation_k,
             "last_term": num(self.last_term),
@@ -188,52 +162,19 @@ def _stream_unit_exact(n: int):
         yield k, r, q
 
 
-def _stream_unit_float(n: int):
-    """(k, r, q) for the unit-step symmetric walk as mpf values.
-
-    One multiplicative update per index: the closed-form counts reduce to
-    a running central-binomial ratio, so this stream is O(1) per term and
-    carries no big integers.  Every zero-drift summation runs on it.
-    """
-    s, parity = n // 2, n % 2
-    u = mpf(4) ** (-s)  # C(2m, m-s) / 4**m at m = s
-    m = s
-    q = mpf(1)
-    zero = mpf(0)
-    for k in count(1):
-        r = zero
-        if k % 2 == parity:
-            mm = k // 2
-            while m < mm:
-                u *= mpf((2 * m + 1) * (m + 1)) / (2 * (m + 1 - s) * (m + 1 + s))
-                m += 1
-            if parity == 1 and mm >= s:
-                r = mpf(2 * s + 1) / (2 * (mm + s + 1)) * u
-            elif parity == 0 and mm >= max(s, 1) and s > 0:
-                r = mpf(s) / mm * u
-        if r:
-            q = q - r
-        yield k, r, q
-
-
 def rq_stream(spec: GameSpec, *, prefer_float: bool = False):
-    """(k, r, q) for any move set.
-
-    Zero-drift sets reduce to the unit-step walk and use its closed
-    forms; everything else runs the exact lattice DP.  By default r and
-    q are exact, integer numerators over ``2**k``.  ``prefer_float``
-    gives mpf values at the current precision instead: the O(1)-per-term
-    closed-form stream, or the DP's numerators each rounded once.
-    DP-backed streams end once the walk is absorbed; closed-form streams
-    are infinite.
+    """(k, r, q) for any move set, r and q as integer numerators over
+    ``2**k``: the unit-step Catalan stream for a zero-drift set, reduced
+    to its unit-step target, and the exact lattice DP otherwise.
+    ``prefer_float`` gives mpf values at the current precision instead,
+    each numerator rounded once.  DP-backed streams end once the walk is
+    absorbed; the Catalan stream is infinite.
     """
     reduced = reduce_zero_drift(spec)
-    if reduced is not None:
-        return _stream_unit_float(reduced) if prefer_float else _stream_unit_exact(reduced)
-    dp = iter_passage(spec)
+    stream = iter_passage(spec) if reduced is None else _stream_unit_exact(reduced)
     if prefer_float:
-        return ((k, mpf((w, -k)), mpf((s, -k))) for k, w, s in dp)
-    return dp
+        return ((k, mpf((w, -k)), mpf((s, -k))) for k, w, s in stream)
+    return stream
 
 
 # ---------------------------------------------------------------------------
@@ -241,35 +182,24 @@ def rq_stream(spec: GameSpec, *, prefer_float: bool = False):
 
 
 class _Channel:
-    """One summed series: an mpf accumulator, a ring of recent nonzero
-    block magnitudes for the geometric tail fit, and the checkpoint
-    totals for the zero-drift extrapolation.
+    """One summed series: an mpf accumulator and a ring of recent nonzero
+    block magnitudes for the geometric tail fit.
 
     ``block`` consecutive indices are fitted as one unit; the asymmetric
     cross-difference series alternates sign with parity and only its
-    2-blocks decay cleanly.  Checkpoints are recorded from ``start`` on.
+    2-blocks decay cleanly.
     """
 
-    def __init__(self, block: int, scale: float, structural_zero: bool, start: int):
+    def __init__(self, block: int, scale: float, structural_zero: bool):
         self.block = block
         self.scale = scale  # weight of this channel's tail in the stop rule
         self.total = mpf(0)
-        self.ring: list[tuple[float, float]] = []  # (k, |block sum|)
+        self.ring: deque[float] = deque(maxlen=FIT_WINDOW)  # |block sum|
         self.nterms = 0
         self.last_nonzero = 0.0
         self.structural_zero = structural_zero
-        self.start = start
-        self.ks: list[int] = []  # checkpoints K, with the totals through them
-        self.totals: list = []
-        self.extrapolated = None  # R[i][i] when the tail came from it
-        self.amplification = 1  # sum of |weights| of that extrapolation
         self._bsum = 0.0
         self._bstart = 1
-
-    @property
-    def value(self):
-        """The total the tail describes: extrapolated or partial."""
-        return self.total if self.extrapolated is None else self.extrapolated
 
     def add(self, k: int, term) -> None:
         if term:
@@ -278,53 +208,22 @@ class _Channel:
             t = float(term)
             self.last_nonzero = abs(t)
             self._bsum += t
-        if k >= 1 and (k - self._bstart + 1) >= self.block:
+        if (k - self._bstart + 1) >= self.block:
             if self._bsum != 0.0:
-                mid = k - (self.block - 1) / 2
-                self.ring.append((mid, abs(self._bsum)))
-                if len(self.ring) > FIT_WINDOW:
-                    self.ring.pop(0)
+                self.ring.append(abs(self._bsum))
             self._bsum = 0.0
             self._bstart = k + 1
 
-    def tail(self, mode: str, k: int) -> mpf | None:
-        """The tail estimate at checkpoint ``k`` (in power mode this also
-        records the checkpoint); None when not yet fittable."""
+    def tail(self) -> mpf | None:
+        """The geometric tail estimate; None when not yet fittable."""
         if self.structural_zero:
             return mpf(0)
-        if mode == "power":
-            return self._extrapolate(k)
         if len(self.ring) < _MIN_FIT_TERMS:
             return None
-        rho = max(
-            self.ring[i][1] / self.ring[i - 1][1]
-            for i in range(1, len(self.ring))
-            if self.ring[i - 1][1] > 0
-        )
+        rho = max(b / a for a, b in pairwise(self.ring))
         if rho >= 1:
             return None
-        last = self.ring[-1][1]
-        return mpf(last) * rho / (1 - rho)
-
-    def _extrapolate(self, k: int) -> mpf | None:
-        """Zero-drift tails expand in integer powers of h = 1/K, so the
-        polynomial in h through the checkpoint totals (Neville's table)
-        is evaluated at h = 0; the tail is the change from the previous
-        diagonal entry.  Unit-step terms live on one parity of k, so that
-        expansion holds along even K only (an odd cap is not recorded)."""
-        if k >= self.start and k % 2 == 0:
-            self.ks.append(k)
-            self.totals.append(self.total)
-        ks, diag = self.ks, list(self.totals)  # diag[i]: R[i][j] of column j
-        if len(ks) < _MIN_EXTRAPOLATION_POINTS:
-            return None
-        for j in range(1, len(ks)):
-            for i in range(len(ks) - 1, j - 1, -1):
-                diag[i] += (diag[i] - diag[i - 1]) * ks[i - j] / (ks[i] - ks[i - j])
-        # R[i][i] = sum_m w_m S_m with w_m = prod_{l != m} K_m / (K_m - K_l)
-        self.amplification = sum(abs(math.prod(K / (K - L) for L in ks if L != K)) for K in ks)
-        self.extrapolated = diag[-1]
-        return abs(diag[-1] - diag[-2])
+        return mpf(self.ring[-1]) * rho / (1 - rho)
 
 
 @dataclass
@@ -349,13 +248,13 @@ class _DriveResult:
 
 
 def _drive(
-    stream, fmap, channels: list[_Channel], *, mode: str, tolerance: float, max_k: int, min_k: int = 0
+    stream, fmap, channels: list[_Channel], *, tolerance: float, max_k: int, min_k: int = 0
 ) -> _DriveResult:
     """Pull items from ``stream``, map each through ``fmap(*item)`` to one
     term per channel, until every channel's scaled tail estimate fits
     under ``tolerance`` (or the truncation cap is hit).
     Convergence cannot be declared before ``min_k`` or while any
-    channel's fit window or checkpoint record is still filling.
+    channel's fit window is still filling.
     """
     next_check = 16
     k = 0
@@ -373,7 +272,7 @@ def _drive(
             continue
         next_check = min(next_check * 2, max_k)
 
-        tails = [ch.tail(mode, k) for ch in channels]
+        tails = [ch.tail() for ch in channels]
         if k >= min_k and all(t is not None for t in tails):
             weighted = sum(float(t) * ch.scale for t, ch in zip(tails, channels))
             if weighted <= tolerance:
@@ -392,15 +291,10 @@ def _drive(
     return _DriveResult(channels, k, tails, verdict, witness, exhausted, item)
 
 
-def _eval_rounding_bound(channels) -> mpf:
-    n = sum(ch.nterms * ch.amplification for ch in channels)
-    return mpf(10) ** (-(WORK_DPS - 5)) * (n + 1)
-
-
 def _single(res: _DriveResult):
     """The finish of a plain one-channel sum: its total, tail and last term."""
     (ch,) = res.channels
-    return ch.value, res.tail_at(0), mpf(ch.last_nonzero), None
+    return ch.total, res.tail_at(0), mpf(ch.last_nonzero), None
 
 
 def _summed(
@@ -414,11 +308,10 @@ def _summed(
     structural: tuple[bool, ...] | None = None,
     head: int = 0,
 ) -> SeriesResult:
-    """The summation core behind every evaluator.
+    """The summation core behind every summed evaluator.
 
-    The move set and ``policy`` fix the tail mode and truncation cap.
-    Every walk is summed on its mpf stream: the closed form at zero
-    drift, the once-rounded DP items otherwise.  One spec gives its
+    ``policy`` fixes the tolerance and the truncation cap.  Every walk is
+    summed on its once-rounded mpf stream.  One spec gives its
     ``(k, r, q)`` stream as is; two specs (same moves) are zipped into
     ``(k, r1, q1, r2, q2)``, an absorbed walk padded with zeros, and two
     equal specs share one stream fed as ``(k, r, q, r, q)``.
@@ -431,11 +324,6 @@ def _summed(
     """
     policy = policy if policy is not None else TailPolicy()
     moves = specs[0].moves
-    max_k = policy.resolved_max_k(moves)
-    unit_targets = [reduce_zero_drift(spec) for spec in specs]
-    # below K = n**2 the unit-step terms have not yet settled into their
-    # asymptotic expansion, so extrapolation starts no earlier
-    start = 16 if unit_targets[0] is None else max(16, max(unit_targets) ** 2)
     with mp.workdps(WORK_DPS):
         streams = [rq_stream(spec, prefer_float=True) for spec in dict.fromkeys(specs)]
         stream = streams[0]
@@ -450,14 +338,14 @@ def _summed(
         # non-monotone wiggles) cannot masquerade as non-decay
         block = min(max(moves.b - moves.a, 1), 128)
         channels = [
-            _Channel(block, scale, flag, start)
+            _Channel(block, scale, flag)
             for scale, flag in zip(scales, structural or (False,) * len(scales))
         ]
         if head:
             channels[0].add(0, mpf(head))
         res = _drive(
-            stream, fmap, channels, mode=policy.mode_for(moves), tolerance=policy.tolerance,
-            max_k=max_k, min_k=policy.min_k,
+            stream, fmap, channels, tolerance=policy.tolerance,
+            max_k=policy.resolved_max_k(), min_k=policy.min_k,
         )
         value, tail, last_term, no_winner = finish(res)
         return SeriesResult(
@@ -469,7 +357,7 @@ def _summed(
             method=method,
             witness=res.witness,
             no_winner=no_winner,
-            eval_error=_eval_rounding_bound(channels),
+            eval_error=mpf(10) ** (5 - WORK_DPS) * (sum(ch.nterms for ch in channels) + 1),
         )
 
 
@@ -483,7 +371,18 @@ def _validated(spec: GameSpec) -> GameSpec:
     return spec
 
 
-def _trivial_result(value, method: str, witness: str | None = None, no_winner=None) -> SeriesResult:
+def _exact_result(form: PiLinear) -> SeriesResult:
+    """The decimal of an exact answer at ``WORK_DPS``; its ``eval_error``
+    covers both pi and the rounding to ``WORK_DPS``."""
+    approx = form.approx(WORK_DPS)
+    with mp.workdps(WORK_DPS):
+        value = +approx.value
+        error = approx.error_bound + abs(value) * mpf(10) ** -WORK_DPS
+        return _trivial_result(value, "exact", eval_error=error)
+
+
+def _trivial_result(value, method: str, witness: str | None = None, no_winner=None,
+                    eval_error=0) -> SeriesResult:
     return SeriesResult(
         value=mpf(value),
         truncation_k=0,
@@ -493,6 +392,7 @@ def _trivial_result(value, method: str, witness: str | None = None, no_winner=No
         method=method,
         witness=witness,
         no_winner=None if no_winner is None else mpf(no_winner),
+        eval_error=mpf(eval_error),
     )
 
 
@@ -564,13 +464,11 @@ def win_prob_targets(
     """Probability the second player reaches ``n2`` before the first
     player reaches ``n1``: the sum of ``q(n1, k) r(n2, k)``.
 
-    When the race almost surely ends, the sum is evaluated in its
-    symmetrized form ``(1 - sum r1 r2 + sum (q1 r2 - q2 r1)) / 2``,
+    At zero drift the answer is exact (``closedforms.unit_step_sum``).
+    Otherwise, when the race almost surely ends, the sum is evaluated in
+    its symmetrized form ``(1 - sum r1 r2 + sum (q1 r2 - q2 r1)) / 2``,
     algebraically equal to the direct partial sum plus the split
-    correction ``q1 q2 / 2``; both component series have summable tails
-    even at zero drift, where the direct terms alone decay too slowly.
-    Under zero drift both are extrapolated from their checkpoint totals.
-    With negative drift the ``q1 r2`` terms are summed and fitted
+    correction ``q1 q2 / 2``.  With negative drift the ``q1 r2`` terms are summed and fitted
     directly, and ``q1_K q2_K`` is reported as the never-decided mass.
     """
     if n1 < 1 or n2 < 1:
@@ -583,9 +481,13 @@ def win_prob_targets(
 
 
 def _race(n1: int, n2: int, moves: MoveSet, policy: TailPolicy | None, method: str) -> SeriesResult:
-    """``p(n1, n2)`` behind every win-probability evaluator: one ``q1 r2``
-    channel under negative drift, else the symmetrized pair."""
+    """``p(n1, n2)`` behind every win-probability evaluator: exact at zero
+    drift, one ``q1 r2`` channel under negative drift, else the
+    symmetrized pair."""
     specs = (GameSpec(moves, n1), GameSpec(moves, n2))
+    u1, u2 = (reduce_zero_drift(spec) for spec in specs)
+    if u1 is not None:
+        return _exact_result(unit_step_sum(u2, u1))
     if moves.drift < 0:
 
         def finish_direct(res):
@@ -613,7 +515,7 @@ def _race(n1: int, n2: int, moves: MoveSet, policy: TailPolicy | None, method: s
         rr_ch, delta_ch = res.channels
         tail = (res.tail_at(0) + res.tail_at(1)) / 2
         last_term = mpf(max(rr_ch.last_nonzero, delta_ch.last_nonzero)) / 2
-        return (1 - rr_ch.value + delta_ch.value) / 2, tail, last_term, None
+        return (1 - rr_ch.total + delta_ch.total) / 2, tail, last_term, None
 
     return _summed(
         specs, policy, method, sym_terms, (0.5, 0.5), finish,
@@ -671,11 +573,15 @@ def win_within(spec: GameSpec, k: int) -> Fraction:
 def square_sum_value(
     moves: MoveSet, n: int, policy: TailPolicy | None = None
 ) -> SeriesResult:
-    """The sum ``sum_k r(n, k)**2`` for a single target."""
+    """The sum ``sum_k r(n, k)**2`` for a single target; exact at zero
+    drift."""
     if n < 1:
         raise ValueError("target must be >= 1")
     spec = GameSpec(moves, n)
     if passage_gcd_reachability(spec).never:
         return _trivial_result(0, "square_sum", witness="moves can never reach the target")
+    unit = reduce_zero_drift(spec)
+    if unit is not None:
+        return _exact_result(unit_step_sum(unit))
     return _summed((spec,), policy, "square_sum", lambda k, r, q: (r * r,), (1.0,))
 

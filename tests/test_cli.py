@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from itertools import count
 from pathlib import Path
 
@@ -42,10 +43,17 @@ class TestPn:
         assert record["results"]["direct"]["display"].startswith("0.33891390")
 
     def test_nonconvergence_exit_code(self, capsys):
-        code, out = run_cli(capsys, "pn", "--moves=-1,1", "--n=1",
-                            "--max-k=64", "--tol=1e-12")
+        code, out = run_cli(capsys, "pn", "--moves=-1,2", "--n=1",
+                            "--max-k=16", "--tol=1e-12")
         assert code == 2
         assert "inconclusive" in out
+
+    def test_large_zero_drift_target_is_exact(self, capsys):
+        code, out = run_cli(capsys, "pn", "--moves=-1,1", "--n=100", "--json")
+        assert code == 0
+        res = json.loads(out)["results"]["direct"]
+        assert (res["verdict"], res["method"], res["truncation_k"]) == ("converged", "exact", 0)
+        assert res["display"] == "0.49998408291338454"
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
@@ -77,8 +85,8 @@ class TestPmn:
         assert code == 0
         res = json.loads(out)["results"]["p"]
         assert res["verdict"] == "converged"
-        with mp.workdps(40):
-            err = abs(mpf(res["value"]) - TARGET_TABLE_PM1[3, 2].approx(30).value)
+        with mp.workdps(60):
+            err = abs(mpf(res["value"]) - TARGET_TABLE_PM1[3, 2].approx(50).value)
             assert err <= mpf(res["tail_estimate"]) + mpf(res["eval_error"])
 
 
@@ -210,6 +218,12 @@ class TestVerify:
         for c in checks:
             assert float(c["residual"]) <= float(c["bound"]) / 4, c["check"]
 
+    def test_digits_is_a_usage_error(self):
+        # verify prints no value, so it takes no --digits
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--digits=5"])
+        assert exc.value.code == 1
+
     def test_single_suite(self, capsys):
         code, out = run_cli(capsys, "verify", "recurrence")
         assert code == 0
@@ -236,18 +250,18 @@ class TestVerify:
                 if survived == 0:
                     return
 
-        unit_stream = pilerace.series._stream_unit_float
+        exact_sum = pilerace.series.unit_step_sum
 
-        def skewed(n):
-            # the zero-drift stream with r off by a relative 1e-6 for target 4
-            for k, r, q in unit_stream(n):
-                yield k, r * (1 + mpf("1e-6")) if n == 4 else r, q
+        def skewed(n2, n1=None):
+            # the exact zero-drift sums with T(4) off by 1e-30
+            form = exact_sum(n2, n1)
+            return form + Fraction(1, 10**30) if (n2, n1) == (4, None) else form
 
         with monkeypatch.context():
             patch_everywhere("iter_passage", late_cut)
             assert run_cli(capsys, "verify", "identities")[0] == 2
         with monkeypatch.context():
-            patch_everywhere("_stream_unit_float", skewed)
+            patch_everywhere("unit_step_sum", skewed)
             assert run_cli(capsys, "verify", "recurrence")[0] == 2
 
 

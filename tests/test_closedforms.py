@@ -2,7 +2,9 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from mpmath import mp, mpf
 
+from pilerace import closedforms, reference
 from pilerace.closedforms import (
     catalan_count,
     hitting_time_count,
@@ -11,10 +13,12 @@ from pilerace.closedforms import (
     passage_prob_pm1,
     raney_count,
     survival_one,
+    unit_step_sum,
     win_within_one,
 )
+from pilerace.numeric import PiLinear
 from pilerace.passage import GameSpec, MoveSet, build_passage_table
-from pilerace.series import win_within
+from pilerace.series import rq_stream, win_within
 
 F = Fraction
 
@@ -174,3 +178,57 @@ class TestWinWithinOne:
     def test_rejects_k_below_one(self):
         with pytest.raises(ValueError):
             win_within_one(0)
+
+
+class TestUnitStepSum:
+    """The telescoped exact sums on {-1,1}: T(n) = sum r(n, k)**2 and
+    p(n1, n2) = sum q(n1, k) r(n2, k)."""
+
+    def test_pinned_forms_without_the_reference(self, monkeypatch):
+        cells = dict(reference.TARGET_TABLE_PM1)
+        squares = dict(reference.SQUARE_SUMS_PM1)
+        monkeypatch.setattr(reference, "TARGET_TABLE_PM1", {})
+        monkeypatch.setattr(reference, "SQUARE_SUMS_PM1", {})
+        assert "reference" not in vars(closedforms)
+        assert {cell: unit_step_sum(cell[1], cell[0]) for cell in cells} == cells
+        assert {n: unit_step_sum(n) for n in squares} == squares
+
+    def test_recurrence_holds_exactly_through_forty(self):
+        rec = reference.SQUARE_SUM_RECURRENCE
+        t = [unit_step_sum(n) for n in range(1, 41)]
+        assert all(rec.apply(t[n - 1 : n + rec.order], n).is_zero() for n in range(1, 38))
+
+    def test_square_sums_fall_with_the_target(self):
+        values = [unit_step_sum(n).approx(30).value for n in range(1, 41)]
+        assert all(0 < b < a < 1 for a, b in zip(values, values[1:]))
+
+    def test_mixed_parity_pairs_sum_to_one(self):
+        # no tie is possible, and the race almost surely ends
+        for n1 in range(1, 21):
+            for n2 in range(n1 + 1, 21, 2):
+                assert unit_step_sum(n2, n1) + unit_step_sum(n1, n2) == PiLinear.of(1), (n1, n2)
+
+    def test_equal_targets_are_half_the_square_sum_complement(self):
+        for n in range(1, 21):
+            assert unit_step_sum(n, n) == (PiLinear.of(1) - unit_step_sum(n)) * F(1, 2), n
+
+    @pytest.mark.parametrize("n1, n2", [(7, 12), (10, 3), (9, 9), (3, 20)])
+    def test_between_exact_partial_sums(self, n1, n2):
+        # 0 <= p - sum_{k <= K} q1 r2 <= q1(K) sum_{k > K} r2 <= q1(K) q2(K)
+        K = 10_000
+        walks = zip(*(rq_stream(GameSpec(MoveSet(-1, 1), n)) for n in (n1, n2)))
+        total = 0
+        for (k, _, q1), (_, r2, q2) in walks:
+            total = 4 * total + q1 * r2
+            if k == K:
+                break
+        value = unit_step_sum(n2, n1).approx(30)
+        with mp.workdps(60):
+            low, slack = mpf(total) / 4**K, mpf(q1 * q2) / 4**K
+            assert low - value.error_bound <= value.value <= low + slack + value.error_bound
+
+    def test_rejects_targets_below_one(self):
+        with pytest.raises(ValueError):
+            unit_step_sum(0)
+        with pytest.raises(ValueError):
+            unit_step_sum(2, 0)

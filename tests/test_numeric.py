@@ -97,6 +97,18 @@ class TestPiLinear:
         assert str(PiLinear(Fraction(1), Fraction(-8, 3))) == "1 - (8/3)/pi"
         assert str(PiLinear(Fraction(0), Fraction(0))) == "0"
 
+    def test_large_parts_back_every_requested_digit(self):
+        # parts near 1e72 cancel to a value below 1, as the exact T(100) does
+        inv_pi = Fraction(10**72)
+        with mp.workdps(200):
+            const = -Fraction(int(mp.nint(10**72 / mp.pi)))
+            oracle = mpf(10**72) / mp.pi + int(const)
+        val = pilinear_eval(PiLinear(const, inv_pi), 20)
+        assert abs(oracle) < 1
+        assert val.guaranteed_digits() >= 20
+        with mp.workdps(200):
+            assert abs(val.value - oracle) <= val.error_bound
+
     def test_rejects_digits_below_one(self):
         with pytest.raises(ValueError):
             pilinear_eval(PiLinear(Fraction(1), Fraction(0)), 0)

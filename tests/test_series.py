@@ -6,13 +6,12 @@ from mpmath import mp, mpf
 
 from pilerace import series
 from pilerace.closedforms import win_within_one
-from pilerace.numeric import PiLinear
+from pilerace.numeric import ApproxValue, PiLinear
 from pilerace.passage import GameSpec, MoveSet, build_passage_table
 from pilerace.reference import SQUARE_SUM_RECURRENCE, SQUARE_SUMS_PM1, TARGET_TABLE_PM1
 from pilerace.series import (
     CONVERGED,
     DIVERGED,
-    INCONCLUSIVE,
     WORK_DPS,
     TailPolicy,
     expected_duration,
@@ -56,14 +55,14 @@ class TestPolicy:
             TailPolicy(min_k=-1)
 
     def test_defaults_by_drift(self):
-        p = TailPolicy()
-        assert p.resolved_max_k(PM1) == 200_000
-        assert p.resolved_max_k(M12) == 5_000
-        assert p.mode_for(PM1) == "power"
-        assert p.mode_for(M12) == "geometric"
+        # the cap bounds summed series only; zero drift is answered exactly
+        assert TailPolicy().resolved_max_k() == 5_000
+        assert win_prob_squares(GameSpec(M12, 1)).method != "exact"
+        exact = win_prob_squares(GameSpec(PM1, 1))
+        assert (exact.method, exact.truncation_k) == ("exact", 0)
 
     def test_min_k_extends_cap(self):
-        assert TailPolicy(max_k=100, min_k=5000).resolved_max_k(M12) == 5000
+        assert TailPolicy(max_k=100, min_k=5000).resolved_max_k() == 5000
 
 
 class TestWinProbSquares:
@@ -201,15 +200,18 @@ class TestWinProbTargets:
     def test_mixed_parity_pairs_sum_to_one(self):
         a = win_prob_targets(5, 4, PM1)
         b = win_prob_targets(4, 5, PM1)
-        assert abs(a.value + b.value - 1) <= a.error_bound() + b.error_bound()
+        with mp.workdps(WORK_DPS):
+            assert abs(a.value + b.value - 1) <= a.error_bound() + b.error_bound()
 
     def test_same_parity_pairs_sum_below_one(self):
         # simultaneous arrivals are possible, so the pair leaves mass for ties
         a = win_prob_targets(3, 5, PM1)
         b = win_prob_targets(5, 3, PM1)
-        exact = (TARGET_TABLE_PM1[3, 5] + TARGET_TABLE_PM1[5, 3]).approx(30).value
-        assert exact < 1 - 0.01
-        assert abs(a.value + b.value - exact) <= a.error_bound() + b.error_bound()
+        exact = (TARGET_TABLE_PM1[3, 5] + TARGET_TABLE_PM1[5, 3]).approx(50)
+        assert exact.value < 1 - 0.01
+        with mp.workdps(60):
+            err = abs(a.value + b.value - exact.value)
+            assert err <= a.error_bound() + b.error_bound() + exact.error_bound
 
 
 class TestExpectedDuration:
@@ -322,8 +324,8 @@ class TestTailHonesty:
                     "negative-drift tail under-reports by up to 1%",
                 ),
             ),
+            # zero drift is exact: no tail, and the same value on every run
             lambda p: square_sum_value(PM1, 6, p),
-            # mixed parity: the cross-difference channel carries the tail
             lambda p: win_prob_targets(2, 3, PM1, p),
         ],
     )
@@ -334,18 +336,18 @@ class TestTailHonesty:
         assert abs(second.value - first.value) <= first.tail_estimate
 
 
-# zero-drift closed forms (ids 1..6), then lattice-DP walks of every kind:
-# positive, negative and no drift, and one that is absorbed
+# unit-step Catalan streams (ids 1..6), then lattice-DP walks of every
+# kind: positive, negative and no drift, and one that is absorbed
 STREAMS = [(PM1, n) for n in range(1, 7)] + [
     (M12, 3), (MoveSet(-3, 4), 2), (MoveSet(-2, 1), 1), (MoveSet(1, 2), 5), (MoveSet(0, 0), 2),
 ]
 
 
 class TestZeroDriftStream:
-    """Every sum runs on a stream's mpf form: the closed form at zero
-    drift, the once-rounded DP otherwise.  It must match the exact stream,
-    integer numerators over 2**k, to near the working precision, with the
-    same zeros and the same end."""
+    """``rq_stream``'s mpf form rounds each item of the exact stream once:
+    the Catalan stream at zero drift, the lattice DP otherwise.  It must
+    match the exact stream, integer numerators over 2**k, to near the
+    working precision, with the same zeros and the same end."""
 
     @pytest.mark.parametrize(
         "moves, n", STREAMS, ids=[str(n) if m == PM1 else f"{m}-n{n}" for m, n in STREAMS]
@@ -392,60 +394,75 @@ class TestRoundingBound:
 
 
 class TestZeroDriftConstants:
-    """Every exact zero-drift constant, reached by the extrapolated sums
-    with a quarter of the reported bound to spare."""
+    """Every zero-drift answer is exact: the pinned constants to within
+    the decimal's own eval_error, with no tail and no truncation."""
 
     @staticmethod
-    def assert_within_quarter_bound(res, exact):
-        assert res.verdict == CONVERGED
-        with mp.workdps(WORK_DPS):
-            assert abs(res.value - exact.approx(40).value) <= res.error_bound() / 4
+    def assert_exact(res, exact):
+        assert (res.verdict, res.method, res.truncation_k) == (CONVERGED, "exact", 0)
+        assert res.tail_estimate == 0
+        with mp.workdps(60):
+            assert abs(res.value - exact.approx(60).value) <= res.eval_error
 
     @pytest.mark.parametrize("n1, n2", sorted(TARGET_TABLE_PM1))
     def test_target_table(self, n1, n2):
-        self.assert_within_quarter_bound(win_prob_targets(n1, n2, PM1), TARGET_TABLE_PM1[n1, n2])
+        self.assert_exact(win_prob_targets(n1, n2, PM1), TARGET_TABLE_PM1[n1, n2])
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_square_sums(self, n):
-        self.assert_within_quarter_bound(square_sum_value(PM1, n), square_sums_pm1(n)[-1])
+        self.assert_exact(square_sum_value(PM1, n), square_sums_pm1(n)[-1])
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_equal_targets(self, n):
+        half = (PiLinear.of(1) - SQUARE_SUMS_PM1[n]) * F(1, 2)
+        for res in (win_prob_direct(GameSpec(PM1, n)), win_prob_squares(GameSpec(PM1, n))):
+            self.assert_exact(res, half)
+
+    # nothing is summed at zero drift, so no cap or tolerance can leave an
+    # answer inconclusive or move it off the exact constant
 
     @pytest.mark.parametrize("max_k", [129, 1001])
     @pytest.mark.parametrize("n1, n2", [(1, 2), (1, 5), (3, 4)])
     def test_odd_cap_keeps_the_bound(self, n1, n2, max_k):
-        # the terms live on one parity of k, so an odd cap is no checkpoint
         res = win_prob_targets(n1, n2, PM1, TailPolicy(tolerance=1e-30, max_k=max_k))
-        with mp.workdps(WORK_DPS):
-            exact = TARGET_TABLE_PM1[n1, n2].approx(40).value
-            assert abs(res.value - exact) <= res.error_bound() / 4
+        self.assert_exact(res, TARGET_TABLE_PM1[n1, n2])
 
     @pytest.mark.parametrize("n", [20, 30])
     def test_far_targets_start_at_n_squared(self, n):
-        # checkpoints below K = n**2 would under-report the tail
-        res = square_sum_value(PM1, n, TailPolicy(tolerance=1e-6))
-        self.assert_within_quarter_bound(res, square_sums_pm1(n)[-1])
-
-    @pytest.mark.parametrize("n, first_k", [(1, 128), (5, 256), (30, 8192)])
-    def test_tail_needs_four_checkpoints_from_n_squared(self, n, first_k):
-        # checkpoints K = 16, 32, ... are recorded from K >= n**2 on
-        early = square_sum_value(PM1, n, TailPolicy(tolerance=0.5, max_k=first_k // 2))
-        assert early.verdict == INCONCLUSIVE and early.tail_estimate == mpf("inf")
-        first = square_sum_value(PM1, n, TailPolicy(tolerance=0.5, max_k=first_k))
-        assert first.verdict == CONVERGED and first.truncation_k == first_k
+        # exact at any target: no cap below K = n**2 can cut the answer short
+        for max_k in (16, n * n // 2):
+            res = square_sum_value(PM1, n, TailPolicy(tolerance=1e-6, max_k=max_k))
+            self.assert_exact(res, square_sums_pm1(n)[-1])
 
     @pytest.mark.parametrize("n", [6, 12, 30])
     def test_every_checkpoint_keeps_the_bound(self, n):
         exact = square_sums_pm1(n)[-1]
-        for j in range(6, 14):
+        for j in range(4, 14):
             res = square_sum_value(PM1, n, TailPolicy(tolerance=1e-30, max_k=2**j))
-            with mp.workdps(WORK_DPS):
-                assert abs(res.value - exact.approx(40).value) <= res.error_bound() / 4, 2**j
+            self.assert_exact(res, exact)
+
+    @pytest.mark.parametrize("n", [64, 100])
+    def test_large_targets_back_every_digit(self, n):
+        # the parts of T(100) are about 1e74; the decimal still backs 30 digits
+        for res in (square_sum_value(PM1, n), win_prob_direct(GameSpec(PM1, n))):
+            assert res.verdict == CONVERGED and res.method == "exact"
+            assert ApproxValue(res.value, res.error_bound()).guaranteed_digits() == 30
+            assert 0 < res.value < 1
 
 
 class TestScaledZeroDrift:
     def test_scaled_moves_match_unit_step(self):
         a = win_prob_squares(GameSpec(MoveSet(-3, 3), 7))
         b = win_prob_squares(GameSpec(PM1, 3))
-        assert abs(a.value - b.value) <= a.tail_estimate + b.tail_estimate
+        assert a.value == b.value and a.method == b.method == "exact"
+
+    @pytest.mark.parametrize("c, n1, n2", [(2, 3, 4), (3, 7, 2), (5, 11, 30)])
+    def test_scaled_targets_reduce_to_unit_step(self, c, n1, n2):
+        # {-c, c} reaches n exactly when the unit-step walk reaches ceil(n / c)
+        u1, u2 = -(-n1 // c), -(-n2 // c)
+        scaled = MoveSet(-c, c)
+        assert win_prob_targets(n1, n2, scaled) == win_prob_targets(u1, u2, PM1)
+        assert square_sum_value(scaled, n2) == square_sum_value(PM1, u2)
 
 
 def test_result_serialization_round_trip():

@@ -256,6 +256,17 @@ class TestGameSemantics:
         se = rep.standard_errors()["p2_win_rate"]
         assert abs(rep.p2_win_rate - exact) < 5 * se
 
+    @pytest.mark.parametrize("n1, n2, seed", [(16, 15, 3), (25, 24, 4)])
+    def test_large_zero_drift_cells(self, n1, n2, seed):
+        # the exact telescoped answer lies between the seeded simulator's
+        # win rate and that rate plus its censored share, up to 5 SE
+        from pilerace.series import win_prob_targets
+
+        exact = float(win_prob_targets(n1, n2, MoveSet(-1, 1)).value)
+        rep = run_simulation(SimConfig(MoveSet(-1, 1), n1, n2, trials=20_000, seed=seed))
+        band = 5 * rep.standard_errors()["p2_win_rate"]
+        assert rep.p2_win_rate - band <= exact <= rep.p2_win_rate + rep.censored_rate + band
+
 
 class TestCensoring:
     def test_short_horizon_censors(self):
