@@ -5,7 +5,7 @@ to their own pile; whoever collects ``n`` chips first wins.  This package
 computes the second player's win probability (equal or distinct targets),
 win-within-k curves and expected game lengths.  Zero-drift move sets are
 answered exactly, in span{1, 1/pi}; other drifts sum an infinite series
-with an honest tail estimate.  A vectorized, reproducibly seeded
+to a proved bound on its tail.  A vectorized, reproducibly seeded
 simulator provides an independent Monte Carlo check, and ``pilerace
 verify`` checks the engine against exact laws, closed-form counts, pinned
 constants and the recurrence of the unit-step squared-passage sums.

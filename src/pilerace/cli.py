@@ -30,6 +30,7 @@ from .passage import (GameSpec, MoveSet, build_passage_table, iter_passage,
                       passage_gcd_reachability)
 from .series import (
     CONVERGED,
+    DEFAULT_TOLERANCE,
     DIVERGED,
     WORK_DPS,
     SeriesResult,
@@ -110,9 +111,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_series_flags(p: argparse.ArgumentParser, digits: bool = True) -> None:
     only = " (summed, non-zero drift series only; zero-drift answers are exact)"
-    p.add_argument("--tol", type=float, default=None, help="tail tolerance, default 1e-9" + only)
+    p.add_argument("--tol", type=float, default=None,
+                   help=f"tail tolerance, default {DEFAULT_TOLERANCE:g}" + only)
     p.add_argument("--max-k", type=int, default=None, help="truncation cap" + only)
-    p.add_argument("--min-k", type=int, default=0, help="sum at least this far" + only)
     if digits:
         p.add_argument("--digits", type=int, default=17, help="max displayed digits")
 
@@ -125,8 +126,6 @@ def _policy_from(args) -> TailPolicy:
         kwargs["tolerance"] = args.tol
     if args.max_k is not None:
         kwargs["max_k"] = args.max_k
-    if args.min_k:
-        kwargs["min_k"] = args.min_k
     return TailPolicy(**kwargs)
 
 
@@ -407,8 +406,8 @@ def _verify_identities(policy: TailPolicy, lines: list[dict]) -> bool:
         skip_free, monotone = b == 1 and a <= 0, a >= 0
         mismatches = 0
         for n in range(1, 6):
-            items = chain(iter_passage(GameSpec(MoveSet(a, b), n)), repeat((0, 0, 0)))
-            for k, (_, win, survived) in zip(range(1, 101), items):
+            items = chain(iter_passage(GameSpec(MoveSet(a, b), n)), repeat((0, 0, 0, None)))
+            for k, (_, win, survived, _) in zip(range(1, 101), items):
                 if skip_free and win != hitting_time_count(a, n, k):
                     mismatches += 1
                 if monotone and survived != monotone_survival_count(a, b, n, k):

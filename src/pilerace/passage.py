@@ -85,16 +85,17 @@ class GameSpec:
 
 
 def iter_passage(spec: GameSpec):
-    """Yield ``(k, win, survived)`` for k = 1, 2, ...: the integer
-    numerators of ``r_k`` and ``q_k`` over ``2**k``.
+    """Yield ``(k, win, survived, counts)`` for k = 1, 2, ...: the integer
+    numerators of ``r_k`` and ``q_k`` over ``2**k``, and the lattice cells.
 
     ``counts[j]`` is the weight over ``2**k`` of the surviving paths with
     j b-moves, all at position ``a*k + (b-a)*j``.  Position rises with j,
     so the paths absorbed at move k are the cells j >= ceil((n - a*k) /
-    (b-a)); they are cut into ``r_k``.  When a == b every path shares one
-    position and only the surviving weight is kept.  The generator ends
-    once the surviving mass hits zero (every later r and q is exactly
-    zero), which happens iff both moves are positive.
+    (b-a)); they are cut into ``r_k``.  Each step builds a fresh list, so
+    a consumer may keep the one it was given.  When a == b every path
+    shares one position, and the one cell is the surviving weight.  The
+    generator ends once the surviving mass hits zero (every later r and q
+    is exactly zero), which happens iff both moves are positive.
     """
     if spec.n < 1:
         raise ValueError(
@@ -117,7 +118,7 @@ def iter_passage(spec: GameSpec):
         else:
             win = 2 * survived if a * k >= n else 0
         survived = 2 * survived - win
-        yield k, win, survived
+        yield k, win, survived, counts if span else [survived]
         if survived == 0:
             return
 
@@ -163,7 +164,7 @@ def build_passage_table(spec: GameSpec, k_max: int) -> PassageTable:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     r = [Fraction(0)]
     q = [Fraction(1)]
-    for k, win, survived in iter_passage(spec):
+    for k, win, survived, _ in iter_passage(spec):
         r.append(Fraction(win, 1 << k))
         q.append(Fraction(survived, 1 << k))
         if k == k_max:
@@ -205,8 +206,9 @@ class Reachability:
     deterministic walk the single winning index is ``deterministic_k``.
     Otherwise r can be nonzero only for ``k % modulus in residues`` with
     ``k >= min_k`` (and ``k <= max_k`` when both moves are positive).  The
-    condition is necessary, not sufficient; it is what tail estimation
-    needs to skip structural zeros.
+    condition is necessary, not sufficient.  ``pilerace passage`` reports
+    it; the series layer reads only ``never``, to answer an unreachable
+    target before summing anything.
     """
 
     modulus: int

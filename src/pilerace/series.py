@@ -1,5 +1,5 @@
-"""The race's infinite series: exact at zero drift, summed with
-explicit tail policies otherwise.
+"""The race's infinite series: exact at zero drift, summed to a proved
+tail bound otherwise.
 
 Everything here is a sum over the per-move first-passage probabilities
 ``r(n, k)`` and survival probabilities ``q(n, k)`` of a single walk: the
@@ -12,32 +12,29 @@ target ``ceil(n / c)``, and ``closedforms.unit_step_sum`` telescopes each
 win-probability and squared-passage series to its exact value in
 span{1, 1/pi}; the result carries only the error of its decimal.
 
-Every other drift is summed, and the tail is bounded from the fitted
-geometric ratio of recent nonzero terms: an estimate, checked by the test
-suite by doubling the truncation point.  The only divergent series, the
-expected length at drift <= 0, is decided by the drift before any term is
-summed.  The three win-probability evaluators share one race body,
-``_race``: when the race almost surely ends it sums the split-corrected
-form ``(1 - sum r1 r2 + sum (q1 r2 - q2 r1)) / 2``; under negative drift
-it sums and fits the ``q1 r2`` terms themselves.
+Every other drift is summed by one core, ``_summed``, which adds one term
+per move k and bounds everything after it from the walk's own state.
+Let ``h_K`` bound the chance that the walk still reaches its target after
+move K.  ``q_K`` is one such bound; under negative drift Lundberg's
+inequality gives a far smaller one from the surviving lattice cells
+(``_lundberg``).  The tail of ``sum q1 r2`` is then in ``[0, q1_K h2_K]``,
+that of ``sum r**2`` in ``[0, h_K**2]``, and, by Wald's identity, that of
+``sum q**2`` in ``[0, q_K**2 (n + b - 1 - a K) / drift]``.  The result is
+the partial sum plus half the bound, with half the bound as its
+``tail_estimate``; summation stops once that is below the tolerance.  The
+only divergent series, the expected length at drift <= 0, is decided by
+the drift before any term is summed.
 
-Every summed evaluator runs through one core, ``_summed``, which builds
-the ``(k, r, q)`` stream (or the zipped ``(k, r1, q1, r2, q2)`` stream of
-two targets), drives the channels in ``mpf`` at ``WORK_DPS`` and
-assembles the ``SeriesResult``; the rounding is covered by its
-``eval_error``.  An evaluator supplies its guards, per-term map, channel
-scales and structural zeros, and how the channel totals become a value,
-a tail bound and a last term.  Exact streams (integer numerators over
-``2**k``) feed ``win_within``, whose caller gets a ``Fraction``.
+Sums run in ``mpf`` at ``WORK_DPS`` on the once-rounded stream; the
+rounding is covered by ``eval_error``.  Exact streams (integer numerators
+over ``2**k``) feed ``win_within``, whose caller gets a ``Fraction``.
 """
 
 from __future__ import annotations
 
-import math
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count, pairwise, zip_longest
+from itertools import count, zip_longest
 
 from mpmath import mp, mpf
 
@@ -46,17 +43,17 @@ from .numeric import ApproxValue, PiLinear
 from .passage import (
     GameSpec,
     MoveSet,
-    Reachability,
     iter_passage,
     passage_gcd_reachability,
     reduce_zero_drift,
 )
 
 WORK_DPS = 40
-DEFAULT_TOLERANCE = 1e-9
+# The stop rule is a proved bound tested at every move, so an answer backs
+# about the digits its tolerance asks for and no more; 1e-12 gives the
+# default commands about 11 backed digits.
+DEFAULT_TOLERANCE = 1e-12
 DEFAULT_MAX_K = 5_000
-FIT_WINDOW = 8
-_MIN_FIT_TERMS = 5
 
 CONVERGED = "converged"
 DIVERGED = "diverged"
@@ -68,26 +65,19 @@ class TailPolicy:
     """Stopping rule of the summed (non-zero drift) series; exact
     zero-drift answers ignore it.
 
-    Summation stops once the fitted geometric tail is below ``tolerance``,
-    or at the cap ``max_k``.  ``min_k`` forces summation at least that far
-    (raising the cap to it); it exists for honesty checks that re-run a
-    converged series twice as far.
+    Summation stops at the first move where half the proved tail bound is
+    below ``tolerance``, or at the cap ``max_k``, where the result keeps
+    its proved bound and the verdict is inconclusive.
     """
 
     tolerance: float = DEFAULT_TOLERANCE
     max_k: int = DEFAULT_MAX_K
-    min_k: int = 0
 
     def __post_init__(self):
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
         if self.max_k < 16:
             raise ValueError("max_k must be at least 16")
-        if self.min_k < 0:
-            raise ValueError("min_k must be >= 0")
-
-    def resolved_max_k(self) -> int:
-        return max(self.max_k, self.min_k)
 
 
 @dataclass(frozen=True)
@@ -95,8 +85,8 @@ class SeriesResult:
     """Outcome of one truncated series evaluation.
 
     Every number is an mpf; sums run at ``WORK_DPS``.  ``value`` is the
-    estimate; ``tail_estimate`` bounds what truncation may still be
-    missing (zero for an exact answer), and ``eval_error`` bounds
+    estimate; ``tail_estimate`` is a proved bound on what truncation may
+    still be missing (zero for an exact answer), and ``eval_error`` bounds
     arithmetic rounding.  A diverged verdict always carries a witness.
     """
 
@@ -116,13 +106,24 @@ class SeriesResult:
     def formatted(self, max_digits: int = 17) -> str:
         return ApproxValue(self.value, self.error_bound()).formatted(max_digits)
 
+    def _value_digits(self) -> int:
+        """Significant digits that round ``value`` by at most a tenth of
+        its error bound, ``5 |value| 10**-d <= bound / 10``, capped at
+        ``WORK_DPS``."""
+        bound = self.error_bound()
+        if not bound or not self.value:
+            return WORK_DPS
+        if mp.isinf(bound):
+            return 1
+        digits = int(mp.floor(mp.log10(50 * abs(self.value) / bound))) + 1
+        return max(1, min(WORK_DPS, digits))
+
     def to_json_dict(self) -> dict:
         def num(x, digits=24):
             return None if x is None else mp.nstr(x, digits)
 
         return {
-            # nothing truncated: every working digit of the value is backed
-            "value": num(self.value, 24 if self.tail_estimate else WORK_DPS),
+            "value": num(self.value, self._value_digits()),
             "display": self.formatted(),
             "truncation_k": self.truncation_k,
             "last_term": num(self.last_term),
@@ -140,8 +141,9 @@ class SeriesResult:
 
 
 def _stream_unit_exact(n: int):
-    """(k, r, q) for the unit-step symmetric walk, exact: r and q as
-    integer numerators over ``2**k``, the format of ``iter_passage``.
+    """(k, r, q, None) for the unit-step symmetric walk, exact: r and q as
+    integer numerators over ``2**k``, the format of ``iter_passage``, with
+    no lattice cells.
 
     The walk first hits n only at k = n + 2j, with count n C(k, j) / k
     (hitting-time theorem).  The binomial is kept as a running integer,
@@ -153,211 +155,128 @@ def _stream_unit_exact(n: int):
     for k in count(1):
         q <<= 1
         if k < n or (k - n) % 2:
-            yield k, 0, q
+            yield k, 0, q, None
             continue
         j = (k - n) // 2
         r = n * binom // k
         binom = binom * (k + 1) * (k + 2) // ((j + 1) * (n + j + 1))
         q -= r
-        yield k, r, q
+        yield k, r, q, None
 
 
 def rq_stream(spec: GameSpec, *, prefer_float: bool = False):
-    """(k, r, q) for any move set, r and q as integer numerators over
-    ``2**k``: the unit-step Catalan stream for a zero-drift set, reduced
-    to its unit-step target, and the exact lattice DP otherwise.
-    ``prefer_float`` gives mpf values at the current precision instead,
-    each numerator rounded once.  DP-backed streams end once the walk is
-    absorbed; the Catalan stream is infinite.
+    """(k, r, q, cells) for any move set, r and q as integer numerators
+    over ``2**k``: the unit-step Catalan stream for a zero-drift set,
+    reduced to its unit-step target (``cells`` is None), and the exact
+    lattice DP otherwise (``cells`` as ``iter_passage`` yields them).
+    ``prefer_float`` gives r and q as mpf values at the current precision
+    instead, each numerator rounded once.  DP-backed streams end once the
+    walk is absorbed; the Catalan stream is infinite.
     """
     reduced = reduce_zero_drift(spec)
     stream = iter_passage(spec) if reduced is None else _stream_unit_exact(reduced)
     if prefer_float:
-        return ((k, mpf((w, -k)), mpf((s, -k))) for k, w, s in stream)
+        return ((k, mpf((w, -k)), mpf((s, -k)), cells) for k, w, s, cells in stream)
     return stream
 
 
 # ---------------------------------------------------------------------------
-# adaptive summation
+# proved summation
 
 
-class _Channel:
-    """One summed series: an mpf accumulator and a ring of recent nonzero
-    block magnitudes for the geometric tail fit.
+def _lundberg(spec: GameSpec):
+    """Lundberg's bound for a negative-drift walk: ``bound(K, cells)`` is
+    at least the chance that the walk, alive at move K with lattice weights
+    ``cells``, still reaches ``n`` later.
 
-    ``block`` consecutive indices are fitted as one unit; the asymmetric
-    cross-difference series alternates sign with parity and only its
-    2-blocks decay cleanly.
+    For theta in (0, theta*], where theta* > 0 is the root of
+    ``(e**(theta a) + e**(theta b)) / 2 = 1``, ``e**(theta S_k)`` is a
+    supermartingale, so from x the walk ever reaches n with chance at most
+    ``e**(-theta (n - x))``.  Summed over the cells at ``x_j = a K +
+    (b - a) j`` this is one Horner pass in ``e**(theta (b - a))``.  With
+    b = 1 the walk cannot overshoot and the bound is exact at theta*.
+    Evaluated at the current precision; None when no theta passes the
+    check there (a span of about 10**9), which leaves ``q_K`` as the bound.
     """
+    a, b, n = spec.moves.a, spec.moves.b, spec.n
 
-    def __init__(self, block: int, scale: float, structural_zero: bool):
-        self.block = block
-        self.scale = scale  # weight of this channel's tail in the stop rule
-        self.total = mpf(0)
-        self.ring: deque[float] = deque(maxlen=FIT_WINDOW)  # |block sum|
-        self.nterms = 0
-        self.last_nonzero = 0.0
-        self.structural_zero = structural_zero
-        self._bsum = 0.0
-        self._bstart = 1
+    def excess(theta):  # E[e**(theta X)] - 1
+        return (mp.exp(theta * a) + mp.exp(theta * b)) / 2 - 1
 
-    def add(self, k: int, term) -> None:
-        if term:
-            self.total += term
-            self.nterms += 1
-            t = float(term)
-            self.last_nonzero = abs(t)
-            self._bsum += t
-        if (k - self._bstart + 1) >= self.block:
-            if self._bsum != 0.0:
-                self.ring.append(abs(self._bsum))
-            self._bsum = 0.0
-            self._bstart = k + 1
+    # excess is convex with its minimum at theta_min and positive at log(2)/b
+    theta_min = mp.log(mpf(-a) / b) / (b - a)
+    theta = mp.findroot(excess, (theta_min, mp.log(2) / b), solver="illinois", verify=False)
+    theta *= 1 - mpf(10) ** -20  # just below the root
+    if not excess(theta) <= 0:
+        return None
+    # e**(theta (b - a)) over 2**bits as an integer, raised past the rounding
+    # of exp: the Horner pass runs on integers, and every step rounds up
+    bits = 4 * WORK_DPS
+    z = int(mp.ldexp(mp.exp(theta * (b - a)), bits) * (1 + mpf(10) ** (5 - WORK_DPS))) + 1
 
-    def tail(self) -> mpf | None:
-        """The geometric tail estimate; None when not yet fittable."""
-        if self.structural_zero:
-            return mpf(0)
-        if len(self.ring) < _MIN_FIT_TERMS:
-            return None
-        rho = max(b / a for a, b in pairwise(self.ring))
-        if rho >= 1:
-            return None
-        return mpf(self.ring[-1]) * rho / (1 - rho)
+    def bound(k: int, cells: list) -> mpf:
+        acc = 0
+        for c in reversed(cells):
+            acc = c - (-acc * z >> bits)
+        return mp.ldexp(acc * mp.exp(-theta * (n - a * k)), -k)
+
+    return bound
 
 
-@dataclass
-class _DriveResult:
-    channels: list
-    truncation_k: int
-    tails: list
-    verdict: str
-    witness: str | None
-    exhausted: bool
-    last: tuple  # the last stream item pulled
-
-    def tail_at(self, i: int) -> mpf:
-        """The i-th channel's tail bound: zero when the series provably
-        ended, +inf when no fit was available (never on a converged run)."""
-        t = self.tails[i]
-        if t is not None:
-            return mpf(t)
-        if self.exhausted or self.channels[i].structural_zero:
-            return mpf(0)
-        return mpf("inf")
-
-
-def _drive(
-    stream, fmap, channels: list[_Channel], *, tolerance: float, max_k: int, min_k: int = 0
-) -> _DriveResult:
-    """Pull items from ``stream``, map each through ``fmap(*item)`` to one
-    term per channel, until every channel's scaled tail estimate fits
-    under ``tolerance`` (or the truncation cap is hit).
-    Convergence cannot be declared before ``min_k`` or while any
-    channel's fit window is still filling.
-    """
-    next_check = 16
-    k = 0
-    item = ()
-    witness = None
-    verdict = None
-    exhausted = False
-    tails: list = [None] * len(channels)
-
-    for item in stream:
-        k = item[0]
-        for ch, term in zip(channels, fmap(*item)):
-            ch.add(k, term)
-        if k < next_check and k < max_k:
-            continue
-        next_check = min(next_check * 2, max_k)
-
-        tails = [ch.tail() for ch in channels]
-        if k >= min_k and all(t is not None for t in tails):
-            weighted = sum(float(t) * ch.scale for t, ch in zip(tails, channels))
-            if weighted <= tolerance:
-                verdict = CONVERGED
-                break
-        if k >= max_k:  # max_k >= min_k, so the test above already failed
-            verdict = INCONCLUSIVE
-            witness = f"tail not below tolerance by the truncation cap k={max_k}"
-            break
-    else:
-        # the walk was absorbed: every later term is exactly zero
-        exhausted = True
-        verdict = CONVERGED
-        tails = [mpf(0)] * len(channels)
-
-    return _DriveResult(channels, k, tails, verdict, witness, exhausted, item)
-
-
-def _single(res: _DriveResult):
-    """The finish of a plain one-channel sum: its total, tail and last term."""
-    (ch,) = res.channels
-    return ch.total, res.tail_at(0), mpf(ch.last_nonzero), None
-
-
-def _summed(
-    specs: tuple[GameSpec, ...],
-    policy: TailPolicy | None,
-    method: str,
-    fmap,
-    scales: tuple[float, ...],
-    finish=_single,
-    *,
-    structural: tuple[bool, ...] | None = None,
-    head: int = 0,
-) -> SeriesResult:
+def _summed(specs: tuple[GameSpec, ...], policy: TailPolicy | None, method: str, term, bound,
+            *, head: int = 0, no_winner: bool = False) -> SeriesResult:
     """The summation core behind every summed evaluator.
 
-    ``policy`` fixes the tolerance and the truncation cap.  Every walk is
-    summed on its once-rounded mpf stream.  One spec gives its
-    ``(k, r, q)`` stream as is; two specs (same moves) are zipped into
-    ``(k, r1, q1, r2, q2)``, an absorbed walk padded with zeros, and two
-    equal specs share one stream fed as ``(k, r, q, r, q)``.
-    ``fmap(*item)`` gives one term per channel, channel i weighted by
-    ``scales[i]`` in the stop rule and, when ``structural[i]`` is set,
-    known to be identically zero.  ``head`` is a k = 0 term added to the
-    first channel before the stream starts.  ``finish(drive_result)``
-    returns ``(value, tail, last_term, no_winner)``; everything runs at
-    ``WORK_DPS``.
+    Two specs (same moves) are zipped into ``(k, r1, q1, r2, q2, cells2)``,
+    an absorbed walk padded with zeros; one spec, or two equal ones, feed
+    their one stream as both walks.  At each move k the core adds
+    ``term(r1, q1, r2, q2)`` and asks ``bound(k, q1, h2)`` for a proved
+    bound B on the rest of the series, where ``h2`` bounds the chance that
+    the second walk still reaches its target after move k: ``q2``, and
+    under negative drift also Lundberg's sum, taken at moves growing by
+    1.25x (it reads every cell).  The value is the partial sum plus B/2,
+    ``tail_estimate`` is B/2 with B rounded up, and summation stops at the
+    first k where that is below ``policy.tolerance``.  ``head`` is an exact
+    k = 0 term; ``no_winner`` reports ``q1 q2`` at the stop.
     """
     policy = policy if policy is not None else TailPolicy()
-    moves = specs[0].moves
     with mp.workdps(WORK_DPS):
         streams = [rq_stream(spec, prefer_float=True) for spec in dict.fromkeys(specs)]
-        stream = streams[0]
-        if len(specs) == 2 and len(streams) == 1:
-            stream = ((k, r, q, r, q) for k, r, q in stream)
-        elif len(streams) == 2:
-            pad = (None, mpf(0), mpf(0))
+        if len(streams) == 1:
+            stream = ((k, r, q, r, q, cells) for k, r, q, cells in streams[0])
+        else:
+            pad = (None, mpf(0), mpf(0), [])
             pairs = zip(count(1), zip_longest(*streams, fillvalue=pad))
-            stream = ((k, r1, q1, r2, q2) for k, ((_, r1, q1), (_, r2, q2)) in pairs)
-        # tail fits run on blocks spanning one congruence period b - a of
-        # the walk, so that within-period term structure (zeros and
-        # non-monotone wiggles) cannot masquerade as non-decay
-        block = min(max(moves.b - moves.a, 1), 128)
-        channels = [
-            _Channel(block, scale, flag)
-            for scale, flag in zip(scales, structural or (False,) * len(scales))
-        ]
-        if head:
-            channels[0].add(0, mpf(head))
-        res = _drive(
-            stream, fmap, channels, tolerance=policy.tolerance,
-            max_k=policy.resolved_max_k(), min_k=policy.min_k,
-        )
-        value, tail, last_term, no_winner = finish(res)
+            stream = ((k, r1, q1, r2, q2, c2) for k, ((_, r1, q1, _), (_, r2, q2, c2)) in pairs)
+        lundberg = _lundberg(specs[-1]) if specs[-1].moves.drift < 0 else None
+        margin = 1 + mpf(10) ** (5 - WORK_DPS)  # covers the rounding of B
+        limit = 2 * mpf(policy.tolerance) / margin
+        total, last_term, nterms = mpf(head), mpf(0), 0
+        reach, next_check = mpf("inf"), 16
+        for k, r1, q1, r2, q2, cells in stream:
+            t = term(r1, q1, r2, q2)
+            if t:
+                total += t
+                last_term = t
+                nterms += 1
+            if lundberg is not None and (k >= next_check or k >= policy.max_k):
+                reach = lundberg(k, cells)
+                next_check = max(k + 1, int(k * 1.25))
+            tail_bound = bound(k, q1, min(q2, reach))
+            if tail_bound <= limit or k >= policy.max_k:  # an absorbed walk gives 0
+                break
+        tail = tail_bound * margin / 2
+        converged = tail_bound <= limit
         return SeriesResult(
-            value=value,
-            truncation_k=res.truncation_k,
+            value=total + tail,
+            truncation_k=k,
             last_term=last_term,
             tail_estimate=tail,
-            verdict=res.verdict,
+            verdict=CONVERGED if converged else INCONCLUSIVE,
             method=method,
-            witness=res.witness,
-            no_winner=no_winner,
-            eval_error=mpf(10) ** (5 - WORK_DPS) * (sum(ch.nterms for ch in channels) + 1),
+            witness=None if converged else f"tail not below tolerance by the truncation cap k={k}",
+            no_winner=q1 * q2 if no_winner else None,
+            eval_error=mpf(10) ** (5 - WORK_DPS) * (nterms + 1),
         )
 
 
@@ -423,11 +342,11 @@ def win_prob_direct(spec: GameSpec, policy: TailPolicy | None = None) -> SeriesR
     """Second player's win probability, the sum of ``q * r``; valid for
     every drift.
 
-    At every K, ``sum_{k<=K} q r + q_K**2 / 2 = (1 - sum_{k<=K} r**2) / 2``,
-    so when the race almost surely ends the split-corrected direct sum is
-    the squared-passage series, tail included.  With negative drift no
-    correction applies: the ``q * r`` terms carry their own tail fit, and
-    the never-decided probability estimate ``q_K**2`` is reported.
+    The tail after move K lies in ``[0, q_K h_K]``, with ``h_K`` the proved
+    bound on a later arrival: ``q_K`` under positive drift, where the
+    reported value ``sum_{k<=K} q r + q_K**2 / 2`` equals ``(1 - sum_{k<=K}
+    r**2) / 2``, and Lundberg's bound under negative drift, where the
+    never-decided probability estimate ``q_K**2`` is reported too.
     """
     spec = _validated(spec)
     if spec.n == 0:
@@ -439,25 +358,6 @@ def win_prob_direct(spec: GameSpec, policy: TailPolicy | None = None) -> SeriesR
     return _race(spec.n, spec.n, spec.moves, policy, "direct")
 
 
-def _targets_reachability_overlap(rv1: Reachability, rv2: Reachability) -> bool:
-    """Whether any index can carry simultaneous first-passage mass."""
-    if rv1.never or rv2.never:
-        return False
-    if rv1.deterministic_k is not None:
-        return rv2.allows(rv1.deterministic_k)
-    if rv2.deterministic_k is not None:
-        return rv1.allows(rv2.deterministic_k)
-    if rv1.max_k is not None and rv1.max_k < rv2.min_k:
-        return False
-    if rv2.max_k is not None and rv2.max_k < rv1.min_k:
-        return False
-    lcm = math.lcm(rv1.modulus, rv2.modulus)
-    return any(
-        (t % rv1.modulus) in rv1.residues and (t % rv2.modulus) in rv2.residues
-        for t in range(lcm)
-    )
-
-
 def win_prob_targets(
     n1: int, n2: int, moves: MoveSet, policy: TailPolicy | None = None
 ) -> SeriesResult:
@@ -465,11 +365,10 @@ def win_prob_targets(
     player reaches ``n1``: the sum of ``q(n1, k) r(n2, k)``.
 
     At zero drift the answer is exact (``closedforms.unit_step_sum``).
-    Otherwise, when the race almost surely ends, the sum is evaluated in
-    its symmetrized form ``(1 - sum r1 r2 + sum (q1 r2 - q2 r1)) / 2``,
-    algebraically equal to the direct partial sum plus the split
-    correction ``q1 q2 / 2``.  With negative drift the ``q1 r2`` terms are summed and fitted
-    directly, and ``q1_K q2_K`` is reported as the never-decided mass.
+    Otherwise the tail after move K lies in ``[0, q1_K h2_K]``, with
+    ``h2_K`` the proved bound on a later arrival of the second walk
+    (``q2_K``, or Lundberg's bound under negative drift, where ``q1_K
+    q2_K`` is also reported as the never-decided mass).
     """
     if n1 < 1 or n2 < 1:
         raise ValueError("both targets must be >= 1")
@@ -482,44 +381,14 @@ def win_prob_targets(
 
 def _race(n1: int, n2: int, moves: MoveSet, policy: TailPolicy | None, method: str) -> SeriesResult:
     """``p(n1, n2)`` behind every win-probability evaluator: exact at zero
-    drift, one ``q1 r2`` channel under negative drift, else the
-    symmetrized pair."""
+    drift, else the ``q1 r2`` sum with tail in ``[0, q1_K h2_K]``."""
     specs = (GameSpec(moves, n1), GameSpec(moves, n2))
     u1, u2 = (reduce_zero_drift(spec) for spec in specs)
     if u1 is not None:
         return _exact_result(unit_step_sum(u2, u1))
-    if moves.drift < 0:
-
-        def finish_direct(res):
-            value, tail, last_term, _ = _single(res)
-            _, _, q1, _, q2 = res.last
-            return value, tail, last_term, q1 * q2
-
-        return _summed(
-            specs, policy, method, lambda k, r1, q1, r2, q2: (q1 * r2,), (1.0,), finish_direct,
-        )
-
-    overlap = _targets_reachability_overlap(*(passage_gcd_reachability(s) for s in specs))
-
-    def sym_terms(k, r1, q1, r2, q2):
-        rr = r1 * r2 if overlap else 0
-        delta = 0
-        if n1 != n2:
-            if r2:
-                delta = q1 * r2
-            if r1:
-                delta = delta - q2 * r1
-        return rr, delta
-
-    def finish(res):
-        rr_ch, delta_ch = res.channels
-        tail = (res.tail_at(0) + res.tail_at(1)) / 2
-        last_term = mpf(max(rr_ch.last_nonzero, delta_ch.last_nonzero)) / 2
-        return (1 - rr_ch.total + delta_ch.total) / 2, tail, last_term, None
-
     return _summed(
-        specs, policy, method, sym_terms, (0.5, 0.5), finish,
-        structural=(not overlap, n1 == n2),
+        specs, policy, method, lambda r1, q1, r2, q2: q1 * r2, lambda k, q1, h2: q1 * h2,
+        no_winner=moves.drift < 0,
     )
 
 
@@ -532,6 +401,11 @@ def expected_duration(spec: GameSpec, policy: TailPolicy | None = None) -> Serie
     negative drift leaves ``q`` above a positive limit.  That verdict is
     returned before any term is summed, with the finite partial sum
     through k = 0 as its value and an infinite tail.
+
+    Under positive drift mu the tail after move K is at most
+    ``q_K E[(T - K)+]``, and by Wald's identity ``E[(T - K)+] <= q_K (n +
+    b - 1 - a K) / mu``: every survivor sits at or above ``a K`` and
+    overshoots ``n`` by less than ``b``.
     """
     spec = _validated(spec)
     if spec.n == 0:
@@ -546,7 +420,13 @@ def expected_duration(spec: GameSpec, policy: TailPolicy | None = None) -> Serie
             method="duration",
             witness=f"drift {spec.moves.drift} <= 0, so the terms q(n, k)**2 are not summable",
         )
-    return _summed((spec,), policy, "duration", lambda k, r, q: (q * q,), (1.0,), head=1)
+    a, b, n = spec.moves.a, spec.moves.b, spec.n
+    mu = mpf(a + b) / 2
+
+    def bound(k, q, _):
+        return q * q * (n + b - 1 - a * k) / mu
+
+    return _summed((spec,), policy, "duration", lambda r1, q1, r2, q2: q1 * q1, bound, head=1)
 
 
 def win_within(spec: GameSpec, k: int) -> Fraction:
@@ -562,7 +442,7 @@ def win_within(spec: GameSpec, k: int) -> Fraction:
     if k < 1:
         raise ValueError("k must be >= 1")
     total = last = 0
-    for j, win, survived in rq_stream(spec):
+    for j, win, survived, _ in rq_stream(spec):
         if j > k:
             break
         total = (total << 2) + win * survived
@@ -574,7 +454,9 @@ def square_sum_value(
     moves: MoveSet, n: int, policy: TailPolicy | None = None
 ) -> SeriesResult:
     """The sum ``sum_k r(n, k)**2`` for a single target; exact at zero
-    drift."""
+    drift.  Otherwise every later ``r_k`` and their sum are at most the
+    proved bound ``h_K`` on a later arrival, so the tail lies in
+    ``[0, h_K**2]``."""
     if n < 1:
         raise ValueError("target must be >= 1")
     spec = GameSpec(moves, n)
@@ -583,5 +465,5 @@ def square_sum_value(
     unit = reduce_zero_drift(spec)
     if unit is not None:
         return _exact_result(unit_step_sum(unit))
-    return _summed((spec,), policy, "square_sum", lambda k, r, q: (r * r,), (1.0,))
-
+    return _summed((spec,), policy, "square_sum", lambda r1, q1, r2, q2: r2 * r2,
+                   lambda k, q, h: h * h)

@@ -218,7 +218,7 @@ class TestUnitStepSum:
         K = 10_000
         walks = zip(*(rq_stream(GameSpec(MoveSet(-1, 1), n)) for n in (n1, n2)))
         total = 0
-        for (k, _, q1), (_, r2, q2) in walks:
+        for (k, _, q1, _), (_, r2, q2, _) in walks:
             total = 4 * total + q1 * r2
             if k == K:
                 break

@@ -133,9 +133,9 @@ class TestApproxValue:
         assert ApproxValue(mpf(0), mpf("2e-35")).formatted() == "0"
         assert ApproxValue(mpf(0), mpf("1e-9")).formatted() == "?"
         assert ApproxValue(mpf(0), mpf("inf")).formatted() == "?"
-        # r(100, k) = 0 for every k <= 16, so the sum is 0 with an unknown tail
+        # r(100, k) = 0 for every k <= 16, so the sum is in [0, q_16**2 = 1]
         res = square_sum_value(MoveSet(-1, 2), 100, TailPolicy(max_k=16))
-        assert res.value == 0 and res.tail_estimate == mpf("inf")
+        assert res.tail_estimate >= mpf(1) / 2 and res.verdict == "inconclusive"
         assert res.formatted() == "?"
 
     def test_negative_bound_rejected(self):

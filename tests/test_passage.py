@@ -203,7 +203,7 @@ class TestZeroDriftReduction:
 
 
 def test_iter_passage_stops_at_absorption():
-    ks = [k for k, _, _ in iter_passage(GameSpec(MoveSet(1, 2), 3))]
+    ks = [k for k, _, _, _ in iter_passage(GameSpec(MoveSet(1, 2), 3))]
     assert ks == [1, 2, 3]
 
 
@@ -243,5 +243,5 @@ def test_table_equals_enumeration(moves, n):
 def test_positive_walk_stops_at_its_last_win(moves, n):
     last = -(-n // moves.a)  # the all-a path is absorbed last
     items = list(islice(iter_passage(GameSpec(moves, n)), last + 1))
-    k, r, q = items[-1]
+    k, r, q, _ = items[-1]
     assert (k, q) == (last, 0) and r != 0
