@@ -129,12 +129,6 @@ def _policy_from(args) -> TailPolicy:
     return TailPolicy(**kwargs)
 
 
-def _series_dict(res: SeriesResult, digits: int = 17) -> dict:
-    d = res.to_json_dict()
-    d["display"] = res.formatted(digits)
-    return d
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="pilerace", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -211,7 +205,7 @@ def _cmd_pn(args) -> tuple[OutputRecord, int]:
     record = OutputRecord(
         command="pn",
         inputs={"moves": str(args.moves), "n": args.n},
-        results={"direct": _series_dict(direct, args.digits)},
+        results={"direct": direct.to_json_dict(args.digits)},
         provenance="second player's win probability for equal targets",
     )
     return record, _exit_code_for(direct)
@@ -223,7 +217,7 @@ def _cmd_pmn(args) -> tuple[OutputRecord, int]:
     record = OutputRecord(
         command="pmn",
         inputs={"moves": str(args.moves), "n1": args.n1, "n2": args.n2},
-        results={"p": _series_dict(res, args.digits)},
+        results={"p": res.to_json_dict(args.digits)},
         provenance="second player's win probability for distinct targets",
     )
     return record, _exit_code_for(res)
@@ -252,7 +246,7 @@ def _cmd_duration(args) -> tuple[OutputRecord, int]:
     record = OutputRecord(
         command="duration",
         inputs={"moves": str(args.moves), "n": args.n},
-        results={"expected_rounds": _series_dict(res, args.digits)},
+        results={"expected_rounds": res.to_json_dict(args.digits)},
         provenance="expected number of rounds until someone wins",
     )
     return record, _exit_code_for(res)
@@ -332,12 +326,16 @@ def _cmd_table(args) -> tuple[OutputRecord, int]:
     return record, _exit_code_for(*outputs)
 
 
-def _write_rows_csv(path: str, rows: list[dict]) -> None:
+def _write_rows_csv(path: str, rows) -> None:
+    """Write dict rows as CSV under a header of the first row's keys."""
     import csv
 
+    rows = iter(rows)
+    first = next(rows)
     with open(path, "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=list(rows[0].keys()))
+        writer = csv.DictWriter(f, fieldnames=list(first))
         writer.writeheader()
+        writer.writerow(first)
         writer.writerows(rows)
 
 
@@ -353,8 +351,7 @@ def _cmd_passage(args) -> tuple[OutputRecord, int]:
     if args.max_k > shown:
         results["note"] = f"showing k <= {shown} of {args.max_k}; use --csv for the full table"
     if args.csv:
-        with open(args.csv, "w", newline="") as f:
-            table.write_csv(f)
+        _write_rows_csv(args.csv, table.rows())
     record = OutputRecord(
         command="passage",
         inputs={"moves": str(args.moves), "n": args.n, "max_k": args.max_k},

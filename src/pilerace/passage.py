@@ -23,7 +23,6 @@ decided before anyone moves and is answered directly by the series layer.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
@@ -131,7 +130,6 @@ class PassageTable:
     Completed tables are immutable and safe to share between workers.
     """
 
-    spec: GameSpec
     k_max: int
     r: tuple
     q: tuple
@@ -148,15 +146,6 @@ class PassageTable:
                 "q_decimal": f"{float(self.q[k]):.15g}",
             }
 
-    def write_csv(self, fileobj) -> None:
-        """Write ``rows()`` as CSV under a header line."""
-        rows = self.rows()
-        first = next(rows)
-        writer = csv.DictWriter(fileobj, fieldnames=list(first))
-        writer.writeheader()
-        writer.writerow(first)
-        writer.writerows(rows)
-
 
 def build_passage_table(spec: GameSpec, k_max: int) -> PassageTable:
     """Exact table of r and q up to ``k_max`` moves."""
@@ -172,7 +161,7 @@ def build_passage_table(spec: GameSpec, k_max: int) -> PassageTable:
     while len(r) <= k_max:  # walk was absorbed early: all later mass is gone
         r.append(Fraction(0))
         q.append(Fraction(0))
-    return PassageTable(spec, k_max, tuple(r), tuple(q))
+    return PassageTable(k_max, tuple(r), tuple(q))
 
 
 def enumerate_first_passage(moves: MoveSet, n: int, k_max: int) -> list:
@@ -206,9 +195,9 @@ class Reachability:
     deterministic walk the single winning index is ``deterministic_k``.
     Otherwise r can be nonzero only for ``k % modulus in residues`` with
     ``k >= min_k`` (and ``k <= max_k`` when both moves are positive).  The
-    condition is necessary, not sufficient.  ``pilerace passage`` reports
-    it; the series layer reads only ``never``, to answer an unreachable
-    target before summing anything.
+    condition is necessary, not sufficient.  ``pilerace passage`` prints
+    it; no evaluator reads it, since a target is reachable exactly when
+    ``b > 0``.
     """
 
     modulus: int
@@ -251,12 +240,11 @@ def passage_gcd_reachability(spec: GameSpec) -> Reachability:
     min_k = -(-n // b)
     max_k = (n - 1) // a + 1 if a >= 1 else None
     g = b - a
-    # A win at move k happens from a previous position s in [n-b, n-1], and
-    # every position after j moves is congruent to b*j (mod b-a).
-    window = range(n - b, n)
-    residues = frozenset(
-        t for t in range(g) if any((b * (t - 1) - s) % g == 0 for s in window)
-    )
+    # A win at move k comes from a position s in [n-b, n-1] after k-1 moves,
+    # and every position after j moves is congruent to b*j (mod b-a).  These
+    # b consecutive positions hold one congruent to b*(k-1) exactly when its
+    # offset from n-b, taken mod b-a, is below b.
+    residues = frozenset(t for t in range(g) if (b * (t - 1) - (n - b)) % g < b)
     return Reachability(g, residues, min_k, max_k)
 
 

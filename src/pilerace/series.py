@@ -32,6 +32,7 @@ over ``2**k``) feed ``win_within``, whose caller gets a ``Fraction``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count, zip_longest
@@ -40,13 +41,7 @@ from mpmath import mp, mpf
 
 from .closedforms import unit_step_sum
 from .numeric import ApproxValue, PiLinear
-from .passage import (
-    GameSpec,
-    MoveSet,
-    iter_passage,
-    passage_gcd_reachability,
-    reduce_zero_drift,
-)
+from .passage import GameSpec, MoveSet, iter_passage, reduce_zero_drift, require_int
 
 WORK_DPS = 40
 # The stop rule is a proved bound tested at every move, so an answer backs
@@ -74,8 +69,9 @@ class TailPolicy:
     max_k: int = DEFAULT_MAX_K
 
     def __post_init__(self):
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance!r}")
+        require_int(self.max_k, "max_k")
         if self.max_k < 16:
             raise ValueError("max_k must be at least 16")
 
@@ -118,13 +114,13 @@ class SeriesResult:
         digits = int(mp.floor(mp.log10(50 * abs(self.value) / bound))) + 1
         return max(1, min(WORK_DPS, digits))
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, max_digits: int = 17) -> dict:
         def num(x, digits=24):
             return None if x is None else mp.nstr(x, digits)
 
         return {
             "value": num(self.value, self._value_digits()),
-            "display": self.formatted(),
+            "display": self.formatted(max_digits),
             "truncation_k": self.truncation_k,
             "last_term": num(self.last_term),
             "tail_estimate": num(self.tail_estimate),
@@ -330,7 +326,7 @@ def win_prob_squares(spec: GameSpec, policy: TailPolicy | None = None) -> Series
             "the squared-passage identity needs non-negative drift; "
             "use the direct method for this move set"
         )
-    if passage_gcd_reachability(spec).never:
+    if spec.moves.b <= 0:
         raise ValueError(
             "the squared-passage identity needs an almost surely finished race, "
             "but these moves can never reach the target"
@@ -351,7 +347,7 @@ def win_prob_direct(spec: GameSpec, policy: TailPolicy | None = None) -> SeriesR
     spec = _validated(spec)
     if spec.n == 0:
         return _trivial_result(0, "direct", witness="zero target: the first player has already won")
-    if passage_gcd_reachability(spec).never:
+    if spec.moves.b <= 0:
         return _trivial_result(
             0, "direct", witness="moves can never reach the target", no_winner=1,
         )
@@ -372,7 +368,7 @@ def win_prob_targets(
     """
     if n1 < 1 or n2 < 1:
         raise ValueError("both targets must be >= 1")
-    if passage_gcd_reachability(GameSpec(moves, n2)).never:
+    if GameSpec(moves, n2).moves.b <= 0:  # GameSpec checks the argument types
         return _trivial_result(
             0, "asymmetric", witness="the second walk can never reach its target",
         )
@@ -460,7 +456,7 @@ def square_sum_value(
     if n < 1:
         raise ValueError("target must be >= 1")
     spec = GameSpec(moves, n)
-    if passage_gcd_reachability(spec).never:
+    if moves.b <= 0:
         return _trivial_result(0, "square_sum", witness="moves can never reach the target")
     unit = reduce_zero_drift(spec)
     if unit is not None:

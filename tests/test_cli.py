@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -73,6 +74,16 @@ class TestPn:
         assert code == 1
         assert captured.out == ""
         assert captured.err == f"pilerace: error: --digits must be >= 1, got {digits}\n"
+
+    @pytest.mark.parametrize("tol", ["inf", "1e400", "nan"])
+    def test_tolerance_that_is_not_finite_is_a_usage_error(self, capsys, tol):
+        # an infinite tolerance would stop the sum at k = 1 and call it converged
+        code = main(["pn", "--moves=-1,2", "--n=1", f"--tol={tol}"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("pilerace: error: tolerance must be positive and finite")
+        assert len(captured.err.splitlines()) == 1
 
 
 class TestPmn:
@@ -176,12 +187,32 @@ class TestPassage:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "k,r,q,r_decimal,q_decimal"
         assert len(lines) == 10
+        assert lines[1] == "0,,1/1,,1"
+        assert lines[2] == "1,1/2,1/2,0.5,0.5"
 
     def test_unwritable_csv_is_a_usage_error(self, capsys, tmp_path):
         path = tmp_path / "missing" / "rq.csv"
         code = main(["passage", "--moves=-1,1", "--n=1", "--max-k=8", f"--csv={path}"])
         assert code == 1
         assert capsys.readouterr().err.startswith("pilerace: error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, shown, written",
+    [(("passage", "--moves=-3,4", "--n=2", "--max-k=60"), 21, 61), (("table", "t_values"), 6, 6)],
+    ids=["passage", "table"],
+)
+def test_csv_rows_equal_json_rows(capsys, tmp_path, argv, shown, written):
+    path = tmp_path / "rows.csv"
+    code, out = run_cli(capsys, *argv, f"--csv={path}", "--json")
+    assert code == 0
+    json_rows = json.loads(out)["results"]["rows"]
+    with open(path, newline="") as f:
+        reader = csv.DictReader(f)
+        csv_rows = list(reader)
+    assert reader.fieldnames == list(json_rows[0])
+    assert (len(json_rows), len(csv_rows)) == (shown, written)
+    assert csv_rows[:shown] == [{k: str(v) for k, v in row.items()} for row in json_rows]
 
 
 class TestSimulate:

@@ -1,5 +1,4 @@
 import hashlib
-import io
 from fractions import Fraction
 from itertools import islice
 
@@ -7,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pilerace.cli import _write_rows_csv
 from pilerace.closedforms import hitting_time_count, monotone_survival_count, passage_prob_m1p2
 from pilerace.passage import (
     GameSpec,
@@ -166,6 +166,23 @@ class TestReachability:
         assert passage_gcd_reachability(GameSpec(MoveSet(-1, 0), 1)).never
         assert passage_gcd_reachability(GameSpec(MoveSet(0, 0), 2)).never
 
+    def test_residues_match_the_window_scan(self):
+        # the definition: some position s in [n-b, n-1] after k-1 moves has
+        # s = b*(k-1) (mod b-a), scanned pair by pair
+        cases = 0
+        for b in range(1, 10):
+            for a in range(-9, b):
+                g = b - a
+                for n in range(1, 15):
+                    scanned = frozenset(
+                        t for t in range(g)
+                        if any((b * (t - 1) - s) % g == 0 for s in range(n - b, n))
+                    )
+                    rv = passage_gcd_reachability(GameSpec(MoveSet(a, b), n))
+                    assert (rv.modulus, rv.residues) == (g, scanned), (a, b, n)
+                    cases += 1
+        assert cases == 1764
+
     @pytest.mark.parametrize("moves", MOVE_MATRIX, ids=str)
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
     def test_sound_against_dp(self, moves, n):
@@ -178,11 +195,12 @@ class TestReachability:
 
 
 class TestSerialization:
-    def test_csv_export(self):
+    def test_csv_export(self, tmp_path):
+        # a passage table's rows through the CLI's one CSV writer
         t = build_passage_table(GameSpec(MoveSet(-1, 1), 1), 4)
-        buf = io.StringIO()
-        t.write_csv(buf)
-        lines = buf.getvalue().strip().splitlines()
+        path = tmp_path / "rq.csv"
+        _write_rows_csv(path, t.rows())
+        lines = path.read_text().strip().splitlines()
         assert lines[0] == "k,r,q,r_decimal,q_decimal"
         assert len(lines) == 6
         assert lines[2].startswith("1,1/2,1/2,0.5,0.5")

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import islice, zip_longest
 
@@ -54,6 +55,12 @@ class TestPolicy:
             TailPolicy(tolerance=0)
         with pytest.raises(ValueError):
             TailPolicy(max_k=8)
+        for tolerance in (math.inf, float("1e400"), math.nan, -math.inf):
+            with pytest.raises(ValueError):
+                TailPolicy(tolerance=tolerance)
+        for max_k in (16.0, 1e9, "64", True):
+            with pytest.raises(TypeError):
+                TailPolicy(max_k=max_k)
 
     def test_defaults_by_drift(self):
         # the cap bounds summed series only; zero drift is answered exactly
@@ -303,6 +310,60 @@ class TestSquareSums:
         assert res.value == 0
         assert res.truncation_k == 0
         assert res.witness == "moves can never reach the target"
+
+
+def _evaluations(moves: MoveSet, policy: TailPolicy | None = None) -> dict:
+    """Each summing evaluator on ``moves``: its result, or the type and
+    message of what it raised."""
+    calls = {
+        "squares": lambda: win_prob_squares(GameSpec(moves, 1), policy),
+        "direct": lambda: win_prob_direct(GameSpec(moves, 1), policy),
+        "targets": lambda: win_prob_targets(2, 1, moves, policy),
+        "square_sum": lambda: square_sum_value(moves, 1, policy),
+        "duration": lambda: expected_duration(GameSpec(moves, 1), policy),
+    }
+    out = {}
+    for name, call in calls.items():
+        try:
+            out[name] = call()
+        except ValueError as exc:
+            out[name] = (type(exc), str(exc))
+    return out
+
+
+class TestReachabilityGuard:
+    """No evaluator builds the residue table: whether the target can be
+    reached is ``b > 0``."""
+
+    @pytest.fixture
+    def no_residue_table(self, monkeypatch):
+        from pilerace import passage
+
+        def refuse(spec):
+            raise AssertionError("an evaluator built the residue table")
+
+        monkeypatch.setattr(passage, "passage_gcd_reachability", refuse)
+        monkeypatch.setattr(series, "passage_gcd_reachability", refuse, raising=False)
+        return monkeypatch
+
+    @pytest.mark.parametrize(
+        "moves",
+        [MoveSet(-1, 0), MoveSet(0, 0), MoveSet(-2, -1), MoveSet(-1, 2), MoveSet(-2, 1)],
+        ids=str,
+    )
+    def test_same_results_without_the_table(self, no_residue_table, moves):
+        guarded = _evaluations(moves)
+        no_residue_table.undo()
+        assert guarded == _evaluations(moves)
+
+    def test_huge_span_returns(self, no_residue_table):
+        moves = MoveSet(-(10**9), 10**9 - 1)
+        results = _evaluations(moves, TailPolicy(max_k=16))
+        for name in ("direct", "targets", "square_sum"):
+            assert results[name].verdict == series.INCONCLUSIVE, name
+            assert results[name].truncation_k == 16, name
+        assert results["duration"].verdict == DIVERGED
+        assert results["squares"][0] is ValueError
 
 
 # every reachable move set with |a|, |b| <= 4 that is summed: zero drift is exact
