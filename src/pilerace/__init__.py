@@ -36,11 +36,9 @@ from .passage import (
     GameSpec,
     MoveSet,
     PassageTable,
-    Reachability,
     build_passage_table,
     enumerate_first_passage,
     iter_passage,
-    passage_gcd_reachability,
 )
 from .recurrence import LinearRecurrence
 from .series import (
@@ -74,7 +72,6 @@ __all__ = [
     "MoveSet",
     "PassageTable",
     "PiLinear",
-    "Reachability",
     "SeriesResult",
     "SimConfig",
     "SimReport",
@@ -85,7 +82,6 @@ __all__ = [
     "enumerate_first_passage",
     "expected_duration",
     "iter_passage",
-    "passage_gcd_reachability",
     "passage_prob_m1p2",
     "passage_prob_pm1",
     "pilinear_eval",

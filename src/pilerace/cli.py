@@ -26,8 +26,7 @@ from mpmath import mp, mpf
 
 from . import closedforms, reference
 from .numeric import ApproxValue, rational_str
-from .passage import (GameSpec, MoveSet, build_passage_table, iter_passage,
-                      passage_gcd_reachability)
+from .passage import GameSpec, MoveSet, build_passage_table, iter_passage, reachability_rule
 from .series import (
     CONVERGED,
     DEFAULT_TOLERANCE,
@@ -299,9 +298,11 @@ def _cmd_table(args) -> tuple[OutputRecord, int]:
         moves = MoveSet(-1, 2)
         for n, (sumsq_ref, p_ref) in sorted(reference.MINUS12_REFERENCE.items()):
             t_res = square_sum_value(moves, n, policy)
-            # the race almost surely ends, so p = (1 - sum r**2) / 2 exactly
+            # the race almost surely ends, so p = (1 - sum r**2) / 2; the
+            # subtraction and halving are exact, so p keeps every backed digit
+            half = mp.ldexp(mp.fsub(1, t_res.value, exact=True), -1)
             with mp.workdps(WORK_DPS):
-                p = ApproxValue((1 - t_res.value) / 2, t_res.error_bound() / 2)
+                p = ApproxValue(half, mp.ldexp(t_res.error_bound(), -1))
                 ref = mpf(p_ref)
             rows.append(
                 {
@@ -342,11 +343,10 @@ def _write_rows_csv(path: str, rows) -> None:
 def _cmd_passage(args) -> tuple[OutputRecord, int]:
     spec = GameSpec(args.moves, args.n)
     table = build_passage_table(spec, args.max_k)
-    reach = passage_gcd_reachability(spec)
     shown = min(args.max_k, 20)
     results = {
         "rows": list(islice(table.rows(), shown + 1)),
-        "reachability": reach.to_json_dict(),
+        "reachability": reachability_rule(spec),
     }
     if args.max_k > shown:
         results["note"] = f"showing k <= {shown} of {args.max_k}; use --csv for the full table"

@@ -77,7 +77,7 @@ class ApproxValue:
             # a zero has no significant digits; "0" is backed only when
             # the bound cannot move it at the last displayable place
             return "0" if 2 * self.error_bound < mpf(10) ** -max_digits else "?"
-        digits = min(self.guaranteed_digits(), max_digits)
+        digits = self.guaranteed_digits(max_digits)
         if digits <= 0:
             # no digit is backed by the bound; never print false precision
             return "?"

@@ -187,65 +187,32 @@ def enumerate_first_passage(moves: MoveSet, n: int, k_max: int) -> list:
     ]
 
 
-@dataclass(frozen=True)
-class Reachability:
-    """Congruence structure of the k with possibly nonzero r.
+def reachability_rule(spec: GameSpec) -> dict:
+    """The rule that every move k with ``r_k != 0`` obeys, stated in O(1).
 
-    ``never`` means no move index can win (both moves non-positive).  For a
-    deterministic walk the single winning index is ``deterministic_k``.
-    Otherwise r can be nonzero only for ``k % modulus in residues`` with
-    ``k >= min_k`` (and ``k <= max_k`` when both moves are positive).  The
-    condition is necessary, not sufficient.  ``pilerace passage`` prints
-    it; no evaluator reads it, since a target is reachable exactly when
-    ``b > 0``.
+    The target is reachable exactly when ``b > 0``; a win then needs ``k >=
+    ceil(n / b)`` and, when both moves are positive, ``k <= max_k``, where
+    even the slowest walk has arrived.  A win at move k comes from a
+    position s in [n - b, n - 1] after k - 1 moves, and every position
+    after j moves is congruent to ``b j`` modulo the period ``b - a``.
+    These b consecutive positions hold one congruent to ``b (k - 1)``
+    exactly when its offset from ``n - b``, taken modulo ``b - a``, is
+    below b: ``residue_condition``, a Python expression in k.  When a == b
+    every path shares one position and the range alone pins k.  The rule
+    is necessary, not sufficient.
     """
-
-    modulus: int
-    residues: frozenset
-    min_k: int
-    max_k: int | None
-    never: bool = False
-    deterministic_k: int | None = None
-
-    def allows(self, k: int) -> bool:
-        if self.never or k < 1:
-            return False
-        if self.deterministic_k is not None:
-            return k == self.deterministic_k
-        if k < self.min_k or (self.max_k is not None and k > self.max_k):
-            return False
-        return (k % self.modulus) in self.residues
-
-    def to_json_dict(self) -> dict:
-        return {
-            "modulus": self.modulus,
-            "residues": sorted(self.residues),
-            "min_k": self.min_k,
-            "max_k": self.max_k,
-            "never": self.never,
-            "deterministic_k": self.deterministic_k,
-        }
-
-
-def passage_gcd_reachability(spec: GameSpec) -> Reachability:
-    """Diagnose which move indices can carry nonzero first-passage mass."""
-    a, b = spec.moves.a, spec.moves.b
-    n = spec.n
-    if n == 0 or b <= 0:
-        # n = 0: the race is over before any move; b <= 0: the pile never climbs.
-        return Reachability(1, frozenset(), 1, None, never=True)
-    if a == b:
-        k0 = -(-n // b)  # ceil(n / b)
-        return Reachability(1, frozenset({0}), k0, k0, deterministic_k=k0)
-    min_k = -(-n // b)
-    max_k = (n - 1) // a + 1 if a >= 1 else None
-    g = b - a
-    # A win at move k comes from a position s in [n-b, n-1] after k-1 moves,
-    # and every position after j moves is congruent to b*j (mod b-a).  These
-    # b consecutive positions hold one congruent to b*(k-1) exactly when its
-    # offset from n-b, taken mod b-a, is below b.
-    residues = frozenset(t for t in range(g) if (b * (t - 1) - (n - b)) % g < b)
-    return Reachability(g, residues, min_k, max_k)
+    a, b, n = spec.moves.a, spec.moves.b, spec.n
+    rule = {"reachable": b > 0, "min_k": None, "max_k": None, "period": None,
+            "residue_condition": None}
+    if b <= 0:
+        return rule
+    rule["min_k"] = _ceil_div(n, b)
+    if a >= 1:
+        rule["max_k"] = (n - 1) // a + 1
+    if a < b:
+        rule["period"] = b - a
+        rule["residue_condition"] = f"({b}*(k - 1) - ({n - b})) % {b - a} < {b}"
+    return rule
 
 
 def _ceil_div(p: int, q: int) -> int:

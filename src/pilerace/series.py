@@ -25,9 +25,13 @@ the partial sum plus half the bound, with half the bound as its
 only divergent series, the expected length at drift <= 0, is decided by
 the drift before any term is summed.
 
-Sums run in ``mpf`` at ``WORK_DPS`` on the once-rounded stream; the
-rounding is covered by ``eval_error``.  Exact streams (integer numerators
-over ``2**k``) feed ``win_within``, whose caller gets a ``Fraction``.
+Sums run on integers: every r and q is an integer numerator over
+``2**k``, so the partial sum through move K is one integer over ``4**K``,
+and so is the bound B_K.  Only the returned numbers are rounded, once
+each, at ``WORK_DPS`` or at the tolerance's digits plus ``GUARD_DPS`` if
+that is more; ``eval_error`` is the rounding of the value, whatever the
+number of terms.  ``win_within`` reads the same stream and returns the
+partial sum as a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -44,6 +48,8 @@ from .numeric import ApproxValue, PiLinear
 from .passage import GameSpec, MoveSet, iter_passage, reduce_zero_drift, require_int
 
 WORK_DPS = 40
+# digits carried past the tolerance when a summed answer is rounded
+GUARD_DPS = 10
 # The stop rule is a proved bound tested at every move, so an answer backs
 # about the digits its tolerance asks for and no more; 1e-12 gives the
 # default commands about 11 backed digits.
@@ -60,9 +66,10 @@ class TailPolicy:
     """Stopping rule of the summed (non-zero drift) series; exact
     zero-drift answers ignore it.
 
-    Summation stops at the first move where half the proved tail bound is
-    below ``tolerance``, or at the cap ``max_k``, where the result keeps
-    its proved bound and the verdict is inconclusive.
+    Summation stops at the first move where the reported error bound,
+    ``tail_estimate + eval_error``, is at most ``tolerance``: the verdict
+    is then converged.  At the cap ``max_k`` the result keeps its proved
+    bound and the verdict is inconclusive.
     """
 
     tolerance: float = DEFAULT_TOLERANCE
@@ -80,10 +87,11 @@ class TailPolicy:
 class SeriesResult:
     """Outcome of one truncated series evaluation.
 
-    Every number is an mpf; sums run at ``WORK_DPS``.  ``value`` is the
-    estimate; ``tail_estimate`` is a proved bound on what truncation may
-    still be missing (zero for an exact answer), and ``eval_error`` bounds
-    arithmetic rounding.  A diverged verdict always carries a witness.
+    Every number is an mpf rounded once, at ``work_dps`` digits, from an
+    exact value.  ``value`` is the estimate; ``tail_estimate`` is a proved
+    bound on what truncation may still be missing (zero for an exact
+    answer), rounded up, and ``eval_error`` bounds the rounding of
+    ``value``.  A diverged verdict always carries a witness.
     """
 
     value: mpf
@@ -95,6 +103,7 @@ class SeriesResult:
     witness: str | None = None
     no_winner: mpf | None = None
     eval_error: mpf = field(default_factory=lambda: mpf(0))
+    work_dps: int = WORK_DPS
 
     def error_bound(self) -> mpf:
         return self.tail_estimate + self.eval_error
@@ -105,14 +114,14 @@ class SeriesResult:
     def _value_digits(self) -> int:
         """Significant digits that round ``value`` by at most a tenth of
         its error bound, ``5 |value| 10**-d <= bound / 10``, capped at
-        ``WORK_DPS``."""
+        ``work_dps``."""
         bound = self.error_bound()
         if not bound or not self.value:
-            return WORK_DPS
+            return self.work_dps
         if mp.isinf(bound):
             return 1
         digits = int(mp.floor(mp.log10(50 * abs(self.value) / bound))) + 1
-        return max(1, min(WORK_DPS, digits))
+        return max(1, min(self.work_dps, digits))
 
     def to_json_dict(self, max_digits: int = 17) -> dict:
         def num(x, digits=24):
@@ -166,7 +175,8 @@ def rq_stream(spec: GameSpec, *, prefer_float: bool = False):
     reduced to its unit-step target (``cells`` is None), and the exact
     lattice DP otherwise (``cells`` as ``iter_passage`` yields them).
     ``prefer_float`` gives r and q as mpf values at the current precision
-    instead, each numerator rounded once.  DP-backed streams end once the
+    instead, each numerator rounded once; no evaluator reads that form, and
+    it is kept for the benchmark's tracer.  DP-backed streams end once the
     walk is absorbed; the Catalan stream is infinite.
     """
     reduced = reduce_zero_drift(spec)
@@ -191,8 +201,10 @@ def _lundberg(spec: GameSpec):
     ``e**(-theta (n - x))``.  Summed over the cells at ``x_j = a K +
     (b - a) j`` this is one Horner pass in ``e**(theta (b - a))``.  With
     b = 1 the walk cannot overshoot and the bound is exact at theta*.
-    Evaluated at the current precision; None when no theta passes the
-    check there (a span of about 10**9), which leaves ``q_K`` as the bound.
+    ``bound`` returns an integer numerator over ``2**K``, rounded up past
+    the rounding of its mpf factor.  Evaluated at the current precision;
+    None when no theta passes the check there (a span of about 10**9),
+    which leaves ``q_K`` as the bound.
     """
     a, b, n = spec.moves.a, spec.moves.b, spec.n
 
@@ -208,13 +220,14 @@ def _lundberg(spec: GameSpec):
     # e**(theta (b - a)) over 2**bits as an integer, raised past the rounding
     # of exp: the Horner pass runs on integers, and every step rounds up
     bits = 4 * WORK_DPS
-    z = int(mp.ldexp(mp.exp(theta * (b - a)), bits) * (1 + mpf(10) ** (5 - WORK_DPS))) + 1
+    margin = 1 + mpf(10) ** (5 - WORK_DPS)  # covers the rounding of each mpf step
+    z = int(mp.ldexp(mp.exp(theta * (b - a)), bits) * margin) + 1
 
-    def bound(k: int, cells: list) -> mpf:
+    def bound(k: int, cells: list) -> int:
         acc = 0
         for c in reversed(cells):
             acc = c - (-acc * z >> bits)
-        return mp.ldexp(acc * mp.exp(-theta * (n - a * k)), -k)
+        return int(mp.ceil(acc * mp.exp(-theta * (n - a * k)) * margin))
 
     return bound
 
@@ -225,55 +238,84 @@ def _summed(specs: tuple[GameSpec, ...], policy: TailPolicy | None, method: str,
 
     Two specs (same moves) are zipped into ``(k, r1, q1, r2, q2, cells2)``,
     an absorbed walk padded with zeros; one spec, or two equal ones, feed
-    their one stream as both walks.  At each move k the core adds
-    ``term(r1, q1, r2, q2)`` and asks ``bound(k, q1, h2)`` for a proved
-    bound B on the rest of the series, where ``h2`` bounds the chance that
-    the second walk still reaches its target after move k: ``q2``, and
-    under negative drift also Lundberg's sum, taken at moves growing by
-    1.25x (it reads every cell).  The value is the partial sum plus B/2,
-    ``tail_estimate`` is B/2 with B rounded up, and summation stops at the
-    first k where that is below ``policy.tolerance``.  ``head`` is an exact
-    k = 0 term; ``no_winner`` reports ``q1 q2`` at the stop.
+    their one stream as both walks.  Every r and q is an integer numerator
+    over ``2**k``.  At each move k the core adds the integer
+    ``term(r1, q1, r2, q2)`` to one exact total over ``4**k`` and asks
+    ``bound(k, q1, h2)`` for a proved bound B on the rest of the series,
+    also a numerator over ``4**k``.  ``h2`` bounds the chance that the
+    second walk still reaches its target after move k: ``q2``, and under
+    negative drift also Lundberg's sum, taken at moves growing by 1.25x (it
+    reads every cell) and carried to later moves on their scale.  ``head``
+    is the total at k = 0; ``no_winner`` reports ``q1 q2`` at the stop.
+
+    The value is the partial sum plus B/2 and ``tail_estimate`` is B/2
+    rounded up.  Each is rounded once, at ``WORK_DPS`` or at the
+    tolerance's digits plus ``GUARD_DPS``, and ``eval_error`` is one unit
+    in the last place of the value.  The result is converged, and
+    summation stops, at the first k where ``tail_estimate + eval_error``
+    is at most ``policy.tolerance``; the test runs on integers.
     """
     policy = policy if policy is not None else TailPolicy()
+    tol = Fraction(policy.tolerance)
+    dps = max(WORK_DPS, math.ceil(-math.log10(policy.tolerance)) + GUARD_DPS)
+    with mp.workdps(dps):
+        prec = mp.prec
+    streams = [rq_stream(spec) for spec in dict.fromkeys(specs)]
+    if len(streams) == 1:
+        stream = ((k, r, q, r, q, cells) for k, r, q, cells in streams[0])
+    else:
+        pairs = zip(count(1), zip_longest(*streams, fillvalue=(None, 0, 0, [])))
+        stream = ((k, r1, q1, r2, q2, c2) for k, ((_, r1, q1, _), (_, r2, q2, c2)) in pairs)
     with mp.workdps(WORK_DPS):
-        streams = [rq_stream(spec, prefer_float=True) for spec in dict.fromkeys(specs)]
-        if len(streams) == 1:
-            stream = ((k, r, q, r, q, cells) for k, r, q, cells in streams[0])
-        else:
-            pad = (None, mpf(0), mpf(0), [])
-            pairs = zip(count(1), zip_longest(*streams, fillvalue=pad))
-            stream = ((k, r1, q1, r2, q2, c2) for k, ((_, r1, q1, _), (_, r2, q2, c2)) in pairs)
         lundberg = _lundberg(specs[-1]) if specs[-1].moves.drift < 0 else None
-        margin = 1 + mpf(10) ** (5 - WORK_DPS)  # covers the rounding of B
-        limit = 2 * mpf(policy.tolerance) / margin
-        total, last_term, nterms = mpf(head), mpf(0), 0
-        reach, next_check = mpf("inf"), 16
+        total, last, last_k = head, 0, 0
+        reach, reach_k, next_check = None, 0, 16
         for k, r1, q1, r2, q2, cells in stream:
             t = term(r1, q1, r2, q2)
+            total = (total << 2) + t
             if t:
-                total += t
-                last_term = t
-                nterms += 1
+                last, last_k = t, k
             if lundberg is not None and (k >= next_check or k >= policy.max_k):
-                reach = lundberg(k, cells)
+                reach, reach_k = lundberg(k, cells), k
                 next_check = max(k + 1, int(k * 1.25))
-            tail_bound = bound(k, q1, min(q2, reach))
-            if tail_bound <= limit or k >= policy.max_k:  # an absorbed walk gives 0
-                break
-        tail = tail_bound * margin / 2
-        converged = tail_bound <= limit
+            # a later arrival only gets less likely, so an earlier figure
+            # holds at move k, scaled to the denominator 2**k
+            h2 = q2 if reach is None else min(q2, reach << (k - reach_k))
+            tail_bound = bound(k, q1, h2)
+            # on the scale 2**-(2k + 1), B is tail_estimate and 2 * total + B the value
+            limit = tol.numerator << (2 * k + 1)
+            if tail_bound * tol.denominator <= limit or k >= policy.max_k:
+                tail, error = _round_up(tail_bound, prec), _ulp(2 * total + tail_bound, prec)
+                converged = (tail + error) * tol.denominator <= limit
+                if converged or k >= policy.max_k:
+                    break
+    scale = -(2 * k + 1)
+    with mp.workdps(dps):
         return SeriesResult(
-            value=total + tail,
+            value=mpf((2 * total + tail_bound, scale)),
             truncation_k=k,
-            last_term=last_term,
-            tail_estimate=tail,
+            last_term=mpf((last, -2 * last_k)),
+            tail_estimate=mpf((tail, scale)),
             verdict=CONVERGED if converged else INCONCLUSIVE,
             method=method,
             witness=None if converged else f"tail not below tolerance by the truncation cap k={k}",
-            no_winner=q1 * q2 if no_winner else None,
-            eval_error=mpf(10) ** (5 - WORK_DPS) * (nterms + 1),
+            no_winner=mpf((q1 * q2, -2 * k)) if no_winner else None,
+            eval_error=mpf((error, scale)),
+            work_dps=dps,
         )
+
+
+def _round_up(x: int, prec: int) -> int:
+    """The least integer >= x with at most ``prec`` significant bits."""
+    shift = x.bit_length() - prec
+    return x if shift <= 0 else -(-x >> shift) << shift
+
+
+def _ulp(x: int, prec: int) -> int:
+    """One unit in the last place of x rounded to ``prec`` bits, which
+    bounds that rounding; zero when x needs no rounding."""
+    shift = x.bit_length() - prec
+    return 1 << shift if shift > 0 else 0
 
 
 # ---------------------------------------------------------------------------
@@ -417,10 +459,9 @@ def expected_duration(spec: GameSpec, policy: TailPolicy | None = None) -> Serie
             witness=f"drift {spec.moves.drift} <= 0, so the terms q(n, k)**2 are not summable",
         )
     a, b, n = spec.moves.a, spec.moves.b, spec.n
-    mu = mpf(a + b) / 2
 
-    def bound(k, q, _):
-        return q * q * (n + b - 1 - a * k) / mu
+    def bound(k, q, _):  # q**2 (n + b - 1 - a k) / mu, rounded up
+        return -(-2 * q * q * (n + b - 1 - a * k) // (a + b))
 
     return _summed((spec,), policy, "duration", lambda r1, q1, r2, q2: q1 * q1, bound, head=1)
 

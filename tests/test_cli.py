@@ -45,6 +45,21 @@ class TestPn:
         assert record["results"]["direct"]["verdict"] == "converged"
         assert record["results"]["direct"]["display"].startswith("0.33891390")
 
+    def test_tight_tolerance_shows_the_digits_it_backs(self, capsys):
+        # one rounding at the tolerance's precision: eval_error no longer
+        # grows with the 1,070 terms, and the display follows --digits
+        code, out = run_cli(capsys, "pn", "--moves=-1,2", "--n=1", "--tol=1e-60",
+                            "--digits=60", "--json")
+        assert code == 0
+        res = json.loads(out)["results"]["direct"]
+        assert res["verdict"] == "converged"
+        with mp.workdps(80):
+            assert mpf(res["tail_estimate"]) + mpf(res["eval_error"]) <= mpf("1e-60")
+        shown = res["display"].removeprefix("0.")
+        assert len(shown) >= 55
+        # the paper's generating-function route gives 0.33891390869471156724405181216...
+        assert shown.startswith("3389139086947115672440518121")
+
     def test_nonconvergence_exit_code(self, capsys):
         code, out = run_cli(capsys, "pn", "--moves=-1,2", "--n=1",
                             "--max-k=16", "--tol=1e-12")
@@ -149,6 +164,18 @@ class TestTable:
         code, out = run_cli(capsys, "table", "case_minus1_2", "--tol=1e-7")
         assert code == 0
         assert "0.33891390869471156" in out  # reference column
+
+    def test_tight_tolerance_p_keeps_the_sum_digits(self, capsys):
+        # p = (1 - sum r**2) / 2 is formed exactly, so at 1e-60 its 58
+        # shown digits are those of the direct sum q * r
+        code, out = run_cli(capsys, "table", "case_minus1_2", "--tol=1e-60", "--digits=60",
+                            "--json")
+        assert code == 0
+        p = json.loads(out)["results"]["rows"][0]["p"]
+        code, out = run_cli(capsys, "pn", "--moves=-1,2", "--n=1", "--tol=1e-60", "--digits=60",
+                            "--json")
+        direct = json.loads(out)["results"]["direct"]["display"]
+        assert len(p) >= 57 and p[:-1] == direct[:len(p) - 1]
 
     def test_unbacked_zero_prints_no_digit(self, capsys):
         # r(100, k) = 0 for k <= 16: the n = 100 sum is 0 with an unknown tail

@@ -1,5 +1,6 @@
 import hashlib
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
 
 import pytest
@@ -14,7 +15,7 @@ from pilerace.passage import (
     build_passage_table,
     enumerate_first_passage,
     iter_passage,
-    passage_gcd_reachability,
+    reachability_rule,
     reduce_zero_drift,
 )
 
@@ -147,24 +148,44 @@ class TestSurvivalLimits:
         assert t.q[2000] > F(1, 3)  # tends to 1 - (sqrt(5)-1)/2 ~ 0.382
 
 
+@lru_cache(maxsize=None)
+def _compiled(condition: str):
+    return compile(condition, "<residue_condition>", "eval")
+
+
+def allows(rule: dict, k: int) -> bool:
+    """Whether move k obeys a printed reachability rule."""
+    if not rule["reachable"] or k < rule["min_k"]:
+        return False
+    if rule["max_k"] is not None and k > rule["max_k"]:
+        return False
+    condition = rule["residue_condition"]
+    return condition is None or eval(_compiled(condition), {"k": k})
+
+
 class TestReachability:
     def test_unit_step_odd_indices(self):
-        rv = passage_gcd_reachability(GameSpec(MoveSet(-1, 1), 1))
-        assert (rv.modulus, rv.residues) == (2, frozenset({1}))
+        rule = reachability_rule(GameSpec(MoveSet(-1, 1), 1))
+        assert rule["period"] == 2
+        assert [k for k in range(1, 9) if allows(rule, k)] == [1, 3, 5, 7]
 
     def test_deterministic_single_index(self):
-        rv = passage_gcd_reachability(GameSpec(MoveSet(1, 1), 5))
-        assert rv.deterministic_k == 5
-        assert [k for k in range(1, 12) if rv.allows(k)] == [5]
+        rule = reachability_rule(GameSpec(MoveSet(1, 1), 5))
+        assert (rule["min_k"], rule["max_k"], rule["period"]) == (5, 5, None)
+        assert [k for k in range(1, 12) if allows(rule, k)] == [5]
 
     def test_minus_one_plus_two(self):
         # frozen from the DP zero pattern: nonzero except k = 0 mod 3
-        rv = passage_gcd_reachability(GameSpec(MoveSet(-1, 2), 1))
-        assert (rv.modulus, rv.residues) == (3, frozenset({1, 2}))
+        rule = reachability_rule(GameSpec(MoveSet(-1, 2), 1))
+        assert rule == {"reachable": True, "min_k": 1, "max_k": None, "period": 3,
+                        "residue_condition": "(2*(k - 1) - (-1)) % 3 < 2"}
+        assert [k for k in range(1, 10) if allows(rule, k)] == [1, 2, 4, 5, 7, 8]
 
     def test_never_when_no_positive_move(self):
-        assert passage_gcd_reachability(GameSpec(MoveSet(-1, 0), 1)).never
-        assert passage_gcd_reachability(GameSpec(MoveSet(0, 0), 2)).never
+        for moves, n in [(MoveSet(-1, 0), 1), (MoveSet(0, 0), 2), (MoveSet(-3, -1), 4)]:
+            rule = reachability_rule(GameSpec(moves, n))
+            assert not rule["reachable"]
+            assert not any(allows(rule, k) for k in range(1, 20))
 
     def test_residues_match_the_window_scan(self):
         # the definition: some position s in [n-b, n-1] after k-1 moves has
@@ -174,24 +195,38 @@ class TestReachability:
             for a in range(-9, b):
                 g = b - a
                 for n in range(1, 15):
-                    scanned = frozenset(
-                        t for t in range(g)
-                        if any((b * (t - 1) - s) % g == 0 for s in range(n - b, n))
-                    )
-                    rv = passage_gcd_reachability(GameSpec(MoveSet(a, b), n))
-                    assert (rv.modulus, rv.residues) == (g, scanned), (a, b, n)
+                    rule = reachability_rule(GameSpec(MoveSet(a, b), n))
+                    for k in range(rule["min_k"], rule["min_k"] + g):
+                        scanned = any((b * (k - 1) - s) % g == 0 for s in range(n - b, n))
+                        in_range = rule["max_k"] is None or k <= rule["max_k"]
+                        assert allows(rule, k) == (scanned and in_range), (a, b, n, k)
                     cases += 1
         assert cases == 1764
+
+    def test_every_win_obeys_the_rule(self):
+        # every move set with |a|, |b| <= 9, reachable or not
+        for b in range(-9, 10):
+            for a in range(-9, b + 1):
+                for n in range(1, 15):
+                    spec = GameSpec(MoveSet(a, b), n)
+                    rule = reachability_rule(spec)
+                    for k, win, _, _ in islice(iter_passage(spec), 40):
+                        assert not win or allows(rule, k), (a, b, n, k)
+
+    def test_huge_span_is_stated_not_listed(self):
+        rule = reachability_rule(GameSpec(MoveSet(-(10**9), 10**9 - 1), 1))
+        assert rule["period"] == 2 * 10**9 - 1
+        assert allows(rule, 1) and not allows(rule, 2)
 
     @pytest.mark.parametrize("moves", MOVE_MATRIX, ids=str)
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
     def test_sound_against_dp(self, moves, n):
         # every nonzero r lands on an admissible index
-        rv = passage_gcd_reachability(GameSpec(moves, n))
+        rule = reachability_rule(GameSpec(moves, n))
         table = build_passage_table(GameSpec(moves, n), 80)
         for k in range(1, 81):
             if table.r[k] != 0:
-                assert rv.allows(k), (moves, n, k)
+                assert allows(rule, k), (moves, n, k)
 
 
 class TestSerialization:

@@ -332,31 +332,27 @@ def _evaluations(moves: MoveSet, policy: TailPolicy | None = None) -> dict:
 
 
 class TestReachabilityGuard:
-    """No evaluator builds the residue table: whether the target can be
-    reached is ``b > 0``."""
-
-    @pytest.fixture
-    def no_residue_table(self, monkeypatch):
-        from pilerace import passage
-
-        def refuse(spec):
-            raise AssertionError("an evaluator built the residue table")
-
-        monkeypatch.setattr(passage, "passage_gcd_reachability", refuse)
-        monkeypatch.setattr(series, "passage_gcd_reachability", refuse, raising=False)
-        return monkeypatch
+    """Whether a target can be reached is ``b > 0``, decided from the move
+    set before any term is summed; there is no residue table to build."""
 
     @pytest.mark.parametrize(
         "moves",
         [MoveSet(-1, 0), MoveSet(0, 0), MoveSet(-2, -1), MoveSet(-1, 2), MoveSet(-2, 1)],
         ids=str,
     )
-    def test_same_results_without_the_table(self, no_residue_table, moves):
-        guarded = _evaluations(moves)
-        no_residue_table.undo()
-        assert guarded == _evaluations(moves)
+    def test_same_results_without_the_table(self, moves):
+        results = _evaluations(moves)
+        if moves.b > 0:
+            for name in ("direct", "targets", "square_sum"):
+                assert results[name].truncation_k > 0, name
+            return
+        for name in ("direct", "targets", "square_sum"):
+            res = results[name]
+            assert (res.value, res.truncation_k, res.verdict) == (0, 0, CONVERGED), name
+        assert results["duration"].verdict == DIVERGED
+        assert results["squares"][0] is ValueError
 
-    def test_huge_span_returns(self, no_residue_table):
+    def test_huge_span_returns(self):
         moves = MoveSet(-(10**9), 10**9 - 1)
         results = _evaluations(moves, TailPolicy(max_k=16))
         for name in ("direct", "targets", "square_sum"):
@@ -484,8 +480,12 @@ class TestRoundingBound:
                 GameSpec(MoveSet(-2, 3), 10), lambda r, q: q * q,
             ),
             (win_prob_direct, GameSpec(MoveSet(-3, 2), 1), lambda r, q: q * r),
+            (
+                lambda s: win_prob_direct(s, TailPolicy(tolerance=1e-60)),
+                GameSpec(M12, 1), lambda r, q: q * r,
+            ),
         ],
-        ids=["square_sum", "duration", "direct"],
+        ids=["square_sum", "duration", "direct", "direct_1e-60"],
     )
     def test_rounding_within_eval_error(self, evaluate, spec, term):
         res = evaluate(spec)
@@ -496,6 +496,33 @@ class TestRoundingBound:
             # the value is the partial sum plus its tail_estimate
             err = abs(res.value - res.tail_estimate - mpf(exact.numerator) / exact.denominator)
         assert err <= res.eval_error
+
+    def test_eval_error_is_one_rounding(self):
+        # 508 terms, one rounding: far below the 1e-35 per term of a
+        # term-by-term mpf sum
+        res = square_sum_value(M12, 100)
+        assert res.truncation_k > 500
+        assert 0 < res.eval_error < mpf("1e-38")
+
+    def test_converged_counts_the_rounding(self):
+        for tol in (1e-12, 1e-30, 1e-60):
+            res = win_prob_direct(GameSpec(M12, 1), TailPolicy(tolerance=tol))
+            assert res.verdict == CONVERGED
+            with mp.workdps(100):  # exact: the mpfs and the float fit in 100 digits
+                assert res.tail_estimate + res.eval_error <= mpf(tol)
+                assert res.eval_error <= res.value * mpf(10) ** -res.work_dps
+
+
+class TestLundbergScale:
+    """Under negative drift Lundberg's bound is taken at checkpoints and
+    carried to later moves on their denominator; read on the checkpoint's
+    scale it would be far too small and stop the sum early."""
+
+    @pytest.mark.parametrize("moves, stop", [(MoveSet(-2, 1), 340), (MoveSet(-3, 2), 1035)],
+                             ids=str)
+    def test_stop_move(self, moves, stop):
+        res = win_prob_direct(GameSpec(moves, 1))
+        assert (res.verdict, res.truncation_k) == (CONVERGED, stop)
 
 
 class TestZeroDriftConstants:
