@@ -14,8 +14,16 @@ lattice.  After k moves a path with j b-moves sits at ``a*k + (b-a)*j``,
 so the state is one big-integer weight per j over the common denominator
 ``2**k``: a step is Pascal's rule, and the absorbed paths are a top run
 of j.  The stream yields r and q as integer numerators over ``2**k``;
-``build_passage_table`` turns them into ``Fraction``s.  Nothing is
-truncated probabilistically: tables are exact by construction.
+``build_passage_table`` turns them into ``Fraction``s, and tables are
+exact by construction.
+
+Exact numerators grow by one bit per move, so a long sum would cost about
+K**3 bit operations.  The series core therefore asks for the same steps
+in fixed point: weights floored to a fixed number of bits, with the mass
+floored away counted exactly in a tally, leading cells that floor to zero
+dropped, and, under negative drift, cells too deep to matter moved to a
+sink.  Every fixed-point weight is at most the exact one, so the tally
+and the sink bound what the fixed-point r and q miss.
 
 The degenerate target ``n = 0`` is refused here; a zero-target race is
 decided before anyone moves and is answered directly by the series layer.
@@ -28,6 +36,10 @@ from fractions import Fraction
 from operator import add
 
 from .numeric import rational_str
+
+# moves between two floors of the fixed-point lattice: each floor costs a
+# pass over the cells, and the weights carry up to this many extra bits
+FLOOR_EVERY = 32
 
 
 def require_int(value, what: str) -> None:
@@ -83,7 +95,7 @@ class GameSpec:
             raise ValueError(f"target must be >= 0, got {self.n}")
 
 
-def iter_passage(spec: GameSpec):
+def iter_passage(spec: GameSpec, bits: int | None = None, depth: int | None = None):
     """Yield ``(k, win, survived, counts)`` for k = 1, 2, ...: the integer
     numerators of ``r_k`` and ``q_k`` over ``2**k``, and the lattice cells.
 
@@ -95,6 +107,28 @@ def iter_passage(spec: GameSpec):
     shares one position, and the one cell is the surviving weight.  The
     generator ends once the surviving mass hits zero (every later r and q
     is exactly zero), which happens iff both moves are positive.
+
+    With ``bits`` the same steps run in fixed point, and the generator
+    yields ``(k, win, survived, counts, low, lift, tally, sunk)``.  Every
+    weight is an integer over ``2**(bits + e)``; a step doubles the
+    denominator (e grows by 1).  The weights start exact, at e = -bits,
+    and once e reaches ``FLOOR_EVERY`` all of them are shifted right by
+    ``FLOOR_EVERY``, back to e = 0, and again every ``FLOOR_EVERY`` moves.
+    The bits shifted out add up, exactly, in ``tally``; cells that floor to
+    zero at the bottom of the lattice are dropped, and ``counts[i]`` is the
+    cell j = ``low + i``.  With ``depth`` the cells more than ``depth``
+    positions below n move to a sink, whose mass still counts as
+    surviving; the caller picks ``depth`` so that a unit of mass that deep
+    ever reaches n with chance below ``2**-bits``, and ``sunk``, the sink's
+    mass over ``2**bits`` rounded up, then bounds every later arrival of
+    the sink.  ``win``, ``survived``, ``tally`` and ``sunk`` are over
+    ``2**(bits + FLOOR_EVERY)``, and the cells are over that denominator
+    shifted down by ``lift``.  Every step is monotone, so each fixed-point
+    weight is at most the exact one, and the mass missing from the lattice
+    and the sink is at most ``tally``: the exact q is in ``[survived -
+    sunk, survived + tally]``, and the exact r is at least ``win`` and at
+    most ``win + tally + sunk``.  This stream never ends; once the lattice
+    and the sink are empty it repeats its last tally with zero r and q.
     """
     if spec.n < 1:
         raise ValueError(
@@ -104,22 +138,53 @@ def iter_passage(spec: GameSpec):
     a, b = spec.moves.a, spec.moves.b
     n = spec.n
     span = b - a
+    fixed = bits is not None
     counts = [1]
-    survived = 1
-    k = 0
+    survived = 1  # in fixed point, the lattice's mass alone
+    k = low = e = tally = sink = sunk = 0
+    every = FLOOR_EVERY
+    if fixed:
+        e = -bits
     while True:
         k += 1
+        if e == every:
+            floored = [c >> e for c in counts]
+            mass = sum(floored)
+            tally += survived - (mass << e)
+            survived, e = mass, 0
+            zeros = next((i for i, c in enumerate(floored) if c), len(floored))
+            counts, low = floored[zeros:], low + zeros
         if span:
-            counts = list(map(add, counts + [0], [0] + counts))
-            cut = max(_ceil_div(n - a * k, span), 0)
+            shifted = [0, *counts]
+            counts.append(0)
+            stepped = list(map(add, counts, shifted))
+            counts.pop()  # leaves the list already yielded as it was
+            counts = stepped
+            cut = max(_ceil_div(n - a * k, span) - low, 0)
             win = sum(counts[cut:])
             del counts[cut:]
         else:
             win = 2 * survived if a * k >= n else 0
         survived = 2 * survived - win
-        yield k, win, survived, counts if span else [survived]
-        if survived == 0:
-            return
+        if not span:
+            counts = [survived]
+        if not fixed:
+            yield k, win, survived, counts
+            if survived == 0:
+                return
+            continue
+        e += 1
+        lift = every - e
+        if depth is not None and span:
+            deep = _ceil_div(n - depth - a * k, span) - low
+            if deep > 0:
+                moved = sum(counts[:deep])
+                del counts[:deep]
+                low += deep
+                survived -= moved
+                sink += moved << lift
+                sunk = -(-sink >> bits)
+        yield k, win << lift, (survived << lift) + sink, counts, low, lift, tally, sunk
 
 
 @dataclass(frozen=True)

@@ -25,13 +25,18 @@ the partial sum plus half the bound, with half the bound as its
 only divergent series, the expected length at drift <= 0, is decided by
 the drift before any term is summed.
 
-Sums run on integers: every r and q is an integer numerator over
-``2**k``, so the partial sum through move K is one integer over ``4**K``,
-and so is the bound B_K.  Only the returned numbers are rounded, once
-each, at ``WORK_DPS`` or at the tolerance's digits plus ``GUARD_DPS`` if
-that is more; ``eval_error`` is the rounding of the value, whatever the
-number of terms.  ``win_within`` reads the same stream and returns the
-partial sum as a ``Fraction``.
+Sums run on integers.  The core steps the lattice DP in fixed point, at
+the working precision (``WORK_DPS``, or the tolerance's digits plus
+``GUARD_DPS`` if that is more) plus ``FLOOR_GUARD_BITS``: every r and q
+is an integer numerator over one fixed power of two, so the partial sum
+through move K is one integer over its square, and so is the bound B_K.
+The mass the DP floored away (its tally) and, under negative drift, the
+Lundberg bound of its sink raise ``q1`` and ``h2`` before B_K is formed,
+and bound how far each term can be from the exact one.  Only the
+returned numbers are rounded, once each, at the working precision;
+``eval_error`` covers that rounding and the floor error together.
+``win_within`` reads the exact stream and returns the partial sum as a
+``Fraction``.
 """
 
 from __future__ import annotations
@@ -39,17 +44,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count, zip_longest
+from itertools import count
 
 from mpmath import mp, mpf
 
 from .closedforms import unit_step_sum
 from .numeric import ApproxValue, PiLinear
-from .passage import GameSpec, MoveSet, iter_passage, reduce_zero_drift, require_int
+from .passage import (
+    FLOOR_EVERY,
+    GameSpec,
+    MoveSet,
+    iter_passage,
+    reduce_zero_drift,
+    require_int,
+)
 
 WORK_DPS = 40
 # digits carried past the tolerance when a summed answer is rounded
 GUARD_DPS = 10
+# bits the fixed-point lattice carries past the working precision
+FLOOR_GUARD_BITS = 64
 # The stop rule is a proved bound tested at every move, so an answer backs
 # about the digits its tolerance asks for and no more; 1e-12 gives the
 # default commands about 11 backed digits.
@@ -170,14 +184,16 @@ def _stream_unit_exact(n: int):
 
 
 def rq_stream(spec: GameSpec, *, prefer_float: bool = False):
-    """(k, r, q, cells) for any move set, r and q as integer numerators
-    over ``2**k``: the unit-step Catalan stream for a zero-drift set,
-    reduced to its unit-step target (``cells`` is None), and the exact
-    lattice DP otherwise (``cells`` as ``iter_passage`` yields them).
-    ``prefer_float`` gives r and q as mpf values at the current precision
-    instead, each numerator rounded once; no evaluator reads that form, and
-    it is kept for the benchmark's tracer.  DP-backed streams end once the
-    walk is absorbed; the Catalan stream is infinite.
+    """(k, r, q, cells) for any move set, r and q as exact integer
+    numerators over ``2**k``: the unit-step Catalan stream for a
+    zero-drift set, reduced to its unit-step target (``cells`` is None),
+    and the exact lattice DP otherwise (``cells`` as ``iter_passage``
+    yields them).  ``win_within`` reads it; the summed evaluators step the
+    fixed-point DP instead.  ``prefer_float`` gives r and q as mpf values
+    at the current precision instead, each numerator rounded once; no
+    evaluator reads that form, and it is kept for the benchmark's tracer.
+    DP-backed streams end once the walk is absorbed; the Catalan stream is
+    infinite.
     """
     reduced = reduce_zero_drift(spec)
     stream = iter_passage(spec) if reduced is None else _stream_unit_exact(reduced)
@@ -190,10 +206,12 @@ def rq_stream(spec: GameSpec, *, prefer_float: bool = False):
 # proved summation
 
 
-def _lundberg(spec: GameSpec):
-    """Lundberg's bound for a negative-drift walk: ``bound(K, cells)`` is
-    at least the chance that the walk, alive at move K with lattice weights
-    ``cells``, still reaches ``n`` later.
+def _lundberg(spec: GameSpec, bits: int):
+    """Lundberg's bound for a negative-drift walk, as ``(depth, bound)``:
+    ``bound(k, cells, low)`` is at least the chance that the walk, alive at
+    move K with lattice weights ``cells`` from the cell j = ``low`` on,
+    still reaches ``n`` later, and a unit of mass more than ``depth``
+    positions below n reaches it with chance below ``2**-bits``.
 
     For theta in (0, theta*], where theta* > 0 is the root of
     ``(e**(theta a) + e**(theta b)) / 2 = 1``, ``e**(theta S_k)`` is a
@@ -201,10 +219,12 @@ def _lundberg(spec: GameSpec):
     ``e**(-theta (n - x))``.  Summed over the cells at ``x_j = a K +
     (b - a) j`` this is one Horner pass in ``e**(theta (b - a))``.  With
     b = 1 the walk cannot overshoot and the bound is exact at theta*.
-    ``bound`` returns an integer numerator over ``2**K``, rounded up past
-    the rounding of its mpf factor.  Evaluated at the current precision;
-    None when no theta passes the check there (a span of about 10**9),
-    which leaves ``q_K`` as the bound.
+    ``bound`` returns an integer numerator on the cells' scale, rounded up
+    past the rounding of its mpf factor.  ``depth`` is ``ceil((bits ln 2 +
+    1) / theta)``, so ``e**(-theta depth) < 2**-bits``.  Evaluated at the
+    current precision; both are None when no theta passes the check there
+    (a span of about 10**9), which leaves ``q_K`` as the bound and no
+    sink.
     """
     a, b, n = spec.moves.a, spec.moves.b, spec.n
 
@@ -216,90 +236,108 @@ def _lundberg(spec: GameSpec):
     theta = mp.findroot(excess, (theta_min, mp.log(2) / b), solver="illinois", verify=False)
     theta *= 1 - mpf(10) ** -20  # just below the root
     if not excess(theta) <= 0:
-        return None
-    # e**(theta (b - a)) over 2**bits as an integer, raised past the rounding
-    # of exp: the Horner pass runs on integers, and every step rounds up
-    bits = 4 * WORK_DPS
+        return None, None
+    # e**(theta (b - a)) over 2**zbits as an integer, raised past the
+    # rounding of exp: the Horner pass runs on integers, and every step
+    # rounds up
+    zbits = 4 * WORK_DPS
     margin = 1 + mpf(10) ** (5 - WORK_DPS)  # covers the rounding of each mpf step
-    z = int(mp.ldexp(mp.exp(theta * (b - a)), bits) * margin) + 1
+    z = int(mp.ldexp(mp.exp(theta * (b - a)), zbits) * margin) + 1
 
-    def bound(k: int, cells: list) -> int:
+    def bound(k: int, cells: list, low: int) -> int:
         acc = 0
         for c in reversed(cells):
-            acc = c - (-acc * z >> bits)
-        return int(mp.ceil(acc * mp.exp(-theta * (n - a * k)) * margin))
+            acc = c - (-acc * z >> zbits)
+        return int(mp.ceil(acc * mp.exp(-theta * (n - a * k - (b - a) * low)) * margin))
 
-    return bound
+    return int(mp.ceil((bits * mp.log(2) + 1) / theta)), bound
 
 
 def _summed(specs: tuple[GameSpec, ...], policy: TailPolicy | None, method: str, term, bound,
             *, head: int = 0, no_winner: bool = False) -> SeriesResult:
     """The summation core behind every summed evaluator.
 
-    Two specs (same moves) are zipped into ``(k, r1, q1, r2, q2, cells2)``,
-    an absorbed walk padded with zeros; one spec, or two equal ones, feed
-    their one stream as both walks.  Every r and q is an integer numerator
-    over ``2**k``.  At each move k the core adds the integer
-    ``term(r1, q1, r2, q2)`` to one exact total over ``4**k`` and asks
+    Each spec's walk is the fixed-point lattice DP of ``iter_passage`` at
+    ``bits`` = P, the bits of the working precision (``WORK_DPS``, or the
+    tolerance's digits plus ``GUARD_DPS`` if that is more) plus
+    ``FLOOR_GUARD_BITS``; its r, q, tally and sink bound are integer
+    numerators over ``2**one``, ``one = P + FLOOR_EVERY``.  Two specs (same
+    moves) are zipped; one spec, or two equal ones, feed their one stream
+    as both walks.  At each move k the core adds the integer ``term(r1,
+    q1, r2, q2)`` to one exact total over ``2**(2 one)`` and asks
     ``bound(k, q1, h2)`` for a proved bound B on the rest of the series,
-    also a numerator over ``4**k``.  ``h2`` bounds the chance that the
-    second walk still reaches its target after move k: ``q2``, and under
-    negative drift also Lundberg's sum, taken at moves growing by 1.25x (it
-    reads every cell) and carried to later moves on their scale.  ``head``
+    also over ``2**(2 one)``.  ``h2`` bounds the chance that the second
+    walk still reaches its target after move k: ``q2``, and under negative
+    drift also Lundberg's sum over the lattice, taken at moves growing by
+    1.25x (it reads every cell) and valid at every later move.  ``head``
     is the total at k = 0; ``no_winner`` reports ``q1 q2`` at the stop.
 
+    Flooring and the sink enter the bounds.  The exact q is at most the
+    fixed-point q plus the tally, so ``q1`` and ``h2`` are raised by their
+    tallies before B is formed.  Under negative drift each walk's cells
+    more than L = ``ceil((P ln 2 + 1) / theta)`` positions below its
+    target sit in a sink; a unit of sunk mass ever arrives with chance
+    below ``2**-P`` (Lundberg), so the sink's mass over ``2**P``, rounded
+    up, bounds every later arrival of the sink and is added to ``h2``.
+    Each r and q is then within e = tally + that sink bound of its
+    fixed-point value, and every term, a product of two such factors in
+    [0, 1], within ``e1 + e2``.
+
     The value is the partial sum plus B/2 and ``tail_estimate`` is B/2
-    rounded up.  Each is rounded once, at ``WORK_DPS`` or at the
-    tolerance's digits plus ``GUARD_DPS``, and ``eval_error`` is one unit
-    in the last place of the value.  The result is converged, and
-    summation stops, at the first k where ``tail_estimate + eval_error``
-    is at most ``policy.tolerance``; the test runs on integers.
+    rounded up.  Each is rounded once, to the working precision.  Half an
+    ulp of the value bounds its rounding to nearest, and ``eval_error`` is
+    one ulp, or half an ulp plus the K terms' floor error ``K (e1 + e2)``
+    rounded up if that is more.  The result is converged, and summation
+    stops, at the first k where ``tail_estimate + eval_error`` is at most
+    ``policy.tolerance``; the test runs on integers.
     """
     policy = policy if policy is not None else TailPolicy()
     tol = Fraction(policy.tolerance)
     dps = max(WORK_DPS, math.ceil(-math.log10(policy.tolerance)) + GUARD_DPS)
     with mp.workdps(dps):
         prec = mp.prec
-    streams = [rq_stream(spec) for spec in dict.fromkeys(specs)]
-    if len(streams) == 1:
-        stream = ((k, r, q, r, q, cells) for k, r, q, cells in streams[0])
-    else:
-        pairs = zip(count(1), zip_longest(*streams, fillvalue=(None, 0, 0, [])))
-        stream = ((k, r1, q1, r2, q2, c2) for k, ((_, r1, q1, _), (_, r2, q2, c2)) in pairs)
+    bits = prec + FLOOR_GUARD_BITS
+    one = bits + FLOOR_EVERY
     with mp.workdps(WORK_DPS):
-        lundberg = _lundberg(specs[-1]) if specs[-1].moves.drift < 0 else None
-        total, last, last_k = head, 0, 0
-        reach, reach_k, next_check = None, 0, 16
-        for k, r1, q1, r2, q2, cells in stream:
+        depth, lundberg = _lundberg(specs[-1], bits) if specs[-1].moves.drift < 0 else (None, None)
+        streams = [iter_passage(spec, bits, depth) for spec in dict.fromkeys(specs)]
+        walks = zip(*streams) if len(streams) == 2 else ((item, item) for item in streams[0])
+        total, last = head << 2 * one, 0
+        reach, next_check = None, 16
+        limit = tol.numerator << (2 * one + 1)  # tol on the scale 2**-(2 one + 1)
+        den, max_k = tol.denominator, policy.max_k
+        for (k, r1, q1, _, _, _, t1, w1), (_, r2, q2, cells, low, lift, t2, w2) in walks:
             t = term(r1, q1, r2, q2)
-            total = (total << 2) + t
+            total += t
             if t:
-                last, last_k = t, k
-            if lundberg is not None and (k >= next_check or k >= policy.max_k):
-                reach, reach_k = lundberg(k, cells), k
+                last = t
+            if lundberg is not None and (k >= next_check or k >= max_k):
+                reach = lundberg(k, cells, low) << lift
                 next_check = max(k + 1, int(k * 1.25))
             # a later arrival only gets less likely, so an earlier figure
-            # holds at move k, scaled to the denominator 2**k
-            h2 = q2 if reach is None else min(q2, reach << (k - reach_k))
-            tail_bound = bound(k, q1, h2)
-            # on the scale 2**-(2k + 1), B is tail_estimate and 2 * total + B the value
-            limit = tol.numerator << (2 * k + 1)
-            if tail_bound * tol.denominator <= limit or k >= policy.max_k:
-                tail, error = _round_up(tail_bound, prec), _ulp(2 * total + tail_bound, prec)
-                converged = (tail + error) * tol.denominator <= limit
-                if converged or k >= policy.max_k:
+            # holds at move k
+            h2 = (q2 if reach is None else min(q2, reach + w2)) + t2
+            tail_bound = bound(k, q1 + t1, h2)
+            # on the scale 2**-(2 one + 1), B is tail_estimate and 2 * total + B the value
+            if tail_bound * den <= limit or k >= max_k:
+                ulp = _ulp(2 * total + tail_bound, prec)
+                floor_error = k * (t1 + w1 + t2 + w2) << (one + 1)
+                tail = _round_up(tail_bound, prec)
+                error = _round_up(max(ulp, ulp // 2 + floor_error), prec)
+                converged = (tail + error) * den <= limit
+                if converged or k >= max_k:
                     break
-    scale = -(2 * k + 1)
+    scale = -(2 * one + 1)
     with mp.workdps(dps):
         return SeriesResult(
             value=mpf((2 * total + tail_bound, scale)),
             truncation_k=k,
-            last_term=mpf((last, -2 * last_k)),
+            last_term=mpf((last, -2 * one)),
             tail_estimate=mpf((tail, scale)),
             verdict=CONVERGED if converged else INCONCLUSIVE,
             method=method,
             witness=None if converged else f"tail not below tolerance by the truncation cap k={k}",
-            no_winner=mpf((q1 * q2, -2 * k)) if no_winner else None,
+            no_winner=mpf((q1 * q2, -2 * one)) if no_winner else None,
             eval_error=mpf((error, scale)),
             work_dps=dps,
         )
@@ -312,10 +350,10 @@ def _round_up(x: int, prec: int) -> int:
 
 
 def _ulp(x: int, prec: int) -> int:
-    """One unit in the last place of x rounded to ``prec`` bits, which
-    bounds that rounding; zero when x needs no rounding."""
+    """One unit in the last place of x rounded to ``prec`` bits, twice the
+    bound on that rounding to nearest; zero when x needs no rounding."""
     shift = x.bit_length() - prec
-    return 1 << shift if shift > 0 else 0
+    return 1 << shift if shift > 0 and x & ((1 << shift) - 1) else 0
 
 
 # ---------------------------------------------------------------------------

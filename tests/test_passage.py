@@ -1,15 +1,19 @@
 import hashlib
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
+from itertools import chain, islice, repeat
+from operator import add
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from mpmath import mp
+from mpmath.libmp import dps_to_prec
 
 from pilerace.cli import _write_rows_csv
 from pilerace.closedforms import hitting_time_count, monotone_survival_count, passage_prob_m1p2
 from pilerace.passage import (
+    FLOOR_EVERY,
     GameSpec,
     MoveSet,
     build_passage_table,
@@ -18,6 +22,7 @@ from pilerace.passage import (
     reachability_rule,
     reduce_zero_drift,
 )
+from pilerace.series import FLOOR_GUARD_BITS, WORK_DPS, _lundberg, win_prob_direct
 
 MOVE_MATRIX = [MoveSet(-1, 1), MoveSet(-1, 2), MoveSet(1, 2), MoveSet(-2, 1), MoveSet(0, 1)]
 
@@ -133,6 +138,82 @@ class TestExactIdentities:
             b = build_passage_table(GameSpec(MoveSet(-1, 1), n), 60)
             for k in range(61):
                 assert a.q[k] <= b.q[k]
+
+
+# the fixed-point precision of a sum at the default tolerance
+DEFAULT_BITS = dps_to_prec(WORK_DPS) + FLOOR_GUARD_BITS
+FURTHER = 2000  # moves the exact walk runs past the sink line
+
+
+@lru_cache(maxsize=None)
+def _arrivals(moves: MoveSet, top: int) -> list:
+    """``u[d - 1]``: how many of the ``2**FURTHER`` move sequences from d
+    positions below the target reach it, for d = 1..len(u) <= top; a
+    longer gap is never crossed.  The walk is translation invariant, so
+    one list serves every target."""
+    a, b = moves.a, moves.b
+    u = []  # no moves left: no gap is crossed
+    for m in range(1, FURTHER + 1):
+        width = min(b * m, top - a * (FURTHER - m))
+        ext = [1 << (m - 1)] * b + u + [0] * (width + b - a - len(u))
+        u = list(map(add, ext[b - a:b - a + width], ext[:width]))
+    return u
+
+
+class TestFixedPointStream:
+    """``iter_passage``'s fixed-point mode against its exact mode, at a
+    precision that floors from move 96 on and at the one a default sum
+    uses.  At every move the exact r and q lie within the fixed-point
+    values, the tally and the sink's bound; under negative drift that
+    bound, with the tally for mass floored away before it reached the
+    line, covers what the exact walk absorbs from below the sink line in
+    the next 2,000 moves."""
+
+    NEGATIVE = [MoveSet(-2, 1), MoveSet(-3, 2), MoveSet(-6, 1), MoveSet(-5, 3), MoveSet(-5, 4)]
+    POSITIVE = [MoveSet(-1, 2), MoveSet(-3, 4), MoveSet(-5, 6), MoveSet(0, 1), MoveSet(1, 2),
+                MoveSet(2, 5), MoveSet(-2, 5)]
+
+    @pytest.mark.parametrize("bits", [64, DEFAULT_BITS])
+    @pytest.mark.parametrize("n", [1, 6])
+    @pytest.mark.parametrize("moves", NEGATIVE + POSITIVE, ids=str)
+    def test_exact_walk_within_the_tally(self, moves, n, bits):
+        spec, span, k_max = GameSpec(moves, n), moves.b - moves.a, 400
+        depth = None
+        if moves.drift < 0:
+            with mp.workdps(WORK_DPS):
+                depth = _lundberg(spec, bits)[0]
+        one = bits + FLOOR_EVERY
+        exact = chain(iter_passage(spec), repeat((None, 0, 0, [])))
+        floored = False
+        for (_, win, survived, cells), (k, fwin, fsurvived, _, _, _, tally, sunk) in zip(
+                exact, islice(iter_passage(spec, bits, depth), k_max)):
+            assert fwin << k <= win << one <= (fwin + tally + sunk) << k
+            assert (fsurvived - sunk) << k <= survived << one <= (fsurvived + tally) << k
+            floored |= tally > 0
+            if depth is None:
+                assert sunk == 0
+                continue
+            deep = -(-(n - depth - moves.a * k) // span)  # cells j < deep lie below the line
+            if deep <= 0:
+                continue
+            u = _arrivals(moves, n - moves.a * k_max)
+            absorbed = sum(c * u[gap - 1] for c, gap in zip(
+                cells[:deep], range(n - moves.a * k, 0, -span)) if gap <= len(u))
+            assert absorbed << one <= (sunk + tally) << (k + FURTHER)
+        assert floored or moves.a > 0  # a walk with two positive moves ends within n moves
+
+    @pytest.mark.parametrize("moves, n", [(MoveSet(1, 2), 5), (MoveSet(0, 1), 3)], ids=str)
+    def test_nothing_floored_stays_exact(self, moves, n):
+        spec = GameSpec(moves, n)
+        for k, *_, tally, sunk in islice(iter_passage(spec, DEFAULT_BITS), 60):
+            assert (tally, sunk) == (0, 0), k
+        res = win_prob_direct(spec)
+        assert res.eval_error == 0
+        # the partial sum plus half its bound q_K**2, to the last bit
+        table = build_passage_table(spec, res.truncation_k)
+        exact = sum(table.q[k] * table.r[k] for k in range(res.truncation_k + 1))
+        man, exp = res.value.man_exp
+        assert man * F(2) ** exp == exact + table.q[-1] ** 2 / 2
 
 
 class TestSurvivalLimits:

@@ -43,8 +43,15 @@ def test_tracer_records_and_restores(monkeypatch):
         tracer.uninstall()
     for module, name in patched:
         assert getattr(module, name) is before[modules.index(module)][name], name
+    # the summed evaluators step the fixed-point DP directly; only
+    # win_within reads the exact stream
     streams = [s for s in tracer.spans if s["name"] == "series.rq_stream"]
-    assert len(streams) == 3
-    assert all(s["kind"] == "dp" and s["terms"] > 0 for s in streams)
-    evaluators = {s["name"] for s in tracer.spans if s["parent"] is None}
-    assert {"series.square_sum_value", "series.win_prob_direct", "series.win_within"} <= evaluators
+    assert len(streams) == 1
+    assert streams[0]["kind"] == "dp" and streams[0]["terms"] > 0
+    names = {s["id"]: s["name"] for s in tracer.spans}
+    evaluators = {"series.square_sum_value", "series.win_prob_direct", "series.win_within"}
+    assert evaluators <= {s["name"] for s in tracer.spans if s["parent"] is None}
+    dp_parents = {names[s["parent"]] for s in tracer.spans
+                  if s["name"] == "passage.iter_passage" and s["terms"] > 0}
+    assert dp_parents == evaluators
+    assert names[streams[0]["parent"]] == "series.win_within"
