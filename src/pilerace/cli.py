@@ -19,7 +19,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import asdict, dataclass
 from itertools import chain, islice, repeat
 
 from mpmath import mp, mpf
@@ -55,16 +56,7 @@ class OutputRecord:
     provenance: str
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "command": self.command,
-                "inputs": self.inputs,
-                "results": self.results,
-                "provenance": self.provenance,
-            },
-            indent=2,
-            sort_keys=False,
-        )
+        return json.dumps(asdict(self), indent=2)
 
     def render_human(self) -> str:
         lines = [f"# {self.command}: {self.provenance}"]
@@ -108,8 +100,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _add_series_flags(p: argparse.ArgumentParser, digits: bool = True) -> None:
-    only = " (summed, non-zero drift series only; zero-drift answers are exact)"
+def _add_series_flags(
+    p: argparse.ArgumentParser,
+    digits: bool = True,
+    only: str = " (summed, non-zero drift series only; zero-drift answers are exact)",
+) -> None:
     p.add_argument("--tol", type=float, default=None,
                    help=f"tail tolerance, default {DEFAULT_TOLERANCE:g}" + only)
     p.add_argument("--max-k", type=int, default=None, help="truncation cap" + only)
@@ -178,12 +173,13 @@ def build_parser() -> _Parser:
         help="check the engine: the DP against the hitting-time and binomial laws "
         "(identities), Catalan, Raney and unit-step closed forms (oracles), pinned win "
         "probabilities (residuals), the engine's exact unit-step T(n) against their "
-        "recurrence (recurrence)",
+        "recurrence (recurrence); --tol and --max-k apply to residuals only",
     )
     p.add_argument("suite", nargs="?", default="all",
                    choices=["all", *_SUITES])
     p.add_argument("--json", action="store_true")
-    _add_series_flags(p, digits=False)
+    _add_series_flags(p, digits=False,
+                      only=" (residuals only; identities, oracles and recurrence ignore it)")
 
     return parser
 
@@ -199,25 +195,26 @@ def _exit_code_for(*results: SeriesResult) -> int:
     return 0
 
 
-def _cmd_pn(args) -> tuple[OutputRecord, int]:
-    direct = win_prob_direct(GameSpec(args.moves, args.n), _policy_from(args))
-    record = OutputRecord(
-        command="pn",
-        inputs={"moves": str(args.moves), "n": args.n},
-        results={"direct": direct.to_json_dict(args.digits)},
-        provenance="second player's win probability for equal targets",
-    )
-    return record, _exit_code_for(direct)
+# each series command: its target arguments, its results key, its
+# provenance and its evaluator call
+_SERIES = {
+    "pn": (("n",), "direct", "second player's win probability for equal targets",
+           lambda args: win_prob_direct(GameSpec(args.moves, args.n), _policy_from(args))),
+    "pmn": (("n1", "n2"), "p", "second player's win probability for distinct targets",
+            lambda args: win_prob_targets(args.n1, args.n2, args.moves, _policy_from(args))),
+    "duration": (("n",), "expected_rounds", "expected number of rounds until someone wins",
+                 lambda args: expected_duration(GameSpec(args.moves, args.n), _policy_from(args))),
+}
 
 
-def _cmd_pmn(args) -> tuple[OutputRecord, int]:
-    policy = _policy_from(args)
-    res = win_prob_targets(args.n1, args.n2, args.moves, policy)
+def _cmd_series(args) -> tuple[OutputRecord, int]:
+    targets, key, provenance, evaluate = _SERIES[args.subcommand]
+    res = evaluate(args)
     record = OutputRecord(
-        command="pmn",
-        inputs={"moves": str(args.moves), "n1": args.n1, "n2": args.n2},
-        results={"p": res.to_json_dict(args.digits)},
-        provenance="second player's win probability for distinct targets",
+        command=args.subcommand,
+        inputs={"moves": str(args.moves), **{t: getattr(args, t) for t in targets}},
+        results={key: res.to_json_dict(args.digits)},
+        provenance=provenance,
     )
     return record, _exit_code_for(res)
 
@@ -239,36 +236,35 @@ def _cmd_within(args) -> tuple[OutputRecord, int]:
     return record, 0
 
 
-def _cmd_duration(args) -> tuple[OutputRecord, int]:
-    spec = GameSpec(args.moves, args.n)
-    res = expected_duration(spec, _policy_from(args))
-    record = OutputRecord(
-        command="duration",
-        inputs={"moves": str(args.moves), "n": args.n},
-        results={"expected_rounds": res.to_json_dict(args.digits)},
-        provenance="expected number of rounds until someone wins",
-    )
-    return record, _exit_code_for(res)
-
-
 def _fmt_delta(x, y) -> str:
     with mp.workdps(30):
         return mp.nstr(abs(mpf(x) - mpf(y)), 6)
+
+
+# the pinned {-1,1} tables: the exact forms by cell, the cell's columns,
+# the evaluator of one cell and the provenance
+_PINNED_TABLES = {
+    "table1": (reference.TARGET_TABLE_PM1, ("n1", "n2"),
+               lambda policy, n1, n2: win_prob_targets(n1, n2, MoveSet(-1, 1), policy),
+               "win-probability table for distinct targets, unit-step race"),
+    "t_values": ({(n,): form for n, form in reference.SQUARE_SUMS_PM1.items()}, ("n",),
+                 lambda policy, n: square_sum_value(MoveSet(-1, 1), n, policy),
+                 "squared-passage sums for the unit-step race"),
+}
 
 
 def _cmd_table(args) -> tuple[OutputRecord, int]:
     policy = _policy_from(args)
     rows: list[dict] = []
     outputs: list[SeriesResult] = []
-    if args.which == "table1":
-        moves = MoveSet(-1, 1)
-        for (n1, n2), form in sorted(reference.TARGET_TABLE_PM1.items()):
-            res = win_prob_targets(n1, n2, moves, policy)
+    if args.which in _PINNED_TABLES:
+        forms, columns, evaluate, provenance = _PINNED_TABLES[args.which]
+        for cell, form in sorted(forms.items()):
+            res = evaluate(policy, *cell)
             exact = form.approx(20)
             rows.append(
                 {
-                    "n1": n1,
-                    "n2": n2,
+                    **dict(zip(columns, cell)),
                     "exact_form": str(form),
                     "exact_decimal": exact.formatted(17),
                     "computed": res.formatted(args.digits),
@@ -276,24 +272,6 @@ def _cmd_table(args) -> tuple[OutputRecord, int]:
                 }
             )
             outputs.append(res)
-        provenance = "win-probability table for distinct targets, unit-step race"
-    elif args.which == "t_values":
-        moves = MoveSet(-1, 1)
-        series = [square_sum_value(moves, n, policy) for n in range(1, 7)]
-        for n, res in enumerate(series, start=1):
-            form = reference.SQUARE_SUMS_PM1[n]
-            exact = form.approx(20)
-            rows.append(
-                {
-                    "n": n,
-                    "exact_form": str(form),
-                    "exact_decimal": exact.formatted(17),
-                    "computed": res.formatted(args.digits),
-                    "abs_delta": _fmt_delta(res.value, exact.value),
-                }
-            )
-            outputs.append(res)
-        provenance = "squared-passage sums for the unit-step race"
     else:  # case_minus1_2
         moves = MoveSet(-1, 2)
         for n, (sumsq_ref, p_ref) in sorted(reference.MINUS12_REFERENCE.items()):
@@ -393,12 +371,11 @@ def _cmd_simulate(args) -> tuple[OutputRecord, int]:
 # verification suites
 
 
-def _verify_identities(policy: TailPolicy, lines: list[dict]) -> bool:
+def _verify_identities(policy: TailPolicy) -> Iterator[dict]:
     """The DP's numerators for k <= 100 and n = 1..5 against two exact laws
     that share no code with it; a stream that ends early is read as zeros."""
     from .closedforms import hitting_time_count, monotone_survival_count
 
-    ok = True
     for a, b in [(-3, 1), (-2, 1), (-1, 1), (0, 1), (0, 2), (1, 2), (1, 3)]:
         skip_free, monotone = b == 1 and a <= 0, a >= 0
         mismatches = 0
@@ -411,37 +388,30 @@ def _verify_identities(policy: TailPolicy, lines: list[dict]) -> bool:
                     mismatches += 1
         used = [("hitting-time theorem", skip_free), ("binomial survival law", monotone)]
         laws = " and ".join(law for law, applies in used if applies)
-        lines.append({"check": f"{laws} on the DP moves={a},{b} n=1..5 k<=100",
-                      "ok": not mismatches, "mismatches": mismatches})
-        ok &= not mismatches
-    return ok
+        yield {"check": f"{laws} on the DP moves={a},{b} n=1..5 k<=100",
+               "ok": not mismatches, "mismatches": mismatches}
 
 
-def _verify_oracles(policy: TailPolicy, lines: list[dict]) -> bool:
+def _verify_oracles(policy: TailPolicy) -> Iterator[dict]:
     from .closedforms import passage_prob_m1p2, passage_prob_pm1, survival_one, win_within_one
 
-    ok = True
     table = build_passage_table(GameSpec(MoveSet(-1, 1), 1), 100)
     good = all(survival_one(k) == table.q[k] for k in range(101))
     good &= all(
         win_within_one(k) == win_within(GameSpec(MoveSet(-1, 1), 1), k) for k in range(1, 101)
     )
-    lines.append({"check": "unit-step closed forms equal exact partial sums (k<=100)", "ok": bool(good)})
-    ok &= good
+    yield {"check": "unit-step closed forms equal exact partial sums (k<=100)", "ok": bool(good)}
     for n in range(1, 6):
         t = build_passage_table(GameSpec(MoveSet(-1, 1), n), 40)
         good = all(passage_prob_pm1(n, k) == t.r[k] for k in range(1, 41))
-        lines.append({"check": f"catalan counts equal unit-step DP (n={n}, k<=40)", "ok": bool(good)})
-        ok &= good
+        yield {"check": f"catalan counts equal unit-step DP (n={n}, k<=40)", "ok": bool(good)}
     for n in range(1, 5):
         t = build_passage_table(GameSpec(MoveSet(-1, 2), n), 30)
         good = all(passage_prob_m1p2(n, k) == t.r[k] for k in range(1, 31))
-        lines.append({"check": f"raney counts equal {{-1,2}} DP (n={n}, k<=30)", "ok": bool(good)})
-        ok &= good
-    return ok
+        yield {"check": f"raney counts equal {{-1,2}} DP (n={n}, k<=30)", "ok": bool(good)}
 
 
-def _verify_residuals(policy: TailPolicy, lines: list[dict]) -> bool:
+def _verify_residuals(policy: TailPolicy) -> Iterator[dict]:
     """Distinct-target win probabilities against the pinned references:
     the exact {-1,1} table and the {-1,2} decimals (truncated at 1e-17)."""
     with mp.workdps(WORK_DPS):
@@ -454,37 +424,29 @@ def _verify_residuals(policy: TailPolicy, lines: list[dict]) -> bool:
             (MoveSet(-1, 2), n, n, ApproxValue(mpf(reference.MINUS12_REFERENCE[n][1]), mpf("1e-17")))
             for n in range(1, 4)
         ]
-    ok = True
     for moves, n1, n2, ref in cells:
         res = win_prob_targets(n1, n2, moves, policy)
         with mp.workdps(WORK_DPS):
             err = abs(res.value - ref.value)
             bound = res.error_bound() + ref.error_bound
         good = res.verdict == CONVERGED and err <= bound
-        lines.append(
-            {
-                "check": f"pinned win probability moves={moves} n1={n1} n2={n2}",
-                "ok": bool(good),
-                "residual": mp.nstr(err, 6),
-                "bound": mp.nstr(bound, 6),
-            }
-        )
-        ok &= good
-    return ok
+        yield {
+            "check": f"pinned win probability moves={moves} n1={n1} n2={n2}",
+            "ok": bool(good),
+            "residual": mp.nstr(err, 6),
+            "bound": mp.nstr(bound, 6),
+        }
 
 
-def _verify_recurrence_suite(policy: TailPolicy, lines: list[dict]) -> bool:
+def _verify_recurrence_suite(policy: TailPolicy) -> Iterator[dict]:
     """The engine's exact sums T(1..40) on {-1,1} against the pinned
     order-3 recurrence: every window's left-hand side must be exactly 0."""
     rec = reference.SQUARE_SUM_RECURRENCE
     sums = [closedforms.unit_step_sum(n) for n in range(1, 41)]
-    ok = True
     for n in range(1, len(sums) - rec.order + 1):
         residual = rec.apply(sums[n - 1 : n + rec.order], n)
         check = f"squared-sum recurrence on the engine's exact T({n}..{n + rec.order})"
-        lines.append({"check": check, "ok": residual.is_zero(), "residual": str(residual)})
-        ok &= residual.is_zero()
-    return ok
+        yield {"check": check, "ok": residual.is_zero(), "residual": str(residual)}
 
 
 # each suite with the provenance its record carries
@@ -502,25 +464,23 @@ _SUITES = {
 
 def _cmd_verify(args) -> tuple[OutputRecord, int]:
     policy = _policy_from(args)
-    lines: list[dict] = []
-    ok = True
     chosen = _SUITES if args.suite == "all" else {args.suite: _SUITES[args.suite]}
-    for fn, _ in chosen.values():
-        ok &= fn(policy, lines)
+    lines = [line for suite, _ in chosen.values() for line in suite(policy)]
+    ok = all(line["ok"] for line in lines)
     record = OutputRecord(
         command="verify",
         inputs={"suite": args.suite},
-        results={"checks": lines, "all_ok": bool(ok)},
+        results={"checks": lines, "all_ok": ok},
         provenance="; ".join(dict.fromkeys(what for _, what in chosen.values())),
     )
     return record, 0 if ok else CONVERGENCE_ERROR
 
 
 _COMMANDS = {
-    "pn": _cmd_pn,
-    "pmn": _cmd_pmn,
+    "pn": _cmd_series,
+    "pmn": _cmd_series,
     "within": _cmd_within,
-    "duration": _cmd_duration,
+    "duration": _cmd_series,
     "table": _cmd_table,
     "passage": _cmd_passage,
     "simulate": _cmd_simulate,

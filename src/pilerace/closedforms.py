@@ -58,59 +58,44 @@ def catalan_count(n: int, k: int) -> int:
     return _exact_div(s * comb(2 * m, m - s), m)
 
 
-class _RaneyMemo:
-    """Rows of the {-1, 2} walk counts, built bottom-up.
-
-    Row n needs row n-1 one index further out, so requesting (n, k)
-    materializes rows 1..n padded out to k + n.  Rows are kept for the
-    life of the process; they are small integers tables.
-    """
-
-    def __init__(self):
-        self._rows: dict[int, list[int]] = {}
-
-    def _base(self, k: int) -> int:
-        m, rem = divmod(k, 3)
-        if rem == 0:
-            return _exact_div(comb(3 * m, m), 2 * m + 1)
-        if rem == 1:
-            return _exact_div(comb(3 * m + 1, m + 1), 2 * m + 1)
-        return 0
-
-    def get(self, n: int, k: int) -> int:
-        if n <= 0:
-            return 0
-        self._ensure(n, k)
-        row = self._rows[n]
-        return row[k] if k < len(row) else 0
-
-    def _ensure(self, n: int, k: int) -> None:
-        have = self._rows.get(n)
-        if have is not None and len(have) > k:
-            return
-        extent = k + n + 1  # row m is built out to extent + (n - m)
-        self._rows[1] = [self._base(j) for j in range(extent + n)]
-        for m in range(2, n + 1):
-            prev = self._rows[m - 1]
-            older = self._rows.get(m - 3, []) if m >= 3 else []
-            row = []
-            for j in range(extent + n - m):
-                val = prev[j + 1] - (older[j] if j < len(older) else 0)
-                if val < 0:
-                    raise AssertionError(f"negative walk count at n={m}, k={j}")
-                row.append(val)
-            self._rows[m] = row
+def _raney_base(k: int) -> int:
+    m, rem = divmod(k, 3)
+    if rem == 0:
+        return _exact_div(comb(3 * m, m), 2 * m + 1)
+    if rem == 1:
+        return _exact_div(comb(3 * m + 1, m + 1), 2 * m + 1)
+    return 0
 
 
-_RANEY = _RaneyMemo()
+# rows of the {-1, 2} walk counts by n >= 1, kept for the life of the
+# process; they are small integer tables
+_RANEY_ROWS: dict[int, list[int]] = {}
 
 
 def raney_count(n: int, k: int) -> int:
     """Walks of length k with {-1, +2} steps, all partial sums < n,
-    ending at n-1 or n-2.  Defined for n >= -1 (rows -1 and 0 vanish)."""
+    ending at n-1 or n-2.  Defined for n >= -1 (rows -1 and 0 vanish).
+
+    Row n needs row n-1 one index further out, so a request past the
+    stored row n builds rows 1..n bottom-up, row 1 out to index k + 2n."""
     if n < -1 or k < 0:
         raise ValueError("raney_count needs n >= -1 and k >= 0")
-    return _RANEY.get(n, k)
+    if n <= 0:
+        return 0
+    if len(_RANEY_ROWS.get(n, ())) <= k:
+        extent = k + 2 * n + 1
+        _RANEY_ROWS[1] = [_raney_base(j) for j in range(extent)]
+        for m in range(2, n + 1):
+            prev = _RANEY_ROWS[m - 1]
+            older = _RANEY_ROWS.get(m - 3, [])
+            row = []
+            for j in range(extent - m):
+                val = prev[j + 1] - (older[j] if j < len(older) else 0)
+                if val < 0:
+                    raise AssertionError(f"negative walk count at n={m}, k={j}")
+                row.append(val)
+            _RANEY_ROWS[m] = row
+    return _RANEY_ROWS[n][k]
 
 
 def survival_one(k: int) -> Fraction:

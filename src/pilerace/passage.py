@@ -214,6 +214,7 @@ class PassageTable:
 
 def build_passage_table(spec: GameSpec, k_max: int) -> PassageTable:
     """Exact table of r and q up to ``k_max`` moves."""
+    require_int(k_max, "k_max")
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     r = [Fraction(0)]

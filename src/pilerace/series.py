@@ -514,6 +514,7 @@ def win_within(spec: GameSpec, k: int) -> Fraction:
     spec = _validated(spec)
     if spec.n < 1:
         raise ValueError("target must be >= 1")
+    require_int(k, "k")
     if k < 1:
         raise ValueError("k must be >= 1")
     total = last = 0

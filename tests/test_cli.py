@@ -60,8 +60,14 @@ class TestPn:
         # the paper's generating-function route gives 0.33891390869471156724405181216...
         assert shown.startswith("3389139086947115672440518121")
 
-    def test_nonconvergence_exit_code(self, capsys):
-        code, out = run_cli(capsys, "pn", "--moves=-1,2", "--n=1",
+    @pytest.mark.parametrize(
+        "command, targets",
+        [("pn", ("--n=1",)), ("pmn", ("--n1=1", "--n2=2")), ("duration", ("--n=3",))],
+        ids=["pn", "pmn", "duration"],
+    )
+    def test_nonconvergence_exit_code(self, capsys, command, targets):
+        # every series command stops at the cap and says so
+        code, out = run_cli(capsys, command, "--moves=-1,2", *targets,
                             "--max-k=16", "--tol=1e-12")
         assert code == 2
         assert "inconclusive" in out

@@ -293,6 +293,16 @@ class TestWinWithin:
             win_within(GameSpec(PM1, 1), 0)
 
 
+@pytest.mark.parametrize(
+    "count_moves, k", [(win_within, 5.5), (build_passage_table, 2.0), (build_passage_table, True)]
+)
+def test_move_count_must_be_an_integer(count_moves, k):
+    # a fractional count summed to floor(k) in win_within, and never ended
+    # the table's DP, which stops when it reaches k exactly
+    with pytest.raises(TypeError):
+        count_moves(GameSpec(M12, 1), k)
+
+
 class TestSquareSums:
     def test_unit_step_values(self):
         assert abs(square_sum_value(PM1, 1).value - pl(-1, 4)) < 1e-8
