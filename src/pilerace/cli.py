@@ -320,8 +320,8 @@ def _write_rows_csv(path: str, rows) -> None:
 
 def _cmd_passage(args) -> tuple[OutputRecord, int]:
     spec = GameSpec(args.moves, args.n)
-    table = build_passage_table(spec, args.max_k)
     shown = min(args.max_k, 20)
+    table = build_passage_table(spec, args.max_k if args.csv else shown)
     results = {
         "rows": list(islice(table.rows(), shown + 1)),
         "reachability": reachability_rule(spec),
@@ -380,7 +380,8 @@ def _verify_identities(policy: TailPolicy) -> Iterator[dict]:
         skip_free, monotone = b == 1 and a <= 0, a >= 0
         mismatches = 0
         for n in range(1, 6):
-            items = chain(iter_passage(GameSpec(MoveSet(a, b), n)), repeat((0, 0, 0, None)))
+            items = chain(iter_passage(GameSpec(MoveSet(a, b), n), horizon=100),
+                          repeat((0, 0, 0, None)))
             for k, (_, win, survived, _) in zip(range(1, 101), items):
                 if skip_free and win != hitting_time_count(a, n, k):
                     mismatches += 1

@@ -17,13 +17,21 @@ of j.  The stream yields r and q as integer numerators over ``2**k``;
 ``build_passage_table`` turns them into ``Fraction``s, and tables are
 exact by construction.
 
+A consumer that reads only the first K moves passes ``horizon=K``: the
+cells that can no longer reach n by move K are dropped as the walk goes,
+their mass kept in q, and the stream ends at K.
+
 Exact numerators grow by one bit per move, so a long sum would cost about
 K**3 bit operations.  The series core therefore asks for the same steps
 in fixed point: weights floored to a fixed number of bits, with the mass
-floored away counted exactly in a tally, leading cells that floor to zero
+floored away counted exactly in a tally, bottom cells that floor to zero
 dropped, and, under negative drift, cells too deep to matter moved to a
 sink.  Every fixed-point weight is at most the exact one, so the tally
-and the sink bound what the fixed-point r and q miss.
+and the sink bound what the fixed-point r and q miss.  The fixed-point
+lattice is one integer with a fixed-width slot per cell, the top cell in
+the lowest slot, so that a step is a shift and an add, absorption a low
+mask and a shift, and a floor a shift and a mask; the slot width leaves
+room for the whole mass, so no slot ever carries into the next.
 
 The degenerate target ``n = 0`` is refused here; a zero-target race is
 decided before anyone moves and is answered directly by the series layer.
@@ -33,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from operator import add
 
 from .numeric import rational_str
@@ -95,7 +104,8 @@ class GameSpec:
             raise ValueError(f"target must be >= 0, got {self.n}")
 
 
-def iter_passage(spec: GameSpec, bits: int | None = None, depth: int | None = None):
+def iter_passage(spec: GameSpec, bits: int | None = None, depth: int | None = None, *,
+                 horizon: int | None = None):
     """Yield ``(k, win, survived, counts)`` for k = 1, 2, ...: the integer
     numerators of ``r_k`` and ``q_k`` over ``2**k``, and the lattice cells.
 
@@ -108,52 +118,63 @@ def iter_passage(spec: GameSpec, bits: int | None = None, depth: int | None = No
     generator ends once the surviving mass hits zero (every later r and q
     is exactly zero), which happens iff both moves are positive.
 
+    With ``horizon`` = K the stream ends at move K, and from each move k on
+    the cells more than ``b (K - k)`` positions below n are dropped: they
+    cannot reach n by move K.  Their mass stays in ``survived``, so every
+    yielded r and q equals the unpruned stream's; ``counts`` then holds
+    only the cells above the dropped ones.
+
     With ``bits`` the same steps run in fixed point, and the generator
-    yields ``(k, win, survived, counts, low, lift, tally, sunk)``.  Every
+    yields ``(k, win, survived, lattice, low, lift, tally, sunk)``.  Every
     weight is an integer over ``2**(bits + e)``; a step doubles the
     denominator (e grows by 1).  The weights start exact, at e = -bits,
     and once e reaches ``FLOOR_EVERY`` all of them are shifted right by
     ``FLOOR_EVERY``, back to e = 0, and again every ``FLOOR_EVERY`` moves.
-    The bits shifted out add up, exactly, in ``tally``; cells that floor to
-    zero at the bottom of the lattice are dropped, and ``counts[i]`` is the
-    cell j = ``low + i``.  With ``depth`` the cells more than ``depth``
-    positions below n move to a sink, whose mass still counts as
-    surviving; the caller picks ``depth`` so that a unit of mass that deep
-    ever reaches n with chance below ``2**-bits``, and ``sunk``, the sink's
-    mass over ``2**bits`` rounded up, then bounds every later arrival of
-    the sink.  ``win``, ``survived``, ``tally`` and ``sunk`` are over
-    ``2**(bits + FLOOR_EVERY)``, and the cells are over that denominator
-    shifted down by ``lift``.  Every step is monotone, so each fixed-point
-    weight is at most the exact one, and the mass missing from the lattice
-    and the sink is at most ``tally``: the exact q is in ``[survived -
-    sunk, survived + tally]``, and the exact r is at least ``win`` and at
-    most ``win + tally + sunk``.  This stream never ends; once the lattice
-    and the sink are empty it repeats its last tally with zero r and q.
+    The bits shifted out add up, exactly, in ``tally``.  With ``depth``
+    the cells more than ``depth`` positions below n move to a sink, whose
+    mass still counts as surviving; the caller picks ``depth`` so that a
+    unit of mass that deep ever reaches n with chance below ``2**-bits``,
+    and ``sunk``, the sink's mass over ``2**bits`` rounded up, then bounds
+    every later arrival of the sink.  ``win``, ``survived``, ``tally`` and
+    ``sunk`` are over ``2**(bits + FLOOR_EVERY)``, and the cells are over
+    that denominator shifted down by ``lift``.  Every step is monotone, so
+    each fixed-point weight is at most the exact one, and the mass missing
+    from the lattice and the sink is at most ``tally``: the exact q is in
+    ``[survived - sunk, survived + tally]``, and the exact r is at least
+    ``win`` and at most ``win + tally + sunk``.  This stream never ends;
+    once the lattice and the sink are empty it repeats its last tally with
+    zero r and q.
+
+    The fixed-point cells are packed into the one integer ``lattice``:
+    slot i, bits ``[i w, (i + 1) w)`` with w = ``slot_width(bits)``, holds
+    the cell j = top - i, so the top cell sits in the lowest slot, and
+    ``unpack`` lists the cells from the top down.  The lattice's mass never
+    exceeds ``2**(bits + FLOOR_EVERY)``, which is below ``2**w - 1``, so no
+    slot, nor any sum of slots, carries into the next slot.  A step is
+    then ``x + (x << w)``; the absorbed cells are the lowest slots, cut off
+    by a small mask and a shift; a floor is one shift and one mask; and
+    ``_slot_sum`` adds slots.  A bottom cell of zero weight vanishes as
+    leading zero bits, so ``low``, the j of the lowest non-zero cell, is
+    read from the bit length.
     """
     if spec.n < 1:
         raise ValueError(
             "the passage engine needs a target >= 1; a zero-target race is "
             "decided before any move"
         )
-    a, b = spec.moves.a, spec.moves.b
-    n = spec.n
+    if bits is None:
+        return _exact_passage(spec.moves.a, spec.moves.b, spec.n, horizon)
+    if horizon is not None:
+        raise ValueError("a horizon applies to the exact stream only")
+    return _fixed_passage(spec.moves.a, spec.moves.b, spec.n, bits, depth)
+
+
+def _exact_passage(a: int, b: int, n: int, horizon: int | None):
     span = b - a
-    fixed = bits is not None
     counts = [1]
-    survived = 1  # in fixed point, the lattice's mass alone
-    k = low = e = tally = sink = sunk = 0
-    every = FLOOR_EVERY
-    if fixed:
-        e = -bits
-    while True:
-        k += 1
-        if e == every:
-            floored = [c >> e for c in counts]
-            mass = sum(floored)
-            tally += survived - (mass << e)
-            survived, e = mass, 0
-            zeros = next((i for i, c in enumerate(floored) if c), len(floored))
-            counts, low = floored[zeros:], low + zeros
+    survived = 1
+    low = 0
+    for k in count(1) if horizon is None else range(1, horizon + 1):
         if span:
             shifted = [0, *counts]
             counts.append(0)
@@ -163,28 +184,103 @@ def iter_passage(spec: GameSpec, bits: int | None = None, depth: int | None = No
             cut = max(_ceil_div(n - a * k, span) - low, 0)
             win = sum(counts[cut:])
             del counts[cut:]
+            if horizon is not None:
+                deep = _ceil_div(n - b * (horizon - k) - a * k, span) - low
+                if deep > 0:
+                    del counts[:deep]
+                    low += deep
         else:
             win = 2 * survived if a * k >= n else 0
         survived = 2 * survived - win
         if not span:
             counts = [survived]
-        if not fixed:
-            yield k, win, survived, counts
-            if survived == 0:
-                return
-            continue
+        yield k, win, survived, counts
+        if survived == 0:
+            return
+
+
+def _fixed_passage(a: int, b: int, n: int, bits: int, depth: int | None):
+    span = b - a
+    every = FLOOR_EVERY
+    w = slot_width(bits)
+    floor_mask, floor_slots = (1 << (w - every)) - 1, 1  # one slot's mask, repeated
+    lattice = survived = 1  # survived: the lattice's mass alone
+    top = 0  # j of the cell in the lowest slot
+    k = tally = sink = sunk = 0
+    e = -bits
+    while True:
+        k += 1
+        if e == every:
+            slots = -(-lattice.bit_length() // w)
+            while floor_slots < slots:
+                floor_mask |= floor_mask << floor_slots * w
+                floor_slots *= 2
+            lattice = (lattice >> every) & floor_mask
+            mass = _slot_sum(lattice, w)
+            tally += survived - (mass << every)
+            survived, e = mass, 0
+        if span:
+            top += 1
+            gone = top - _ceil_div(n - a * k, span) + 1
+            if gone <= 0:
+                win = 0
+                lattice += lattice << w
+            elif gone * w < lattice.bit_length() + w:
+                # the step's low ``gone`` slots are absorbed: step them
+                # alone, and shift the rest down in the same pass
+                cut = gone * w
+                head = lattice & ((1 << cut) - 1)
+                win = _slot_sum((head + (head << w)) & ((1 << cut) - 1), w)
+                rest = lattice >> (cut - w) if gone > 1 else lattice  # x >> 0 copies x
+                lattice = rest + (rest >> w)
+            else:  # the whole lattice
+                win, lattice = 2 * _slot_sum(lattice, w), 0
+            top -= max(gone, 0)
+            survived = 2 * survived - win
+        else:
+            win = 2 * survived if a * k >= n else 0
+            survived = lattice = 2 * survived - win
         e += 1
         lift = every - e
+        low = top + 1 - -(-lattice.bit_length() // w)
         if depth is not None and span:
             deep = _ceil_div(n - depth - a * k, span) - low
             if deep > 0:
-                moved = sum(counts[:deep])
-                del counts[:deep]
-                low += deep
+                keep = max(top + 1 - low - deep, 0) * w
+                bottom = lattice >> keep
+                lattice ^= bottom << keep
+                moved = _slot_sum(bottom, w)
+                low = top + 1 - -(-lattice.bit_length() // w)
                 survived -= moved
                 sink += moved << lift
                 sunk = -(-sink >> bits)
-        yield k, win << lift, (survived << lift) + sink, counts, low, lift, tally, sunk
+        yield k, win << lift, (survived << lift) + sink, lattice, low, lift, tally, sunk
+
+
+def _slot_sum(x: int, w: int) -> int:
+    """The sum of the w-bit slots of x, which must be below ``2**w``: the
+    halves are added slot by slot until one slot is left, a few passes over
+    x where a remainder modulo ``2**w - 1`` would divide digit by digit."""
+    slots = -(-x.bit_length() // w)
+    while slots > 1:
+        slots = (slots + 1) // 2
+        half = slots * w
+        x = (x >> half) + (x & ((1 << half) - 1))
+    return x
+
+
+def slot_width(bits: int) -> int:
+    """Bits per cell of the packed fixed-point lattice at ``bits``: room for
+    the mass bound ``2**(bits + FLOOR_EVERY)`` plus one, rounded up to
+    whole bytes so that ``unpack`` can cut the slots out of one byte string."""
+    return -(-(bits + FLOOR_EVERY + 1) // 8) * 8
+
+
+def unpack(lattice: int, bits: int) -> list:
+    """The cells of a packed fixed-point lattice, top cell first."""
+    size = slot_width(bits) // 8
+    raw = lattice.to_bytes(-(-lattice.bit_length() // (8 * size)) * size, "little")
+    return [int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size)]
 
 
 @dataclass(frozen=True)
@@ -219,11 +315,9 @@ def build_passage_table(spec: GameSpec, k_max: int) -> PassageTable:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     r = [Fraction(0)]
     q = [Fraction(1)]
-    for k, win, survived, _ in iter_passage(spec):
+    for k, win, survived, _ in iter_passage(spec, horizon=k_max):
         r.append(Fraction(win, 1 << k))
         q.append(Fraction(survived, 1 << k))
-        if k == k_max:
-            break
     while len(r) <= k_max:  # walk was absorbed early: all later mass is gone
         r.append(Fraction(0))
         q.append(Fraction(0))

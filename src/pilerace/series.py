@@ -35,8 +35,9 @@ Lundberg bound of its sink raise ``q1`` and ``h2`` before B_K is formed,
 and bound how far each term can be from the exact one.  Only the
 returned numbers are rounded, once each, at the working precision;
 ``eval_error`` covers that rounding and the floor error together.
-``win_within`` reads the exact stream and returns the partial sum as a
-``Fraction``.
+``win_within`` steps the exact DP only up to its move count (its
+horizon), or the exact Catalan stream at zero drift, and returns the
+partial sum as a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count
+from itertools import count, islice
 
 from mpmath import mp, mpf
 
@@ -57,6 +58,7 @@ from .passage import (
     iter_passage,
     reduce_zero_drift,
     require_int,
+    unpack,
 )
 
 WORK_DPS = 40
@@ -188,9 +190,10 @@ def rq_stream(spec: GameSpec, *, prefer_float: bool = False):
     numerators over ``2**k``: the unit-step Catalan stream for a
     zero-drift set, reduced to its unit-step target (``cells`` is None),
     and the exact lattice DP otherwise (``cells`` as ``iter_passage``
-    yields them).  ``win_within`` reads it; the summed evaluators step the
-    fixed-point DP instead.  ``prefer_float`` gives r and q as mpf values
-    at the current precision instead, each numerator rounded once; no
+    yields them).  ``win_within`` reads it at zero drift; the DP-backed
+    evaluators step ``iter_passage`` with a horizon or in fixed point
+    instead.  ``prefer_float`` gives r and q as mpf values at the current
+    precision instead, each numerator rounded once; no
     evaluator reads that form, and it is kept for the benchmark's tracer.
     DP-backed streams end once the walk is absorbed; the Catalan stream is
     infinite.
@@ -208,34 +211,41 @@ def rq_stream(spec: GameSpec, *, prefer_float: bool = False):
 
 def _lundberg(spec: GameSpec, bits: int):
     """Lundberg's bound for a negative-drift walk, as ``(depth, bound)``:
-    ``bound(k, cells, low)`` is at least the chance that the walk, alive at
-    move K with lattice weights ``cells`` from the cell j = ``low`` on,
-    still reaches ``n`` later, and a unit of mass more than ``depth``
-    positions below n reaches it with chance below ``2**-bits``.
+    ``bound(k, lattice, low)`` is at least the chance that the walk, alive
+    at move K with the packed fixed-point ``lattice`` of ``iter_passage``
+    at ``bits``, lowest cell j = ``low``, still reaches ``n`` later, and a
+    unit of mass more than ``depth`` positions below n reaches it with
+    chance below ``2**-bits``.
 
     For theta in (0, theta*], where theta* > 0 is the root of
     ``(e**(theta a) + e**(theta b)) / 2 = 1``, ``e**(theta S_k)`` is a
     supermartingale, so from x the walk ever reaches n with chance at most
     ``e**(-theta (n - x))``.  Summed over the cells at ``x_j = a K +
-    (b - a) j`` this is one Horner pass in ``e**(theta (b - a))``.  With
-    b = 1 the walk cannot overshoot and the bound is exact at theta*.
-    ``bound`` returns an integer numerator on the cells' scale, rounded up
-    past the rounding of its mpf factor.  ``depth`` is ``ceil((bits ln 2 +
-    1) / theta)``, so ``e**(-theta depth) < 2**-bits``.  Evaluated at the
-    current precision; both are None when no theta passes the check there
-    (a span of about 10**9), which leaves ``q_K`` as the bound and no
-    sink.
+    (b - a) j`` this is one Horner pass in ``e**(theta (b - a))``, from the
+    top cell down; ``bound`` decodes the lattice's slots once per call, in
+    O(cells), and returns an integer numerator on the cells' scale, rounded
+    up past the rounding of its mpf factor.  With b = 1 the walk cannot
+    overshoot and the bound is exact at theta*.  theta* is solved in
+    floats and polished by three Newton steps at the current precision;
+    theta is then taken just below it and kept only if ``E[e**(theta X)]
+    - 1``, summed from ``expm1`` terms, is negative past its rounding.
+    ``depth`` is ``ceil((bits ln 2 + 1) / theta)``, so ``e**(-theta depth)
+    < 2**-bits``.  Both are None when no theta passes that check (a span
+    of about 10**14 at ``WORK_DPS``), which leaves ``q_K`` as the bound and
+    no sink.
     """
     a, b, n = spec.moves.a, spec.moves.b, spec.n
 
-    def excess(theta):  # E[e**(theta X)] - 1
-        return (mp.exp(theta * a) + mp.exp(theta * b)) / 2 - 1
-
-    # excess is convex with its minimum at theta_min and positive at log(2)/b
-    theta_min = mp.log(mpf(-a) / b) / (b - a)
-    theta = mp.findroot(excess, (theta_min, mp.log(2) / b), solver="illinois", verify=False)
+    theta = mpf(_theta_float(a, b))
+    for _ in range(3):  # Newton's method from the float root, past WORK_DPS digits
+        slope = a * mp.exp(theta * a) + b * mp.exp(theta * b)
+        if not slope > 0:  # lost to cancellation at a huge span
+            return None, None
+        theta -= (mp.expm1(theta * a) + mp.expm1(theta * b)) / slope
     theta *= 1 - mpf(10) ** -20  # just below the root
-    if not excess(theta) <= 0:
+    # 2 E[e**(theta X)] - 2 = ea + eb must be negative past its rounding
+    ea, eb = mp.expm1(theta * a), mp.expm1(theta * b)
+    if not ea + eb + (abs(ea) + abs(eb)) * mpf(10) ** (5 - WORK_DPS) <= 0:
         return None, None
     # e**(theta (b - a)) over 2**zbits as an integer, raised past the
     # rounding of exp: the Horner pass runs on integers, and every step
@@ -244,13 +254,30 @@ def _lundberg(spec: GameSpec, bits: int):
     margin = 1 + mpf(10) ** (5 - WORK_DPS)  # covers the rounding of each mpf step
     z = int(mp.ldexp(mp.exp(theta * (b - a)), zbits) * margin) + 1
 
-    def bound(k: int, cells: list, low: int) -> int:
+    def bound(k: int, lattice: int, low: int) -> int:
         acc = 0
-        for c in reversed(cells):
+        for c in unpack(lattice, bits):
             acc = c - (-acc * z >> zbits)
         return int(mp.ceil(acc * mp.exp(-theta * (n - a * k - (b - a) * low)) * margin))
 
     return int(mp.ceil((bits * mp.log(2) + 1) / theta)), bound
+
+
+def _theta_float(a: int, b: int) -> float:
+    """theta* of ``_lundberg`` in floats, by Newton's method from log(2)/b.
+    There the excess ``(e**(theta a) + e**(theta b)) / 2 - 1`` is positive,
+    and it is convex and rising from its minimum on, so the iterates fall
+    to the root; ``expm1`` keeps its relative precision at a small theta."""
+    theta = math.log(2) / b
+    for _ in range(200):
+        slope = a * math.exp(theta * a) + b * math.exp(theta * b)
+        if not slope > 0:
+            break
+        below = theta - (math.expm1(theta * a) + math.expm1(theta * b)) / slope
+        if not below < theta:
+            break
+        theta = below
+    return theta
 
 
 def _summed(specs: tuple[GameSpec, ...], policy: TailPolicy | None, method: str, term, bound,
@@ -261,9 +288,10 @@ def _summed(specs: tuple[GameSpec, ...], policy: TailPolicy | None, method: str,
     ``bits`` = P, the bits of the working precision (``WORK_DPS``, or the
     tolerance's digits plus ``GUARD_DPS`` if that is more) plus
     ``FLOOR_GUARD_BITS``; its r, q, tally and sink bound are integer
-    numerators over ``2**one``, ``one = P + FLOOR_EVERY``.  Two specs (same
-    moves) are zipped; one spec, or two equal ones, feed their one stream
-    as both walks.  At each move k the core adds the integer ``term(r1,
+    numerators over ``2**one``, ``one = P + FLOOR_EVERY``, and its cells
+    stay packed in one integer that only Lundberg's checkpoints decode.
+    Two specs (same moves) are zipped; one spec, or two equal ones, feed
+    their one stream as both walks.  At each move k the core adds the integer ``term(r1,
     q1, r2, q2)`` to one exact total over ``2**(2 one)`` and asks
     ``bound(k, q1, h2)`` for a proved bound B on the rest of the series,
     also over ``2**(2 one)``.  ``h2`` bounds the chance that the second
@@ -306,13 +334,13 @@ def _summed(specs: tuple[GameSpec, ...], policy: TailPolicy | None, method: str,
         reach, next_check = None, 16
         limit = tol.numerator << (2 * one + 1)  # tol on the scale 2**-(2 one + 1)
         den, max_k = tol.denominator, policy.max_k
-        for (k, r1, q1, _, _, _, t1, w1), (_, r2, q2, cells, low, lift, t2, w2) in walks:
+        for (k, r1, q1, _, _, _, t1, w1), (_, r2, q2, lattice, low, lift, t2, w2) in walks:
             t = term(r1, q1, r2, q2)
             total += t
             if t:
                 last = t
             if lundberg is not None and (k >= next_check or k >= max_k):
-                reach = lundberg(k, cells, low) << lift
+                reach = lundberg(k, lattice, low) << lift
                 next_check = max(k + 1, int(k * 1.25))
             # a later arrival only gets less likely, so an earlier figure
             # holds at move k
@@ -508,7 +536,8 @@ def win_within(spec: GameSpec, k: int) -> Fraction:
     """Exact probability the second player wins within ``k`` moves: the
     partial sum of ``q * r`` through ``k`` as a rational.
 
-    The exact stream gives every r and q at index j as a count over
+    The exact DP, stopped at its horizon k, or at zero drift the exact
+    Catalan stream, gives every r and q at index j as a count over
     ``2**j``, so the sum is kept as one integer over ``4**j`` and reduced
     once at the end."""
     spec = _validated(spec)
@@ -517,10 +546,12 @@ def win_within(spec: GameSpec, k: int) -> Fraction:
     require_int(k, "k")
     if k < 1:
         raise ValueError("k must be >= 1")
+    if reduce_zero_drift(spec) is None:
+        stream = iter_passage(spec, horizon=k)  # drops the cells that cannot win by move k
+    else:
+        stream = rq_stream(spec)
     total = last = 0
-    for j, win, survived, _ in rq_stream(spec):
-        if j > k:
-            break
+    for j, win, survived, _ in islice(stream, k):
         total = (total << 2) + win * survived
         last = j
     return Fraction(total, 4**last)

@@ -229,6 +229,19 @@ class TestPassage:
         assert code == 1
         assert capsys.readouterr().err.startswith("pilerace: error: ")
 
+    def test_huge_max_k_builds_only_the_rows_shown(self):
+        # without --csv only k <= 20 is printed, so only k <= 20 is built
+        src = str(Path(pilerace.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "pilerace.cli", "passage", "--moves=-1,2", "--n=3",
+             "--max-k=100000000", "--json"],
+            capture_output=True, timeout=2, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0
+        results = json.loads(proc.stdout)["results"]
+        assert len(results["rows"]) == 21
+        assert results["note"] == "showing k <= 20 of 100000000; use --csv for the full table"
+
 
 @pytest.mark.parametrize(
     "argv, shown, written",
@@ -307,8 +320,9 @@ class TestVerify:
                 if getattr(module, name, None) is real:
                     monkeypatch.setattr(module, name, fake)
 
-        def late_cut(spec):
-            # the lattice DP with its cut one cell too high from move 40 on
+        def late_cut(spec, horizon=None):
+            # the lattice DP with its cut one cell too high from move 40 on;
+            # it runs past the horizon, which only saves work
             a, b, n = spec.moves.a, spec.moves.b, spec.n
             cells, survived = [1], 1
             for k in count(1):

@@ -21,6 +21,7 @@ from pilerace.passage import (
     iter_passage,
     reachability_rule,
     reduce_zero_drift,
+    unpack,
 )
 from pilerace.series import FLOOR_GUARD_BITS, WORK_DPS, _lundberg, win_prob_direct
 
@@ -214,6 +215,99 @@ class TestFixedPointStream:
         exact = sum(table.q[k] * table.r[k] for k in range(res.truncation_k + 1))
         man, exp = res.value.man_exp
         assert man * F(2) ** exp == exact + table.q[-1] ** 2 / 2
+
+
+def _list_fixed_passage(spec: GameSpec, bits: int, depth: int | None):
+    """The fixed-point mode of ``iter_passage`` on a list of cells, lowest j
+    first, one Python addition per cell per move: the reference for the
+    packed lattice.  Yields what the packed stream yields, with the list of
+    cells in place of the packed integer."""
+    a, b, n = spec.moves.a, spec.moves.b, spec.n
+    span, every = b - a, FLOOR_EVERY
+    counts, survived = [1], 1
+    k = low = tally = sink = sunk = 0
+    e = -bits
+    while True:
+        k += 1
+        if e == every:
+            floored = [c >> e for c in counts]
+            mass = sum(floored)
+            tally += survived - (mass << e)
+            survived, e = mass, 0
+            zeros = next((i for i, c in enumerate(floored) if c), len(floored))
+            counts, low = floored[zeros:], low + zeros
+        if span:
+            counts = list(map(add, counts + [0], [0] + counts))
+            cut = max(-(-(n - a * k) // span) - low, 0)
+            win = sum(counts[cut:])
+            del counts[cut:]
+        else:
+            win = 2 * survived if a * k >= n else 0
+        survived = 2 * survived - win
+        if not span:
+            counts = [survived]
+        e += 1
+        lift = every - e
+        if depth is not None and span:
+            deep = -(-(n - depth - a * k) // span) - low
+            if deep > 0:
+                moved = sum(counts[:deep])
+                del counts[:deep]
+                low += deep
+                survived -= moved
+                sink += moved << lift
+                sunk = -(-sink >> bits)
+        yield k, win << lift, (survived << lift) + sink, counts, low, lift, tally, sunk
+
+
+class TestPackedStream:
+    """The packed fixed-point lattice against the list of cells it
+    replaced, bit for bit: every r, q, tally, sink bound, offset and cell
+    at every move k <= 400.  Bottom cells of zero weight vanish from the
+    packed lattice as leading zero bits, so the list is read from its
+    lowest non-zero cell, and an empty lattice has no offset.  {-2,-1}
+    never absorbs, so its lattice holds the whole mass, the largest sum a
+    slot must hold."""
+
+    MOVES = [*TestFixedPointStream.NEGATIVE, *TestFixedPointStream.POSITIVE,
+             MoveSet(2, 2), MoveSet(-2, -1)]
+
+    @pytest.mark.parametrize("bits", [64, DEFAULT_BITS])
+    @pytest.mark.parametrize("n", [1, 6])
+    @pytest.mark.parametrize("moves", MOVES, ids=str)
+    def test_equals_the_list_of_cells(self, moves, n, bits):
+        spec = GameSpec(moves, n)
+        depth = None
+        if moves.drift < 0 and moves.b > 0:
+            with mp.workdps(WORK_DPS):
+                depth = _lundberg(spec, bits)[0]
+        pairs = zip(islice(_list_fixed_passage(spec, bits, depth), 400),
+                    iter_passage(spec, bits, depth))
+        for (k, win, survived, cells, low, *rest), (*same, lattice, plow, plift, ptally,
+                                                    psunk) in pairs:
+            assert same == [k, win, survived], k
+            assert [plift, ptally, psunk] == rest, k
+            zeros = next((i for i, c in enumerate(cells) if c), len(cells))
+            assert unpack(lattice, bits)[::-1] == cells[zeros:], k
+            assert plow == low + zeros or not lattice, k
+
+
+def test_horizon_ends_the_exact_stream():
+    """``iter_passage(spec, horizon=K)`` yields the first K items of the
+    unpruned stream, r and q to the last bit, and stops: over every move
+    set with |a|, |b| <= 6 (both moves positive, both drifts, zero drift
+    and no positive move), n <= 8 and K = 1, 8, ..., 57, 60.  The
+    fixed-point mode takes no horizon."""
+    with pytest.raises(ValueError):
+        iter_passage(GameSpec(MoveSet(-1, 2), 1), 64, horizon=5)
+    for a in range(-6, 7):
+        for b in range(a, 7):
+            for n in range(1, 9):
+                spec = GameSpec(MoveSet(a, b), n)
+                full = [item[:3] for item in islice(iter_passage(spec), 60)]
+                for horizon in (*range(1, 60, 7), 60):
+                    cut = [item[:3] for item in iter_passage(spec, horizon=horizon)]
+                    assert cut == full[:horizon], (a, b, n, horizon)
 
 
 class TestSurvivalLimits:

@@ -43,15 +43,12 @@ def test_tracer_records_and_restores(monkeypatch):
         tracer.uninstall()
     for module, name in patched:
         assert getattr(module, name) is before[modules.index(module)][name], name
-    # the summed evaluators step the fixed-point DP directly; only
-    # win_within reads the exact stream
-    streams = [s for s in tracer.spans if s["name"] == "series.rq_stream"]
-    assert len(streams) == 1
-    assert streams[0]["kind"] == "dp" and streams[0]["terms"] > 0
+    # every evaluator steps the DP directly: the summed ones in fixed
+    # point, win_within in exact mode up to its horizon
+    assert not [s for s in tracer.spans if s["name"] == "series.rq_stream"]
     names = {s["id"]: s["name"] for s in tracer.spans}
     evaluators = {"series.square_sum_value", "series.win_prob_direct", "series.win_within"}
     assert evaluators <= {s["name"] for s in tracer.spans if s["parent"] is None}
     dp_parents = {names[s["parent"]] for s in tracer.spans
                   if s["name"] == "passage.iter_passage" and s["terms"] > 0}
     assert dp_parents == evaluators
-    assert names[streams[0]["parent"]] == "series.win_within"
