@@ -8,7 +8,8 @@ answered exactly, in span{1, 1/pi}; other drifts sum an infinite series
 to a proved bound on its tail.  A vectorized, reproducibly seeded
 simulator provides an independent Monte Carlo check, and ``pilerace
 verify`` checks the engine against exact laws, closed-form counts, pinned
-constants and the recurrence of the unit-step squared-passage sums.
+constants and the recurrence of the unit-step squared-passage sums, kept
+with those constants in ``pilerace.reference``.
 
 numpy is loaded only by the simulator and by the exhaustive oracle
 ``enumerate_first_passage``.  Importing it costs more than half of a
@@ -40,7 +41,6 @@ from .passage import (
     enumerate_first_passage,
     iter_passage,
 )
-from .recurrence import LinearRecurrence
 from .series import (
     SeriesResult,
     TailPolicy,
@@ -68,7 +68,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ApproxValue",
     "GameSpec",
-    "LinearRecurrence",
     "MoveSet",
     "PassageTable",
     "PiLinear",

@@ -4,8 +4,9 @@ tables and the acceptance suite.
 For the unit-step symmetric move set every quantity of interest is a
 rational combination of 1 and 1/pi; this module stores those exact forms
 (the squared-passage sums for targets 1..6, and the full 5x5 table of
-asymmetric-target win probabilities) plus published reference decimals
-for the {-1, 2} move set, where no closed form is known.
+asymmetric-target win probabilities) and the order-3 recurrence of the
+sums, plus published reference decimals for the {-1, 2} move set, where
+no closed form is known.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .numeric import PiLinear
-from .recurrence import LinearRecurrence
 
 F = Fraction
 
@@ -77,7 +77,17 @@ MINUS12_REFERENCE: dict[int, tuple[str, str]] = {
 
 #: The order-3 recurrence satisfied by the squared-passage sums above,
 #: with T(1) = SQUARE_SUMS_PM1[1]:
-#: (n+3)*T(n+3) - (7*n+16)*T(n+2) + (7*n+5)*T(n+1) - n*T(n) = 0.
-SQUARE_SUM_RECURRENCE = LinearRecurrence(
-    ((F(-1), F(0)), (F(7), F(5)), (F(-7), F(-16)), (F(1), F(3)))
-)
+#: (n+3)*T(n+3) - (7*n+16)*T(n+2) + (7*n+5)*T(n+1) - n*T(n) = 0,
+#: as the pairs (a, b) of the coefficient a*n + b of T(n) .. T(n+3).
+SQUARE_SUM_RECURRENCE = ((-1, 0), (7, 5), (-7, -16), (1, 3))
+
+
+def recurrence_residual(window, n: int) -> PiLinear:
+    """The recurrence's left-hand side on ``window = T(n) .. T(n+3)``,
+    exact on rationals and componentwise on span{1, 1/pi}."""
+    if len(window) != len(SQUARE_SUM_RECURRENCE):
+        raise ValueError("the window must hold T(n) .. T(n+3)")
+    residual = PiLinear.zero()
+    for (a, b), t in zip(SQUARE_SUM_RECURRENCE, window):
+        residual = residual + PiLinear.of(t) * (a * n + b)
+    return residual

@@ -43,7 +43,7 @@ partial sum as a ``Fraction``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
 
@@ -99,7 +99,7 @@ class TailPolicy:
             raise ValueError("max_k must be at least 16")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SeriesResult:
     """Outcome of one truncated series evaluation.
 
@@ -107,18 +107,19 @@ class SeriesResult:
     exact value.  ``value`` is the estimate; ``tail_estimate`` is a proved
     bound on what truncation may still be missing (zero for an exact
     answer), rounded up, and ``eval_error`` bounds the rounding of
-    ``value``.  A diverged verdict always carries a witness.
+    ``value``.  A diverged verdict always carries a witness.  The defaults
+    are those of an answer decided without summing a term.
     """
 
     value: mpf
-    truncation_k: int
-    last_term: mpf
-    tail_estimate: mpf
-    verdict: str
+    truncation_k: int = 0
+    last_term: mpf = mpf(0)
+    tail_estimate: mpf = mpf(0)
+    verdict: str = CONVERGED
     method: str
     witness: str | None = None
     no_winner: mpf | None = None
-    eval_error: mpf = field(default_factory=lambda: mpf(0))
+    eval_error: mpf = mpf(0)
     work_dps: int = WORK_DPS
 
     def error_bound(self) -> mpf:
@@ -247,12 +248,16 @@ def _lundberg(spec: GameSpec, bits: int):
     ea, eb = mp.expm1(theta * a), mp.expm1(theta * b)
     if not ea + eb + (abs(ea) + abs(eb)) * mpf(10) ** (5 - WORK_DPS) <= 0:
         return None, None
+    depth = int(mp.ceil((bits * mp.log(2) + 1) / theta))
     # e**(theta (b - a)) over 2**zbits as an integer, raised past the
     # rounding of exp: the Horner pass runs on integers, and every step
-    # rounds up
+    # rounds up.  z has about theta (b - a) / ln 2 bits and is not built
+    # once b - a >= depth: cells lie b - a apart and the sink keeps those
+    # within depth of n, so at most one is left and z meets only the zero
+    # that the pass starts from.
     zbits = 4 * WORK_DPS
     margin = 1 + mpf(10) ** (5 - WORK_DPS)  # covers the rounding of each mpf step
-    z = int(mp.ldexp(mp.exp(theta * (b - a)), zbits) * margin) + 1
+    z = int(mp.ldexp(mp.exp(theta * (b - a)), zbits) * margin) + 1 if b - a < depth else 0
 
     def bound(k: int, lattice: int, low: int) -> int:
         acc = 0
@@ -260,7 +265,7 @@ def _lundberg(spec: GameSpec, bits: int):
             acc = c - (-acc * z >> zbits)
         return int(mp.ceil(acc * mp.exp(-theta * (n - a * k - (b - a) * low)) * margin))
 
-    return int(mp.ceil((bits * mp.log(2) + 1) / theta)), bound
+    return depth, bound
 
 
 def _theta_float(a: int, b: int) -> float:
@@ -401,22 +406,7 @@ def _exact_result(form: PiLinear) -> SeriesResult:
     with mp.workdps(WORK_DPS):
         value = +approx.value
         error = approx.error_bound + abs(value) * mpf(10) ** -WORK_DPS
-        return _trivial_result(value, "exact", eval_error=error)
-
-
-def _trivial_result(value, method: str, witness: str | None = None, no_winner=None,
-                    eval_error=0) -> SeriesResult:
-    return SeriesResult(
-        value=mpf(value),
-        truncation_k=0,
-        last_term=mpf(0),
-        tail_estimate=mpf(0),
-        verdict=CONVERGED,
-        method=method,
-        witness=witness,
-        no_winner=None if no_winner is None else mpf(no_winner),
-        eval_error=mpf(eval_error),
-    )
+        return SeriesResult(value=value, method="exact", eval_error=error)
 
 
 def win_prob_squares(spec: GameSpec, policy: TailPolicy | None = None) -> SeriesResult:
@@ -428,7 +418,8 @@ def win_prob_squares(spec: GameSpec, policy: TailPolicy | None = None) -> Series
     """
     spec = _validated(spec)
     if spec.n == 0:
-        return _trivial_result(0, "squares", witness="zero target: the first player has already won")
+        return SeriesResult(value=mpf(0), method="squares",
+                            witness="zero target: the first player has already won")
     if spec.moves.drift < 0:
         raise ValueError(
             "the squared-passage identity needs non-negative drift; "
@@ -454,11 +445,11 @@ def win_prob_direct(spec: GameSpec, policy: TailPolicy | None = None) -> SeriesR
     """
     spec = _validated(spec)
     if spec.n == 0:
-        return _trivial_result(0, "direct", witness="zero target: the first player has already won")
+        return SeriesResult(value=mpf(0), method="direct",
+                            witness="zero target: the first player has already won")
     if spec.moves.b <= 0:
-        return _trivial_result(
-            0, "direct", witness="moves can never reach the target", no_winner=1,
-        )
+        return SeriesResult(value=mpf(0), method="direct",
+                            witness="moves can never reach the target", no_winner=mpf(1))
     return _race(spec.n, spec.n, spec.moves, policy, "direct")
 
 
@@ -477,9 +468,9 @@ def win_prob_targets(
     if n1 < 1 or n2 < 1:
         raise ValueError("both targets must be >= 1")
     if GameSpec(moves, n2).moves.b <= 0:  # GameSpec checks the argument types
-        return _trivial_result(
-            0, "asymmetric", witness="the second walk can never reach its target",
-        )
+        # neither walk ever arrives, as in win_prob_direct
+        return SeriesResult(value=mpf(0), method="asymmetric",
+                            witness="the second walk can never reach its target", no_winner=mpf(1))
     return _race(n1, n2, moves, policy, "asymmetric")
 
 
@@ -513,11 +504,11 @@ def expected_duration(spec: GameSpec, policy: TailPolicy | None = None) -> Serie
     """
     spec = _validated(spec)
     if spec.n == 0:
-        return _trivial_result(0, "duration", witness="zero target: the race is over before any move")
+        return SeriesResult(value=mpf(0), method="duration",
+                            witness="zero target: the race is over before any move")
     if spec.moves.drift <= 0:
         return SeriesResult(
             value=mpf(1),
-            truncation_k=0,
             last_term=mpf(1),
             tail_estimate=mpf("inf"),
             verdict=DIVERGED,
@@ -568,7 +559,8 @@ def square_sum_value(
         raise ValueError("target must be >= 1")
     spec = GameSpec(moves, n)
     if moves.b <= 0:
-        return _trivial_result(0, "square_sum", witness="moves can never reach the target")
+        return SeriesResult(value=mpf(0), method="square_sum",
+                            witness="moves can never reach the target")
     unit = reduce_zero_drift(spec)
     if unit is not None:
         return _exact_result(unit_step_sum(unit))

@@ -57,6 +57,9 @@ _MIX2 = _U64(0x94D049BB133111EB)
 DEFAULT_HORIZON_ZERO_DRIFT = 1_000_000
 DEFAULT_HORIZON = 10_000
 _CHUNK_CAP = 32_768  # rounds per fetch once the schedule has grown
+# trials per batch: a memory/performance knob only, since the report does not
+# depend on how the trials are partitioned
+BATCH_SIZE = 500_000
 # Stream bytes per row group, rows * ceil(rounds / 4): few enough that the group's
 # arrays stay in a 2 MB L2 cache, and enough that per-group overhead stays small.
 _ELEMENT_BUDGET = 1 << 17
@@ -292,15 +295,13 @@ def _run_batch(cfg: SimConfig, tables, start: int, count: int, tally: _Tally) ->
     return alive.size
 
 
-def run_simulation(cfg: SimConfig, batch_size: int = 500_000) -> SimReport:
-    """Simulate ``cfg.trials`` games; deterministic given the seed and
-    independent of ``batch_size`` (a memory/performance knob only)."""
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
+def run_simulation(cfg: SimConfig) -> SimReport:
+    """Simulate ``cfg.trials`` games in batches of ``BATCH_SIZE``;
+    deterministic given the seed."""
     tables = _byte_tables(cfg)
     tally = _Tally()
     censored = 0
-    for start in range(0, cfg.trials, batch_size):
-        count = min(batch_size, cfg.trials - start)
+    for start in range(0, cfg.trials, BATCH_SIZE):
+        count = min(BATCH_SIZE, cfg.trials - start)
         censored += _run_batch(cfg, tables, start, count, tally)
     return SimReport(cfg, tally.wins1, tally.wins2, censored, tally.dur_sum, tally.dur_sumsq)

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -79,6 +80,25 @@ class TestPn:
         assert (res["verdict"], res["method"], res["truncation_k"]) == ("converged", "exact", 0)
         assert res["display"] == "0.49998408291338454"
 
+    def test_huge_negative_span_needs_no_huge_integer(self):
+        # {-10**12, 1} leaves at most one cell above Lundberg's sink, so the
+        # Horner factor e**(theta (b - a)), about 10**12 bits, is never built
+        src = str(Path(pilerace.__file__).resolve().parents[1])
+        limit = 1536 * 2**20
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "pilerace.cli", "pn", "--moves=-1000000000000,1", "--n=1",
+             "--json"],
+            capture_output=True, timeout=10, env={**os.environ, "PYTHONPATH": src},
+            preexec_fn=cap_memory,
+        )
+        assert proc.returncode == 0, proc.stderr
+        res = json.loads(proc.stdout)["results"]["direct"]
+        assert (res["value"], res["verdict"]) == ("0.25", "converged")
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
             main(["pn", "--n=1"])  # missing --moves
@@ -132,6 +152,15 @@ class TestPmn:
         with mp.workdps(60):
             err = abs(mpf(json.loads(out)["results"]["p"]["value"]) - res.value)
             assert err <= res.error_bound()
+
+    @pytest.mark.parametrize("argv", [("pn", "--n=1"), ("pmn", "--n1=1", "--n2=2")],
+                             ids=["pn", "pmn"])
+    def test_unreachable_targets_leave_no_winner(self, capsys, argv):
+        # moves {-2,-1} never arrive, so the race is never decided
+        code, out = run_cli(capsys, argv[0], "--moves=-2,-1", *argv[1:], "--json")
+        assert code == 0
+        (res,) = json.loads(out)["results"].values()
+        assert (res["value"], res["no_winner"], res["verdict"]) == ("0.0", "1.0", "converged")
 
 
 class TestWithin:

@@ -194,9 +194,9 @@ class TestUnitStepSum:
         assert {n: unit_step_sum(n) for n in squares} == squares
 
     def test_recurrence_holds_exactly_through_forty(self):
-        rec = reference.SQUARE_SUM_RECURRENCE
         t = [unit_step_sum(n) for n in range(1, 41)]
-        assert all(rec.apply(t[n - 1 : n + rec.order], n).is_zero() for n in range(1, 38))
+        assert all(reference.recurrence_residual(t[n - 1 : n + 3], n).is_zero()
+                   for n in range(1, 38))
 
     def test_square_sums_fall_with_the_target(self):
         values = [unit_step_sum(n).approx(30).value for n in range(1, 41)]

@@ -1,4 +1,5 @@
-"""numpy is loaded only where the simulator or the exhaustive oracle runs.
+"""numpy is loaded only where the simulator or the exhaustive oracle runs,
+and a CLI process starts with a pinned set of pilerace modules.
 
 Each check that a module stays unloaded runs in a fresh interpreter,
 because the test process itself has long since imported numpy.
@@ -45,6 +46,15 @@ print(code, "numpy" in sys.modules)
 """
 
 
+# the pilerace modules behind every CLI process's start-up; one that a
+# single command needs is imported by that command
+_CLI_MODULES = """
+import sys
+import pilerace.cli
+print(" ".join(sorted(name for name in sys.modules if name.split(".")[0] == "pilerace")))
+"""
+
+
 def _child(code: str) -> str:
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": _SRC}, timeout=120)
@@ -54,6 +64,13 @@ def _child(code: str) -> str:
 
 def test_exact_commands_never_load_numpy():
     assert _child(_EXACT_COMMANDS) == "ok\n"
+
+
+def test_cli_start_up_loads_only_its_modules():
+    assert _child(_CLI_MODULES).split() == [
+        "pilerace", "pilerace.cli", "pilerace.closedforms", "pilerace.numeric",
+        "pilerace.passage", "pilerace.reference", "pilerace.series",
+    ]
 
 
 def test_simulate_loads_numpy_and_reports():

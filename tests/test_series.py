@@ -11,7 +11,7 @@ from pilerace import series
 from pilerace.closedforms import win_within_one
 from pilerace.numeric import ApproxValue, PiLinear
 from pilerace.passage import GameSpec, MoveSet, build_passage_table, iter_passage
-from pilerace.reference import SQUARE_SUM_RECURRENCE, SQUARE_SUMS_PM1, TARGET_TABLE_PM1
+from pilerace.reference import SQUARE_SUMS_PM1, TARGET_TABLE_PM1, recurrence_residual
 from pilerace.series import (
     CONVERGED,
     DEFAULT_TOLERANCE,
@@ -40,12 +40,11 @@ def pl(const, inv_pi):
 def square_sums_pm1(n_max):
     """Exact T(n) = sum_k r(n, k)**2 on {-1,1} for n = 1..n_max: the
     pinned T(1..6), continued by the pinned order-3 recurrence."""
-    rec = SQUARE_SUM_RECURRENCE
     t = [SQUARE_SUMS_PM1[n] for n in range(1, 7)]
     while len(t) < n_max:
         n = len(t) - 2  # the window T(n..n+3) with T(n+3) unknown
-        lower = rec.apply(t[-3:] + [PiLinear.zero()], n)
-        t.append(lower * (-1 / rec.coefficient(3, n)))
+        lower = recurrence_residual(t[-3:] + [PiLinear.zero()], n)
+        t.append(lower * F(-1, n + 3))  # T(n+3)'s coefficient is n + 3
     return t[:n_max]
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from pilerace import simulate
 from pilerace.passage import MoveSet
 from pilerace.simulate import (SimConfig, SimReport, _byte_tables, _chunk_schedule, _play_rows,
                                 _Tally, _trial_keys, run_simulation)
@@ -193,11 +194,12 @@ class TestDeterminism:
         cfg = SimConfig(MoveSet(-1, 1), 1, 1, trials=30_000, seed=42)
         assert counts(run_simulation(cfg)) == counts(run_simulation(cfg))
 
-    def test_batch_partition_irrelevant(self):
+    def test_batch_partition_irrelevant(self, monkeypatch):
         cfg = SimConfig(MoveSet(-1, 2), 1, 2, trials=25_000, seed=7)
-        whole = counts(run_simulation(cfg, batch_size=25_000))
-        assert whole == counts(run_simulation(cfg, batch_size=999))
-        assert whole == counts(run_simulation(cfg, batch_size=4_096))
+        whole = counts(run_simulation(cfg))  # one batch
+        for batch_size in (999, 4_096):
+            monkeypatch.setattr(simulate, "BATCH_SIZE", batch_size)
+            assert whole == counts(run_simulation(cfg)), batch_size
 
     def test_seed_changes_outcome(self):
         cfg1 = SimConfig(MoveSet(-1, 1), 1, 1, trials=20_000, seed=1)
