@@ -11,11 +11,13 @@ verify`` checks the engine against exact laws, closed-form counts, pinned
 constants and the recurrence of the unit-step squared-passage sums, kept
 with those constants in ``pilerace.reference``.
 
-numpy is loaded only by the simulator and by the exhaustive oracle
-``enumerate_first_passage``.  Importing it costs more than half of a
-``pilerace`` process's start-up, and none of the exact or series answers
-use it, so ``SimConfig``, ``SimReport`` and ``run_simulation`` are served
-lazily from ``pilerace.simulate`` on first access.
+numpy is loaded only by the simulator.  Importing it costs more than half
+of a ``pilerace`` process's start-up, and none of the exact or series
+answers use it, so ``SimConfig``, ``SimReport`` and ``run_simulation`` are
+served lazily from ``pilerace.simulate`` on first access.  mpmath is
+loaded only by a summed series under negative drift, whose tail bound
+needs exp and log (``series._lundberg``); every other decimal is made from
+integers.
 """
 
 from .closedforms import (
@@ -29,7 +31,6 @@ from .closedforms import (
 from .numeric import (
     ApproxValue,
     PiLinear,
-    as_fraction,
     pilinear_eval,
     rational_str,
 )
@@ -38,7 +39,6 @@ from .passage import (
     MoveSet,
     PassageTable,
     build_passage_table,
-    enumerate_first_passage,
     iter_passage,
 )
 from .series import (
@@ -75,10 +75,8 @@ __all__ = [
     "SimConfig",
     "SimReport",
     "TailPolicy",
-    "as_fraction",
     "build_passage_table",
     "catalan_count",
-    "enumerate_first_passage",
     "expected_duration",
     "iter_passage",
     "passage_prob_m1p2",

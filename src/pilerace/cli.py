@@ -21,18 +21,16 @@ import os
 import sys
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 from itertools import chain, islice, repeat
 
-from mpmath import mp, mpf
-
 from . import closedforms, reference
-from .numeric import ApproxValue, rational_str
+from .numeric import ApproxValue, dps_to_prec, nstr, rational_str, rounded
 from .passage import GameSpec, MoveSet, build_passage_table, iter_passage, reachability_rule
 from .series import (
     CONVERGED,
     DEFAULT_TOLERANCE,
     DIVERGED,
-    WORK_DPS,
     SeriesResult,
     TailPolicy,
     expected_duration,
@@ -222,14 +220,12 @@ def _cmd_series(args) -> tuple[OutputRecord, int]:
 def _cmd_within(args) -> tuple[OutputRecord, int]:
     spec = GameSpec(args.moves, args.n)
     exact = win_within(spec, args.k)
-    with mp.workdps(WORK_DPS):
-        value = mpf(exact.numerator) / exact.denominator
     record = OutputRecord(
         command="within",
         inputs={"moves": str(args.moves), "n": args.n, "k": args.k},
         results={
             "exact": rational_str(exact),
-            "decimal": ApproxValue(value, mpf(0)).formatted(17),
+            "decimal": ApproxValue(exact, 0).formatted(17),
         },
         provenance="probability the second player wins within k moves",
     )
@@ -237,8 +233,9 @@ def _cmd_within(args) -> tuple[OutputRecord, int]:
 
 
 def _fmt_delta(x, y) -> str:
-    with mp.workdps(30):
-        return mp.nstr(abs(mpf(x) - mpf(y)), 6)
+    """|x - y| to 6 digits, each number rounded at 30 digits as an mpf is."""
+    prec = dps_to_prec(30)
+    return nstr(rounded(abs(rounded(x, prec) - rounded(y, prec)), prec), 6)
 
 
 # the pinned {-1,1} tables: the exact forms by cell, the cell's columns,
@@ -278,10 +275,7 @@ def _cmd_table(args) -> tuple[OutputRecord, int]:
             t_res = square_sum_value(moves, n, policy)
             # the race almost surely ends, so p = (1 - sum r**2) / 2; the
             # subtraction and halving are exact, so p keeps every backed digit
-            half = mp.ldexp(mp.fsub(1, t_res.value, exact=True), -1)
-            with mp.workdps(WORK_DPS):
-                p = ApproxValue(half, mp.ldexp(t_res.error_bound(), -1))
-                ref = mpf(p_ref)
+            p = ApproxValue((1 - t_res.value) / 2, t_res.error_bound() / 2)
             rows.append(
                 {
                     "n": n,
@@ -289,7 +283,7 @@ def _cmd_table(args) -> tuple[OutputRecord, int]:
                     "sum_squares_ref": sumsq_ref,
                     "p": p.formatted(args.digits),
                     "p_ref": p_ref,
-                    "abs_delta_p": _fmt_delta(p.value, ref),
+                    "abs_delta_p": _fmt_delta(p.value, Fraction(p_ref)),
                 }
             )
             outputs.append(t_res)
@@ -415,27 +409,26 @@ def _verify_oracles(policy: TailPolicy) -> Iterator[dict]:
 def _verify_residuals(policy: TailPolicy) -> Iterator[dict]:
     """Distinct-target win probabilities against the pinned references:
     the exact {-1,1} table and the {-1,2} decimals (truncated at 1e-17)."""
-    with mp.workdps(WORK_DPS):
-        cells = [
-            (MoveSet(-1, 1), n1, n2, reference.TARGET_TABLE_PM1[n1, n2].approx(30))
-            for n1 in range(1, 4)
-            for n2 in range(1, 4)
-        ]
-        cells += [
-            (MoveSet(-1, 2), n, n, ApproxValue(mpf(reference.MINUS12_REFERENCE[n][1]), mpf("1e-17")))
-            for n in range(1, 4)
-        ]
+    cells = [
+        (MoveSet(-1, 1), n1, n2, reference.TARGET_TABLE_PM1[n1, n2].approx(30))
+        for n1 in range(1, 4)
+        for n2 in range(1, 4)
+    ]
+    cells += [
+        (MoveSet(-1, 2), n, n,
+         ApproxValue(Fraction(reference.MINUS12_REFERENCE[n][1]), Fraction(1, 10**17)))
+        for n in range(1, 4)
+    ]
     for moves, n1, n2, ref in cells:
         res = win_prob_targets(n1, n2, moves, policy)
-        with mp.workdps(WORK_DPS):
-            err = abs(res.value - ref.value)
-            bound = res.error_bound() + ref.error_bound
+        err = abs(res.value - ref.value)
+        bound = res.error_bound() + ref.error_bound
         good = res.verdict == CONVERGED and err <= bound
         yield {
             "check": f"pinned win probability moves={moves} n1={n1} n2={n2}",
             "ok": bool(good),
-            "residual": mp.nstr(err, 6),
-            "bound": mp.nstr(bound, 6),
+            "residual": nstr(err, 6),
+            "bound": nstr(bound, 6),
         }
 
 

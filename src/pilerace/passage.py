@@ -324,29 +324,6 @@ def build_passage_table(spec: GameSpec, k_max: int) -> PassageTable:
     return PassageTable(k_max, tuple(r), tuple(q))
 
 
-def enumerate_first_passage(moves: MoveSet, n: int, k_max: int) -> list:
-    """Exact r values for k <= k_max by exhausting all 2**k_max move
-    sequences.  Independent of the lattice DP; intended as an oracle.
-    """
-    import numpy as np
-
-    if n < 1:
-        raise ValueError("target must be >= 1")
-    if not 1 <= k_max <= 20:
-        raise ValueError("exhaustive enumeration is limited to k_max in 1..20")
-    seqs = np.arange(1 << k_max, dtype=np.int64)
-    bits = (seqs[:, None] >> np.arange(k_max, dtype=np.int64)) & 1
-    steps = np.where(bits == 1, moves.b, moves.a).astype(np.int32)
-    sums = np.cumsum(steps, axis=1)
-    hit = sums >= n
-    reached = hit.any(axis=1)
-    first = hit.argmax(axis=1)
-    counts = np.bincount(first[reached], minlength=k_max)
-    return [Fraction(0)] + [
-        Fraction(int(counts[k - 1]), 1 << k_max) for k in range(1, k_max + 1)
-    ]
-
-
 def reachability_rule(spec: GameSpec) -> dict:
     """The rule that every move k with ``r_k != 0`` obeys, stated in O(1).
 

@@ -33,8 +33,9 @@ through move K is one integer over its square, and so is the bound B_K.
 The mass the DP floored away (its tally) and, under negative drift, the
 Lundberg bound of its sink raise ``q1`` and ``h2`` before B_K is formed,
 and bound how far each term can be from the exact one.  Only the
-returned numbers are rounded, once each, at the working precision;
-``eval_error`` covers that rounding and the floor error together.
+returned numbers are rounded, once each, at the working precision, to
+``numeric.Dyadic`` rationals; ``eval_error`` covers that rounding and the
+floor error together.  mpmath is imported only for Lundberg's exp and log.
 ``win_within`` steps the exact DP only up to its move count (its
 horizon), or the exact Catalan stream at zero drift, and returns the
 partial sum as a ``Fraction``.
@@ -47,10 +48,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
 
-from mpmath import mp, mpf
-
 from .closedforms import unit_step_sum
-from .numeric import ApproxValue, PiLinear
+from .numeric import ApproxValue, Dyadic, PiLinear, dps_to_prec, nstr, rounded, ten_to_minus
 from .passage import (
     FLOOR_EVERY,
     GameSpec,
@@ -103,27 +102,30 @@ class TailPolicy:
 class SeriesResult:
     """Outcome of one truncated series evaluation.
 
-    Every number is an mpf rounded once, at ``work_dps`` digits, from an
-    exact value.  ``value`` is the estimate; ``tail_estimate`` is a proved
+    Every number is a ``Dyadic``, rounded once from an exact value to
+    nearest at the bits of ``work_dps`` digits, as an mpf at that precision
+    would be.  ``value`` is the estimate; ``tail_estimate`` is a proved
     bound on what truncation may still be missing (zero for an exact
-    answer), rounded up, and ``eval_error`` bounds the rounding of
-    ``value``.  A diverged verdict always carries a witness.  The defaults
-    are those of an answer decided without summing a term.
+    answer, ``math.inf`` for a diverged series), rounded up, and
+    ``eval_error`` bounds the rounding of ``value``.  A diverged verdict
+    always carries a witness.  The defaults are those of an answer decided
+    without summing a term.
     """
 
-    value: mpf
+    value: Dyadic
     truncation_k: int = 0
-    last_term: mpf = mpf(0)
-    tail_estimate: mpf = mpf(0)
+    last_term: Dyadic = Dyadic(0)
+    tail_estimate: Dyadic | float = Dyadic(0)
     verdict: str = CONVERGED
     method: str
     witness: str | None = None
-    no_winner: mpf | None = None
-    eval_error: mpf = mpf(0)
+    no_winner: Dyadic | None = None
+    eval_error: Dyadic = Dyadic(0)
     work_dps: int = WORK_DPS
 
-    def error_bound(self) -> mpf:
-        return self.tail_estimate + self.eval_error
+    def error_bound(self) -> Dyadic | float:
+        bound = self.tail_estimate + self.eval_error
+        return bound if bound == math.inf else Dyadic(bound)
 
     def formatted(self, max_digits: int = 17) -> str:
         return ApproxValue(self.value, self.error_bound()).formatted(max_digits)
@@ -135,14 +137,15 @@ class SeriesResult:
         bound = self.error_bound()
         if not bound or not self.value:
             return self.work_dps
-        if mp.isinf(bound):
+        if bound == math.inf:
             return 1
-        digits = int(mp.floor(mp.log10(50 * abs(self.value) / bound))) + 1
+        ratio = 50 * abs(self.value) / bound
+        digits = len(str(ratio.numerator // ratio.denominator))  # floor(log10 ratio) + 1, if >= 1
         return max(1, min(self.work_dps, digits))
 
     def to_json_dict(self, max_digits: int = 17) -> dict:
         def num(x, digits=24):
-            return None if x is None else mp.nstr(x, digits)
+            return None if x is None else nstr(x, digits)
 
         return {
             "value": num(self.value, self._value_digits()),
@@ -193,15 +196,17 @@ def rq_stream(spec: GameSpec, *, prefer_float: bool = False):
     and the exact lattice DP otherwise (``cells`` as ``iter_passage``
     yields them).  ``win_within`` reads it at zero drift; the DP-backed
     evaluators step ``iter_passage`` with a horizon or in fixed point
-    instead.  ``prefer_float`` gives r and q as mpf values at the current
-    precision instead, each numerator rounded once; no
-    evaluator reads that form, and it is kept for the benchmark's tracer.
+    instead.  ``prefer_float`` gives r and q as mpf values at mpmath's
+    current precision instead, each numerator rounded once; no evaluator
+    reads that form, and it is kept for the benchmark's tracer.
     DP-backed streams end once the walk is absorbed; the Catalan stream is
     infinite.
     """
     reduced = reduce_zero_drift(spec)
     stream = iter_passage(spec) if reduced is None else _stream_unit_exact(reduced)
     if prefer_float:
+        from mpmath import mpf
+
         return ((k, mpf((w, -k)), mpf((s, -k)), cells) for k, w, s, cells in stream)
     return stream
 
@@ -227,7 +232,7 @@ def _lundberg(spec: GameSpec, bits: int):
     O(cells), and returns an integer numerator on the cells' scale, rounded
     up past the rounding of its mpf factor.  With b = 1 the walk cannot
     overshoot and the bound is exact at theta*.  theta* is solved in
-    floats and polished by three Newton steps at the current precision;
+    floats and polished by three Newton steps at ``WORK_DPS`` digits;
     theta is then taken just below it and kept only if ``E[e**(theta X)]
     - 1``, summed from ``expm1`` terms, is negative past its rounding.
     ``depth`` is ``ceil((bits ln 2 + 1) / theta)``, so ``e**(-theta depth)
@@ -235,35 +240,38 @@ def _lundberg(spec: GameSpec, bits: int):
     of about 10**14 at ``WORK_DPS``), which leaves ``q_K`` as the bound and
     no sink.
     """
-    a, b, n = spec.moves.a, spec.moves.b, spec.n
+    from mpmath import mp, mpf  # only negative drift loads mpmath, for exp and log
 
-    theta = mpf(_theta_float(a, b))
-    for _ in range(3):  # Newton's method from the float root, past WORK_DPS digits
-        slope = a * mp.exp(theta * a) + b * mp.exp(theta * b)
-        if not slope > 0:  # lost to cancellation at a huge span
+    a, b, n = spec.moves.a, spec.moves.b, spec.n
+    with mp.workdps(WORK_DPS):
+        theta = mpf(_theta_float(a, b))
+        for _ in range(3):  # Newton's method from the float root, past WORK_DPS digits
+            slope = a * mp.exp(theta * a) + b * mp.exp(theta * b)
+            if not slope > 0:  # lost to cancellation at a huge span
+                return None, None
+            theta -= (mp.expm1(theta * a) + mp.expm1(theta * b)) / slope
+        theta *= 1 - mpf(10) ** -20  # just below the root
+        # 2 E[e**(theta X)] - 2 = ea + eb must be negative past its rounding
+        ea, eb = mp.expm1(theta * a), mp.expm1(theta * b)
+        if not ea + eb + (abs(ea) + abs(eb)) * mpf(10) ** (5 - WORK_DPS) <= 0:
             return None, None
-        theta -= (mp.expm1(theta * a) + mp.expm1(theta * b)) / slope
-    theta *= 1 - mpf(10) ** -20  # just below the root
-    # 2 E[e**(theta X)] - 2 = ea + eb must be negative past its rounding
-    ea, eb = mp.expm1(theta * a), mp.expm1(theta * b)
-    if not ea + eb + (abs(ea) + abs(eb)) * mpf(10) ** (5 - WORK_DPS) <= 0:
-        return None, None
-    depth = int(mp.ceil((bits * mp.log(2) + 1) / theta))
-    # e**(theta (b - a)) over 2**zbits as an integer, raised past the
-    # rounding of exp: the Horner pass runs on integers, and every step
-    # rounds up.  z has about theta (b - a) / ln 2 bits and is not built
-    # once b - a >= depth: cells lie b - a apart and the sink keeps those
-    # within depth of n, so at most one is left and z meets only the zero
-    # that the pass starts from.
-    zbits = 4 * WORK_DPS
-    margin = 1 + mpf(10) ** (5 - WORK_DPS)  # covers the rounding of each mpf step
-    z = int(mp.ldexp(mp.exp(theta * (b - a)), zbits) * margin) + 1 if b - a < depth else 0
+        depth = int(mp.ceil((bits * mp.log(2) + 1) / theta))
+        # e**(theta (b - a)) over 2**zbits as an integer, raised past the
+        # rounding of exp: the Horner pass runs on integers, and every step
+        # rounds up.  z has about theta (b - a) / ln 2 bits and is not built
+        # once b - a >= depth: cells lie b - a apart and the sink keeps those
+        # within depth of n, so at most one is left and z meets only the zero
+        # that the pass starts from.
+        zbits = 4 * WORK_DPS
+        margin = 1 + mpf(10) ** (5 - WORK_DPS)  # covers the rounding of each mpf step
+        z = int(mp.ldexp(mp.exp(theta * (b - a)), zbits) * margin) + 1 if b - a < depth else 0
 
     def bound(k: int, lattice: int, low: int) -> int:
         acc = 0
         for c in unpack(lattice, bits):
             acc = c - (-acc * z >> zbits)
-        return int(mp.ceil(acc * mp.exp(-theta * (n - a * k - (b - a) * low)) * margin))
+        with mp.workdps(WORK_DPS):
+            return int(mp.ceil(acc * mp.exp(-theta * (n - a * k - (b - a) * low)) * margin))
 
     return depth, bound
 
@@ -327,53 +335,50 @@ def _summed(specs: tuple[GameSpec, ...], policy: TailPolicy | None, method: str,
     policy = policy if policy is not None else TailPolicy()
     tol = Fraction(policy.tolerance)
     dps = max(WORK_DPS, math.ceil(-math.log10(policy.tolerance)) + GUARD_DPS)
-    with mp.workdps(dps):
-        prec = mp.prec
+    prec = dps_to_prec(dps)
     bits = prec + FLOOR_GUARD_BITS
     one = bits + FLOOR_EVERY
-    with mp.workdps(WORK_DPS):
-        depth, lundberg = _lundberg(specs[-1], bits) if specs[-1].moves.drift < 0 else (None, None)
-        streams = [iter_passage(spec, bits, depth) for spec in dict.fromkeys(specs)]
-        walks = zip(*streams) if len(streams) == 2 else ((item, item) for item in streams[0])
-        total, last = head << 2 * one, 0
-        reach, next_check = None, 16
-        limit = tol.numerator << (2 * one + 1)  # tol on the scale 2**-(2 one + 1)
-        den, max_k = tol.denominator, policy.max_k
-        for (k, r1, q1, _, _, _, t1, w1), (_, r2, q2, lattice, low, lift, t2, w2) in walks:
-            t = term(r1, q1, r2, q2)
-            total += t
-            if t:
-                last = t
-            if lundberg is not None and (k >= next_check or k >= max_k):
-                reach = lundberg(k, lattice, low) << lift
-                next_check = max(k + 1, int(k * 1.25))
-            # a later arrival only gets less likely, so an earlier figure
-            # holds at move k
-            h2 = (q2 if reach is None else min(q2, reach + w2)) + t2
-            tail_bound = bound(k, q1 + t1, h2)
-            # on the scale 2**-(2 one + 1), B is tail_estimate and 2 * total + B the value
-            if tail_bound * den <= limit or k >= max_k:
-                ulp = _ulp(2 * total + tail_bound, prec)
-                floor_error = k * (t1 + w1 + t2 + w2) << (one + 1)
-                tail = _round_up(tail_bound, prec)
-                error = _round_up(max(ulp, ulp // 2 + floor_error), prec)
-                converged = (tail + error) * den <= limit
-                if converged or k >= max_k:
-                    break
+    depth, lundberg = _lundberg(specs[-1], bits) if specs[-1].moves.drift < 0 else (None, None)
+    streams = [iter_passage(spec, bits, depth) for spec in dict.fromkeys(specs)]
+    walks = zip(*streams) if len(streams) == 2 else ((item, item) for item in streams[0])
+    total, last = head << 2 * one, 0
+    reach, next_check = None, 16
+    limit = tol.numerator << (2 * one + 1)  # tol on the scale 2**-(2 one + 1)
+    den, max_k = tol.denominator, policy.max_k
+    for (k, r1, q1, _, _, _, t1, w1), (_, r2, q2, lattice, low, lift, t2, w2) in walks:
+        t = term(r1, q1, r2, q2)
+        total += t
+        if t:
+            last = t
+        if lundberg is not None and (k >= next_check or k >= max_k):
+            reach = lundberg(k, lattice, low) << lift
+            next_check = max(k + 1, int(k * 1.25))
+        # a later arrival only gets less likely, so an earlier figure
+        # holds at move k
+        h2 = (q2 if reach is None else min(q2, reach + w2)) + t2
+        tail_bound = bound(k, q1 + t1, h2)
+        # on the scale 2**-(2 one + 1), B is tail_estimate and 2 * total + B the value
+        if tail_bound * den <= limit or k >= max_k:
+            ulp = _ulp(2 * total + tail_bound, prec)
+            floor_error = k * (t1 + w1 + t2 + w2) << (one + 1)
+            tail = _round_up(tail_bound, prec)
+            error = _round_up(max(ulp, ulp // 2 + floor_error), prec)
+            converged = (tail + error) * den <= limit
+            if converged or k >= max_k:
+                break
     scale = -(2 * one + 1)
-    with mp.workdps(dps):
-        return SeriesResult(
-            value=mpf((2 * total + tail_bound, scale)),
-            truncation_k=k,
-            last_term=mpf((last, -2 * one)),
-            tail_estimate=mpf((tail, scale)),
-            verdict=CONVERGED if converged else INCONCLUSIVE,
-            method=method,
-            witness=None if converged else f"tail not below tolerance by the truncation cap k={k}",
-            no_winner=mpf((q1 * q2, -2 * one)) if no_winner else None,
-            eval_error=mpf((error, scale)),
-            work_dps=dps,
-        )
+    return SeriesResult(
+        value=rounded(2 * total + tail_bound, prec, scale),
+        truncation_k=k,
+        last_term=rounded(last, prec, -2 * one),
+        tail_estimate=rounded(tail, prec, scale),
+        verdict=CONVERGED if converged else INCONCLUSIVE,
+        method=method,
+        witness=None if converged else f"tail not below tolerance by the truncation cap k={k}",
+        no_winner=rounded(q1 * q2, prec, -2 * one) if no_winner else None,
+        eval_error=rounded(error, prec, scale),
+        work_dps=dps,
+    )
 
 
 def _round_up(x: int, prec: int) -> int:
@@ -402,11 +407,11 @@ def _validated(spec: GameSpec) -> GameSpec:
 def _exact_result(form: PiLinear) -> SeriesResult:
     """The decimal of an exact answer at ``WORK_DPS``; its ``eval_error``
     covers both pi and the rounding to ``WORK_DPS``."""
+    prec = dps_to_prec(WORK_DPS)
     approx = form.approx(WORK_DPS)
-    with mp.workdps(WORK_DPS):
-        value = +approx.value
-        error = approx.error_bound + abs(value) * mpf(10) ** -WORK_DPS
-        return SeriesResult(value=value, method="exact", eval_error=error)
+    value = rounded(approx.value, prec)
+    error = approx.error_bound + rounded(abs(value) * ten_to_minus(WORK_DPS, prec), prec)
+    return SeriesResult(value=value, method="exact", eval_error=rounded(error, prec))
 
 
 def win_prob_squares(spec: GameSpec, policy: TailPolicy | None = None) -> SeriesResult:
@@ -418,7 +423,7 @@ def win_prob_squares(spec: GameSpec, policy: TailPolicy | None = None) -> Series
     """
     spec = _validated(spec)
     if spec.n == 0:
-        return SeriesResult(value=mpf(0), method="squares",
+        return SeriesResult(value=Dyadic(0), method="squares",
                             witness="zero target: the first player has already won")
     if spec.moves.drift < 0:
         raise ValueError(
@@ -445,11 +450,11 @@ def win_prob_direct(spec: GameSpec, policy: TailPolicy | None = None) -> SeriesR
     """
     spec = _validated(spec)
     if spec.n == 0:
-        return SeriesResult(value=mpf(0), method="direct",
+        return SeriesResult(value=Dyadic(0), method="direct",
                             witness="zero target: the first player has already won")
     if spec.moves.b <= 0:
-        return SeriesResult(value=mpf(0), method="direct",
-                            witness="moves can never reach the target", no_winner=mpf(1))
+        return SeriesResult(value=Dyadic(0), method="direct",
+                            witness="moves can never reach the target", no_winner=Dyadic(1))
     return _race(spec.n, spec.n, spec.moves, policy, "direct")
 
 
@@ -469,8 +474,8 @@ def win_prob_targets(
         raise ValueError("both targets must be >= 1")
     if GameSpec(moves, n2).moves.b <= 0:  # GameSpec checks the argument types
         # neither walk ever arrives, as in win_prob_direct
-        return SeriesResult(value=mpf(0), method="asymmetric",
-                            witness="the second walk can never reach its target", no_winner=mpf(1))
+        return SeriesResult(value=Dyadic(0), method="asymmetric",
+                            witness="the second walk can never reach its target", no_winner=Dyadic(1))
     return _race(n1, n2, moves, policy, "asymmetric")
 
 
@@ -504,13 +509,13 @@ def expected_duration(spec: GameSpec, policy: TailPolicy | None = None) -> Serie
     """
     spec = _validated(spec)
     if spec.n == 0:
-        return SeriesResult(value=mpf(0), method="duration",
+        return SeriesResult(value=Dyadic(0), method="duration",
                             witness="zero target: the race is over before any move")
     if spec.moves.drift <= 0:
         return SeriesResult(
-            value=mpf(1),
-            last_term=mpf(1),
-            tail_estimate=mpf("inf"),
+            value=Dyadic(1),
+            last_term=Dyadic(1),
+            tail_estimate=math.inf,
             verdict=DIVERGED,
             method="duration",
             witness=f"drift {spec.moves.drift} <= 0, so the terms q(n, k)**2 are not summable",
@@ -559,7 +564,7 @@ def square_sum_value(
         raise ValueError("target must be >= 1")
     spec = GameSpec(moves, n)
     if moves.b <= 0:
-        return SeriesResult(value=mpf(0), method="square_sum",
+        return SeriesResult(value=Dyadic(0), method="square_sum",
                             witness="moves can never reach the target")
     unit = reduce_zero_drift(spec)
     if unit is not None:

@@ -33,11 +33,9 @@ than the horizon, so that bound covers every table entry too: at
 ``int64``.  ``SimConfig`` rejects move sets and horizons whose bound
 reaches ``2**63``.
 
-This is the one module that imports numpy at load time; the only other
-user, the exhaustive oracle ``enumerate_first_passage``, imports it when
-called.  The package and the CLI load this module on first use, so the
-exact and series commands never pay numpy's import, which is most of a
-``pilerace`` process's start-up.
+This is the one module that imports numpy.  The package and the CLI load
+it on first use, so the exact and series commands never pay numpy's
+import, which is most of a ``pilerace`` process's start-up.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
-"""numpy is loaded only where the simulator or the exhaustive oracle runs,
-and a CLI process starts with a pinned set of pilerace modules.
+"""numpy is loaded only where the simulator runs, mpmath only where a
+summed series under negative drift needs exp and log, and a CLI process
+starts with a pinned set of pilerace modules.
 
 Each check that a module stays unloaded runs in a fresh interpreter,
-because the test process itself has long since imported numpy.
+because the test process itself has long since imported numpy and mpmath.
 """
 
 import json
@@ -13,9 +14,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from brute_force import enumerate_first_passage
 
 import pilerace
-from pilerace.passage import GameSpec, MoveSet, build_passage_table, enumerate_first_passage
+from pilerace.passage import GameSpec, MoveSet, build_passage_table
 
 _SRC = str(Path(pilerace.__file__).resolve().parents[1])
 
@@ -38,6 +40,45 @@ for argv in [
 print("ok")
 """
 
+# main() on each command of the benchmark's cli_short workload, and on the
+# other series and table commands that decide or sum without negative drift
+_NO_MPMATH_COMMANDS = """
+import contextlib, io, sys
+from pilerace.cli import main
+assert "mpmath" not in sys.modules, "import pilerace.cli"
+for argv in [
+    ["pn", "--moves=-1,2", "--n=1"],
+    ["pn", "--moves=-1,2", "--n=3"],
+    ["pn", "--moves=-1,2", "--n=10"],
+    ["within", "--moves=-1,2", "--n=3", "--k=200"],
+    ["within", "--moves=-1,2", "--n=10", "--k=500"],
+    ["within", "--moves=-1,1", "--n=1", "--k=100"],
+    ["passage", "--moves=-1,1", "--n=3", "--max-k=40"],
+    ["passage", "--moves=-1,2", "--n=4", "--max-k=30"],
+    ["table", "case_minus1_2"],
+    ["verify", "identities"],
+    ["verify", "oracles"],
+    ["verify", "recurrence"],
+    ["pmn", "--moves=-1,2", "--n1=1", "--n2=2"],
+    ["duration", "--moves=-1,2", "--n=1"],
+    ["table", "t_values"],
+]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*argv, "--json"]) == 0, argv
+    assert "mpmath" not in sys.modules, argv
+print("ok")
+"""
+
+# a negative-drift sum imports mpmath for Lundberg's bound, and answers
+_NEGATIVE_DRIFT = """
+import contextlib, io, json, sys
+from pilerace.cli import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(["pn", "--moves=-2,1", "--n=1", "--json"])
+print(code, "mpmath" in sys.modules, json.loads(out.getvalue())["results"]["direct"]["display"])
+"""
+
 _SIMULATE = """
 import sys
 from pilerace.cli import main
@@ -52,6 +93,7 @@ _CLI_MODULES = """
 import sys
 import pilerace.cli
 print(" ".join(sorted(name for name in sys.modules if name.split(".")[0] == "pilerace")))
+print("mpmath" in sys.modules, "numpy" in sys.modules)
 """
 
 
@@ -67,10 +109,20 @@ def test_exact_commands_never_load_numpy():
 
 
 def test_cli_start_up_loads_only_its_modules():
-    assert _child(_CLI_MODULES).split() == [
+    modules, heavy = _child(_CLI_MODULES).splitlines()
+    assert modules.split() == [
         "pilerace", "pilerace.cli", "pilerace.closedforms", "pilerace.numeric",
         "pilerace.passage", "pilerace.reference", "pilerace.series",
     ]
+    assert heavy == "False False"  # neither mpmath nor numpy
+
+
+def test_commands_without_negative_drift_never_load_mpmath():
+    assert _child(_NO_MPMATH_COMMANDS) == "ok\n"
+
+
+def test_negative_drift_loads_mpmath_on_demand():
+    assert _child(_NEGATIVE_DRIFT) == "0 True 0.29971615217\n"
 
 
 def test_simulate_loads_numpy_and_reports():

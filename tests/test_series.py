@@ -501,10 +501,8 @@ class TestRoundingBound:
         assert res.verdict == CONVERGED
         t = build_passage_table(spec, res.truncation_k)
         exact = sum(term(t.r[k], t.q[k]) for k in range(res.truncation_k + 1))
-        with mp.workdps(100):
-            # the value is the partial sum plus its tail_estimate
-            err = abs(res.value - res.tail_estimate - mpf(exact.numerator) / exact.denominator)
-        assert err <= res.eval_error
+        # the value is the partial sum plus its tail_estimate
+        assert abs(res.value - res.tail_estimate - exact) <= res.eval_error
 
     def test_eval_error_is_one_rounding(self):
         # 508 terms, one rounding: far below the 1e-35 per term of a
@@ -517,9 +515,8 @@ class TestRoundingBound:
         for tol in (1e-12, 1e-30, 1e-60):
             res = win_prob_direct(GameSpec(M12, 1), TailPolicy(tolerance=tol))
             assert res.verdict == CONVERGED
-            with mp.workdps(100):  # exact: the mpfs and the float fit in 100 digits
-                assert res.tail_estimate + res.eval_error <= mpf(tol)
-                assert res.eval_error <= res.value * mpf(10) ** -res.work_dps
+            assert res.tail_estimate + res.eval_error <= Fraction(tol)  # exact rationals
+            assert res.eval_error <= res.value / 10**res.work_dps
 
 
 class TestLundbergScale:
@@ -611,6 +608,5 @@ def test_result_serialization_round_trip():
     d = res.to_json_dict()
     assert d["verdict"] == CONVERGED
     assert d["method"] == "squares"
-    with mp.workdps(WORK_DPS):
-        assert abs(mpf(d["value"]) - res.value) <= res.error_bound() / 10
+    assert abs(Fraction(d["value"]) - res.value) <= res.error_bound() / 10
     assert d["witness"] is None
