@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm, perm
 
 from .numeric import PiLinear
 
@@ -149,31 +149,37 @@ def monotone_survival_count(a: int, b: int, n: int, k: int) -> int:
     return sum(comb(k, j) for j in range(min(k, (n - 1 - a * k) // (b - a)) + 1))
 
 
-def _partial_fractions(scale: Fraction, zeros, npoles: int) -> tuple:
-    """``scale * prod(m - z) / prod_{p=1..npoles} (m + p)``, with at most
-    ``npoles`` zeros, as ``(constant, {p: residue at m = -p})``."""
-    residues = {}
-    for p in range(1, npoles + 1):
-        num = scale
-        for z in zeros:
-            num *= -p - z
-        residues[p] = num / ((-1) ** (p - 1) * factorial(p - 1) * factorial(npoles - p))
-    return (scale if len(zeros) == npoles else 0), residues
+def _partial_fractions(scale: int, den: int, zeros: range, npoles: int, odd: int = 0) -> tuple:
+    """``scale / den * (2m + 1)**odd * prod_{z in zeros} (m - z) /
+    prod_{p=1..npoles} (m + p)``, zeros >= 0, with at most ``npoles`` factors
+    above, as ``(D, constant, {p: residue at m = -p})``: integer numerators
+    over ``D = den * npoles!``, which leaves ``p C(npoles, p)`` over the
+    residue's ``prod_{l != p} (l - p) = (-1)**(p - 1) (p - 1)! (npoles - p)!``."""
+    residues = {
+        p: (-1) ** (p - 1 + len(zeros)) * scale * (1 - 2 * p) ** odd
+        * perm(p + zeros.stop - 1, len(zeros)) * p * comb(npoles, p)
+        for p in range(1, npoles + 1)
+    }
+    whole = factorial(npoles)
+    constant = scale * whole << odd if len(zeros) + odd == npoles else 0
+    return den * whole, constant, residues
 
 
-def _times(f: tuple, g: tuple) -> dict:
-    """``f * g`` for partial fractions ``f`` and ``g``, g without a
-    constant: ``{p: [coefficient of 1/(m + p), of 1/(m + p)**2]}``."""
-    (c, fs), (_, gs) = f, g
-    out = {p: [c * gs.get(p, 0), Fraction(0)] for p in fs.keys() | gs.keys()}
-    for p, a in fs.items():
-        for l, b in gs.items():
-            if p == l:
-                out[p][1] += a * b
-            else:  # 1/((m+p)(m+l)) = (1/(m+p) - 1/(m+l)) / (l - p)
-                out[p][0] += a * b / (l - p)
-                out[l][0] -= a * b / (l - p)
-    return out
+def _times(f: tuple, g: tuple) -> tuple:
+    """``f * g`` for partial fractions from ``_partial_fractions``, g
+    without a constant: ``(D, {p: [numerator of 1/(m + p), of 1/(m + p)**2]})``.
+    As ``1/((m+p)(m+l)) = (1/(m+p) - 1/(m+l)) / (l - p)``, D carries the lcm
+    ``span`` of every ``l - p``, and each pair costs a product by ``span / (l - p)``."""
+    (df, c, fs), (dg, _, gs) = f, g
+    poles = fs.keys() | gs.keys()
+    span = lcm(*range(1, max(poles)))
+    out = {p: [c * gs.get(p, 0) * span, 0] for p in poles}
+    for p, a in fs.items():  # a/(m+p) times every b/(m+l), l != p, at the pole p
+        out[p][0] += a * sum(b * (span // (l - p)) for l, b in gs.items() if l != p)
+    for l, b in gs.items():  # ... and at the pole l
+        out[l][0] -= b * sum(a * (span // (l - p)) for p, a in fs.items() if p != l)
+        out[l][1] = fs.get(l, 0) * b * span
+    return df * dg * span, out
 
 
 def unit_step_sum(n2: int, n1: int | None = None) -> PiLinear:
@@ -198,42 +204,55 @@ def unit_step_sum(n2: int, n1: int | None = None) -> PiLinear:
     alpha (4/pi - sum_{m < m0} u_m / (m + 1))`` with m0 = 1 - e, the first
     m with k >= 1.  Every step is exact (Petkovsek, Wilf & Zeilberger,
     *A = B*, 1996).
+
+    The work is on integer numerators over explicit denominators: r's over
+    2 N!, N its pole count, q's over ``2**e`` times its largest pole's
+    factorial, R's over their product times the lcm of the pole gaps.  The
+    reduction carries one pole over that times h, the product of (2c + 1)**3
+    so far, and adds the parts left at -1 and in P(m0) over a further
+    4 lcm(1..M)**3, M R's farthest pole.  Only the answer's two parts are
+    ``Fraction``s, one gcd each.
     """
     if n2 < 1 or (n1 is not None and n1 < 1):
         raise ValueError("targets must be >= 1")
     e, t = n2 % 2, n2 // 2
     # n2 / k times the ratio at t, k = 2m + e cancelling its zero m (e = 0) or m + 1/2 (e = 1)
-    r = _partial_fractions(Fraction(n2, 2), range(1 - e, t), t + e)
+    r = _partial_fractions(n2, 2, range(1 - e, t), t + e)
     if n1 is None:
-        R = _times(r, r)
+        den, R = _times(r, r)
     else:  # S_k = s, of k's parity, is C(k, (k + s) / 2) / 2**k: offset |s| // 2
-        q_const, q_res = Fraction(0), Counter()
-        for off, mult in Counter(abs(s) // 2 for s in range(-n1, n1) if (s - e) % 2 == 0).items():
-            zeros = [Fraction(-1, 2)] * e + list(range(off))
-            const, res = _partial_fractions(Fraction(1), zeros, off + e)
+        offsets = Counter(abs(s) // 2 for s in range(-n1, n1) if (s - e) % 2 == 0)
+        deg = max(offsets) + e
+        q_const, q_res = 0, Counter()
+        for off, mult in offsets.items():  # (m + 1/2)**e = (2m + 1)**e / 2**e
+            _, const, res = _partial_fractions(1, 1 << e, range(off), off + e, e)
+            mult *= perm(deg, deg - off - e)  # onto the denominator of the largest offset
             q_const += mult * const
             q_res.update({p: mult * a for p, a in res.items()})
-        R = _times((q_const, q_res), r)
-
-    x, y = {}, {}  # P's coefficients of 1/(m + c)**2 and 1/(m + c)
-    for pole in range(max(R), 1, -1):
-        a1, a2 = R.pop(pole)
-        c = pole - 1
-        lead = Fraction((2 * c + 1) ** 2, 4 * c * c)  # rho(-pole)
-        x[c] = a2 / lead
-        y[c] = (a1 - x[c] * Fraction(2 * c + 1, 2 * c**3)) / lead
+        den, R = _times((factorial(deg) << e, q_const, q_res), r)
+    # Reduce from the farthest pole down.  R[c + 1] is reduced once R[c + 2]
+    # has added its part, so one pole (a1, a2) is carried, over den * h;
+    # the parts left at -1 and in P(m0) add up over den * h * base.
+    m0 = 1 - e
+    top = max(R)
+    base = 4 * lcm(*range(1, top + 1)) ** 3  # a multiple of 4 c**3 and (m0 + c)**2
+    (a1, a2), h, left1, left2, at = R[top], 1, 0, 0, 0
+    for c in range(top - 1, 0, -1):
+        g = 2 * c + 1
+        # y/(m + c) + x/(m + c)**2 cancels the pole at -(c + 1), where
+        # rho = g**2 / (4 c**2) and rho' = g / (2 c**3): both over den * h * g**3
+        x = 4 * c * c * g * a2
+        y = 4 * c * (c * g * a1 - 2 * a2)
+        h *= g**3
         # subtract L[x/(m + c)**2 + y/(m + c)]: its -P(m) part sits at -c,
         # and rho's double pole at -1 leaves a part there
-        R[c][0] += y[c]
-        R[c][1] += x[c]
-        for coef, s in ((x[c], 2), (y[c], 1)):
-            R[1][1] -= coef * Fraction(1, 4 * c**s)
-            R[1][0] += coef * (Fraction(1, c**s) + Fraction(s, 4 * c ** (s + 1)))
-    a1, a2 = R[1]
-    p0 = 4 * a2  # L[p0] = p0 (1/(4 (m + 1)**2) - 1/(m + 1))
-    alpha = a1 + p0
-    m0 = 1 - e
-    at_m0 = p0 + sum(y[c] / (m0 + c) + x[c] / (m0 + c) ** 2 for c in x)
+        a1, a2 = R[c][0] * h + y, R[c][1] * h + x
+        left1 = left1 * g**3 + (2 * g * x + c * (4 * c + 1) * y) * (base // (4 * c**3))
+        left2 = left2 * g**3 - (x + c * y) * (base // (4 * c * c))
+        at = at * g**3 + (x + (m0 + c) * y) * (base // (m0 + c) ** 2)
+    p0 = 4 * (a2 * base + left2)  # L[p0] = p0 (1/(4 (m + 1)**2) - 1/(m + 1))
+    alpha = a1 * base + left1 + p0
     # u_0 = 1 and u_1 = 1/4; for m0 = 1 the head sum is u_0 / 1 = 1
-    u_m0, head = (Fraction(1, 4), 1) if m0 else (1, 0)
-    return PiLinear(-u_m0 * at_m0 - alpha * head, 4 * alpha)
+    whole = den * h * base << 2 * m0
+    return PiLinear(Fraction(-(p0 + at) - 4 * m0 * alpha, whole),
+                    Fraction(alpha << 2 + 2 * m0, whole))

@@ -3,13 +3,16 @@ integers.
 
 Every probability produced by the race engine is a dyadic rational, so the
 stdlib ``fractions.Fraction`` (arbitrary precision, always in lowest terms)
-is used directly as the rational type.  A decimal is made without mpmath:
-``rounded`` rounds a rational as an mpf would, to a :class:`Dyadic`, and
-``nstr`` prints it as ``mpmath.nstr`` prints that mpf.  Constants of the
-symmetric unit-step race live in span{1, 1/pi} over the rationals;
-:class:`PiLinear` keeps them exact until a decimal is requested, with pi
-from Machin's formula.  Approximate values always travel together with an
-absolute error bound so that printed digits are never unbacked.
+is the rational type.  ``dyadic(num, k)`` builds ``num / 2**k``, the form
+of every exact first-passage number, as a :class:`Dyadic` in lowest terms
+by shifting out trailing zero bits, with no gcd; the closed-form oracles
+keep plain ``Fraction``.  A decimal is made without mpmath: ``rounded``
+rounds a rational as an mpf would, to a Dyadic, and ``nstr`` prints it as
+``mpmath.nstr`` prints that mpf.  Constants of the symmetric unit-step
+race live in span{1, 1/pi} over the rationals; :class:`PiLinear` keeps
+them exact until a decimal is requested, with pi from Machin's formula.
+Approximate values always travel together with an absolute error bound so
+that printed digits are never unbacked.
 """
 
 from __future__ import annotations
@@ -65,6 +68,15 @@ class Dyadic(Fraction):
         return int(self < 0), man >> zeros, exp, (man >> zeros).bit_length()
 
 
+def dyadic(num: int, k: int) -> Dyadic:
+    """``num / 2**k``, k >= 0, in lowest terms with no gcd: the trailing
+    zero bits of num, at most k of them, are shifted out of both parts."""
+    zeros = min((num & -num).bit_length() - 1, k) if num else k
+    out = object.__new__(Dyadic)
+    out._numerator, out._denominator = num >> zeros, 1 << (k - zeros)
+    return out
+
+
 def dps_to_prec(dps: int) -> int:
     """The bits mpmath works at for ``dps`` decimal digits."""
     return max(1, int(round((dps + 1) * _LOG2_10)))
@@ -88,17 +100,14 @@ def rounded(x, prec: int, exp: int = 0) -> Dyadic:
 def _round(num: int, den: int, prec: int) -> Dyadic:
     """``num / den``, den > 0, rounded as ``rounded`` rounds."""
     if not num:
-        return Dyadic(0)
+        return dyadic(0, 0)
     mag = -num if num < 0 else num
     shift = prec - _top(mag, den)  # the result's mantissa has prec bits
     man, rest = divmod(mag << shift, den) if shift >= 0 else divmod(mag, den << -shift)
     if 2 * rest > den or (2 * rest == den and man & 1):
         man += 1
-    zeros = (man & -man).bit_length() - 1
-    man, shift = (-man if num < 0 else man) >> zeros, shift - zeros
-    out = object.__new__(Dyadic)  # already in lowest terms: no gcd
-    out._numerator, out._denominator = (man, 1 << shift) if shift >= 0 else (man << -shift, 1)
-    return out
+    man = -man if num < 0 else man
+    return dyadic(man, shift) if shift >= 0 else dyadic(man << -shift, 0)
 
 
 def exact(x) -> Fraction:
@@ -111,7 +120,8 @@ def exact(x) -> Fraction:
     sign, man, exp, _ = x._mpf_
     if not man and exp:
         raise ValueError(f"not a finite number: {x!r}")
-    return rounded(-man if sign else man, man.bit_length() + 1, exp)
+    man = -man if sign else man
+    return dyadic(man << exp, 0) if exp >= 0 else dyadic(man, -exp)
 
 
 def nstr(x, n: int) -> str:
@@ -240,7 +250,35 @@ class PiLinear:
     __rmul__ = __mul__
 
     def approx(self, digits: int = 20) -> ApproxValue:
-        return pilinear_eval(self, digits)
+        """Decimal approximation of ``const + inv_pi/pi`` to ``digits``
+        significant digits, with an honest absolute error bound.  The
+        working precision grows with the size of the parts, so that their
+        cancellation does not eat the requested digits.  Each step rounds
+        to nearest at that precision as an mpf evaluation does, so value
+        and bound are the mpf path's, bit for bit."""
+        if digits < 1:
+            raise ValueError("digits must be >= 1")
+        if self.is_zero():
+            return ApproxValue(Dyadic(0), Dyadic(0))
+        # parts far above 1 may cancel to a small value: carry their digits too
+        work = digits + PI_GUARD_DIGITS + max(
+            len(str(abs(f.numerator) // f.denominator)) for f in (self.const, self.inv_pi))
+        prec = dps_to_prec(work)
+
+        def part(f: Fraction) -> Dyadic:  # mpf(f.numerator) / f.denominator
+            top = _round(f.numerator, 1, prec)
+            return _round(top.numerator, top.denominator * f.denominator, prec)
+
+        c0, c1, pi = part(self.const), part(self.inv_pi), machin_pi(prec)
+        quotient = _round(c1.numerator * pi.denominator, c1.denominator * pi.numerator, prec)
+        value = rounded(c0 + quotient, prec)
+        # True error (rounding plus pi truncation) is a few ulps at working
+        # precision; the reported bound is the requested resolution, so the
+        # printed form carries exactly the digits that were asked for.
+        parts = rounded(rounded(abs(c0) + abs(c1), prec) + 1, prec)
+        tight = rounded(parts * ten_to_minus(work - 3, prec), prec)
+        resolution = rounded(abs(value) * ten_to_minus(digits, prec), prec, -1)
+        return ApproxValue(value, max(tight, resolution))
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -286,32 +324,5 @@ def ten_to_minus(k: int, prec: int) -> Dyadic:
     return _round(1, 10**k, prec)
 
 
-def pilinear_eval(x: PiLinear, digits: int) -> ApproxValue:
-    """Decimal approximation of ``const + inv_pi/pi`` to ``digits``
-    significant digits, with an honest absolute error bound.  The working
-    precision grows with the size of the parts, so that their
-    cancellation does not eat the requested digits.  Each step rounds to
-    nearest at that precision as an mpf evaluation does, so value and
-    bound are the mpf path's, bit for bit."""
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
-    if x.const == 0 and x.inv_pi == 0:
-        return ApproxValue(Dyadic(0), Dyadic(0))
-    # parts far above 1 may cancel to a small value: carry their digits too
-    work = digits + PI_GUARD_DIGITS + max(
-        len(str(abs(f.numerator) // f.denominator)) for f in (x.const, x.inv_pi))
-    prec = dps_to_prec(work)
-
-    def part(f: Fraction) -> Dyadic:  # mpf(f.numerator) / f.denominator
-        top = _round(f.numerator, 1, prec)
-        return _round(top.numerator, top.denominator * f.denominator, prec)
-
-    c0, c1, pi = part(x.const), part(x.inv_pi), machin_pi(prec)
-    value = rounded(c0 + _round(c1.numerator * pi.denominator, c1.denominator * pi.numerator, prec),
-                    prec)
-    # True error (rounding plus pi truncation) is a few ulps at working
-    # precision; the reported bound is the requested resolution, so the
-    # printed form carries exactly the digits that were asked for.
-    parts = rounded(rounded(abs(c0) + abs(c1), prec) + 1, prec)
-    tight = rounded(parts * ten_to_minus(work - 3, prec), prec)
-    return ApproxValue(value, max(tight, rounded(abs(value) * ten_to_minus(digits, prec), prec, -1)))
+# ``PiLinear.approx`` under its older name, called as ``pilinear_eval(x, digits)``
+pilinear_eval = PiLinear.approx

@@ -14,8 +14,9 @@ lattice.  After k moves a path with j b-moves sits at ``a*k + (b-a)*j``,
 so the state is one big-integer weight per j over the common denominator
 ``2**k``: a step is Pascal's rule, and the absorbed paths are a top run
 of j.  The stream yields r and q as integer numerators over ``2**k``;
-``build_passage_table`` turns them into ``Fraction``s, and tables are
-exact by construction.
+``build_passage_table`` makes each one a ``numeric.Dyadic`` in lowest
+terms as the table is built, by shifting out trailing zero bits rather
+than by a gcd, so tables are exact by construction.
 
 A consumer that reads only the first K moves passes ``horizon=K``: the
 cells that can no longer reach n by move K are dropped as the walk goes,
@@ -44,7 +45,7 @@ from fractions import Fraction
 from itertools import count
 from operator import add
 
-from .numeric import rational_str
+from .numeric import dyadic, rational_str
 
 # moves between two floors of the fixed-point lattice: each floor costs a
 # pass over the cells, and the weights carry up to this many extra bits
@@ -287,8 +288,10 @@ def unpack(lattice: int, bits: int) -> list:
 class PassageTable:
     """Exact ``r`` and ``q`` arrays for one game, k = 0..k_max.
 
-    ``r[0]`` is a structural zero (there is no move 0); ``q[0] = 1``.
-    Completed tables are immutable and safe to share between workers.
+    Every entry is a ``numeric.Dyadic``, a ``Fraction`` in lowest terms
+    over a power of two, made when the table is built.  ``r[0]`` is a
+    structural zero (there is no move 0); ``q[0] = 1``.  Completed tables
+    are immutable and safe to share between workers.
     """
 
     k_max: int
@@ -313,15 +316,13 @@ def build_passage_table(spec: GameSpec, k_max: int) -> PassageTable:
     require_int(k_max, "k_max")
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    r = [Fraction(0)]
-    q = [Fraction(1)]
+    r = [dyadic(0, 0)]
+    q = [dyadic(1, 0)]
     for k, win, survived, _ in iter_passage(spec, horizon=k_max):
-        r.append(Fraction(win, 1 << k))
-        q.append(Fraction(survived, 1 << k))
-    while len(r) <= k_max:  # walk was absorbed early: all later mass is gone
-        r.append(Fraction(0))
-        q.append(Fraction(0))
-    return PassageTable(k_max, tuple(r), tuple(q))
+        r.append(dyadic(win, k))
+        q.append(dyadic(survived, k))
+    padding = [dyadic(0, 0)] * (k_max + 1 - len(r))  # absorbed early: all later mass is gone
+    return PassageTable(k_max, tuple(r + padding), tuple(q + padding))
 
 
 def reachability_rule(spec: GameSpec) -> dict:

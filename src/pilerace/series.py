@@ -38,7 +38,7 @@ returned numbers are rounded, once each, at the working precision, to
 floor error together.  mpmath is imported only for Lundberg's exp and log.
 ``win_within`` steps the exact DP only up to its move count (its
 horizon), or the exact Catalan stream at zero drift, and returns the
-partial sum as a ``Fraction``.
+partial sum as a ``Dyadic`` made from its integer numerator.
 """
 
 from __future__ import annotations
@@ -49,7 +49,16 @@ from fractions import Fraction
 from itertools import count, islice
 
 from .closedforms import unit_step_sum
-from .numeric import ApproxValue, Dyadic, PiLinear, dps_to_prec, nstr, rounded, ten_to_minus
+from .numeric import (
+    ApproxValue,
+    Dyadic,
+    PiLinear,
+    dps_to_prec,
+    dyadic,
+    nstr,
+    rounded,
+    ten_to_minus,
+)
 from .passage import (
     FLOOR_EVERY,
     GameSpec,
@@ -534,8 +543,8 @@ def win_within(spec: GameSpec, k: int) -> Fraction:
 
     The exact DP, stopped at its horizon k, or at zero drift the exact
     Catalan stream, gives every r and q at index j as a count over
-    ``2**j``, so the sum is kept as one integer over ``4**j`` and reduced
-    once at the end."""
+    ``2**j``, so the sum is kept as one integer over ``4**j`` and made a
+    ``numeric.dyadic`` at the end, in lowest terms with no gcd."""
     spec = _validated(spec)
     if spec.n < 1:
         raise ValueError("target must be >= 1")
@@ -550,7 +559,7 @@ def win_within(spec: GameSpec, k: int) -> Fraction:
     for j, win, survived, _ in islice(stream, k):
         total = (total << 2) + win * survived
         last = j
-    return Fraction(total, 4**last)
+    return dyadic(total, 2 * last)
 
 
 def square_sum_value(

@@ -169,6 +169,13 @@ class TestWithin:
         assert code == 0
         assert "21877/65536" in out
 
+    @pytest.mark.parametrize("moves, n", [("-2,-1", 3), ("2,3", 4)])
+    def test_zero_is_written_over_one(self, capsys, moves, n):
+        # {-2,-1} never reaches n; on {2,3} both walks arrive together
+        code, out = run_cli(capsys, "within", f"--moves={moves}", f"--n={n}", "--k=8")
+        assert code == 0
+        assert "exact: 0/1\ndecimal: 0\n" in out
+
 
 class TestDuration:
     def test_diverged_is_a_valid_answer(self, capsys):

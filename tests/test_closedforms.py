@@ -203,13 +203,14 @@ class TestUnitStepSum:
         assert all(0 < b < a < 1 for a, b in zip(values, values[1:]))
 
     def test_mixed_parity_pairs_sum_to_one(self):
-        # no tie is possible, and the race almost surely ends
-        for n1 in range(1, 21):
-            for n2 in range(n1 + 1, 21, 2):
+        # no tie is possible, and the race almost surely ends; the ranges
+        # reach (16, 15) and (25, 24), where the integer core's numbers are largest
+        for n1 in range(1, 26):
+            for n2 in range(n1 + 1, 26, 2):
                 assert unit_step_sum(n2, n1) + unit_step_sum(n1, n2) == PiLinear.of(1), (n1, n2)
 
     def test_equal_targets_are_half_the_square_sum_complement(self):
-        for n in range(1, 21):
+        for n in range(1, 26):
             assert unit_step_sum(n, n) == (PiLinear.of(1) - unit_step_sum(n)) * F(1, 2), n
 
     @pytest.mark.parametrize("n1, n2", [(7, 12), (10, 3), (9, 9), (3, 20)])

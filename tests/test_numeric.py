@@ -2,10 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
+import pilerace
 from pilerace import reference
 from pilerace.numeric import (
     PI_GUARD_DIGITS,
@@ -13,6 +14,7 @@ from pilerace.numeric import (
     Dyadic,
     PiLinear,
     as_fraction,
+    dyadic,
     exact,
     machin_pi,
     nstr,
@@ -52,11 +54,11 @@ class TestRationalRoundTrip:
 
 class TestPiLinear:
     def test_paper_constant_four_over_pi_minus_one(self):
-        val = pilinear_eval(PiLinear(Fraction(-1), Fraction(4)), 10)
+        val = PiLinear(Fraction(-1), Fraction(4)).approx(10)
         assert str(val) == "0.2732395447"
 
     def test_zero(self):
-        val = pilinear_eval(PiLinear(Fraction(0), Fraction(0)), 5)
+        val = PiLinear(Fraction(0), Fraction(0)).approx(5)
         assert val.value == 0
         assert val.error_bound == 0
         assert str(val) == "0"
@@ -65,12 +67,12 @@ class TestPiLinear:
         # high-precision oracle: evaluate with mpmath at 60 digits
         with mp.workdps(60):
             oracle = 16 / mp.pi - 5
-        val = pilinear_eval(PiLinear(Fraction(-5), Fraction(16)), 10)
+        val = PiLinear(Fraction(-5), Fraction(16)).approx(10)
         assert abs(val.value - oracle) <= val.error_bound
         assert str(val).startswith("0.0929581789")
 
     def test_error_bound_contract(self):
-        val = pilinear_eval(PiLinear(Fraction(-1), Fraction(4)), 10)
+        val = PiLinear(Fraction(-1), Fraction(4)).approx(10)
         assert val.error_bound < mpf(10) ** (1 - 10) * abs(val.value)
 
     def test_arithmetic_is_componentwise(self):
@@ -92,9 +94,9 @@ class TestPiLinear:
                          Fraction(rng.randint(-50, 50), rng.randint(1, 9)))
             y = PiLinear(Fraction(rng.randint(-50, 50), rng.randint(1, 9)),
                          Fraction(rng.randint(-50, 50), rng.randint(1, 9)))
-            both = pilinear_eval(x + y, 20)
-            apart_x = pilinear_eval(x, 20)
-            apart_y = pilinear_eval(y, 20)
+            both = (x + y).approx(20)
+            apart_x = x.approx(20)
+            apart_y = y.approx(20)
             with mp.workdps(40):
                 err = both.error_bound + apart_x.error_bound + apart_y.error_bound
                 assert abs(both.value - (apart_x.value + apart_y.value)) <= err
@@ -112,7 +114,7 @@ class TestPiLinear:
         with mp.workdps(200):
             const = -Fraction(int(mp.nint(10**72 / mp.pi)))
             oracle = mpf(10**72) / mp.pi + int(const)
-        val = pilinear_eval(PiLinear(const, inv_pi), 20)
+        val = PiLinear(const, inv_pi).approx(20)
         assert abs(oracle) < 1
         assert val.guaranteed_digits() >= 20
         with mp.workdps(200):
@@ -120,7 +122,7 @@ class TestPiLinear:
 
     def test_rejects_digits_below_one(self):
         with pytest.raises(ValueError):
-            pilinear_eval(PiLinear(Fraction(1), Fraction(0)), 0)
+            PiLinear(Fraction(1), Fraction(0)).approx(0)
 
 
 class TestApproxValue:
@@ -240,6 +242,19 @@ class TestDyadic:
         if y is not None:  # one rounding: the numerator is exact at prec
             assert rounded(x, prec) == exact(y)
 
+    @given(num=st.integers(-(2**300), 2**300), k=st.integers(0, 600))
+    @example(num=0, k=0)
+    @example(num=0, k=600)
+    @example(num=3 << 40, k=7)  # more trailing zeros than k: an integer
+    @example(num=-(5 << 9), k=9)  # exactly k trailing zeros
+    @example(num=-(2**300), k=600)
+    def test_dyadic_is_the_reduced_fraction(self, num, k):
+        # a value not in lowest terms would break Fraction's == and hash
+        x, ref = dyadic(num, k), Fraction(num, 1 << k)
+        assert type(x) is Dyadic
+        assert (x.numerator, x.denominator, hash(x)) == (ref.numerator, ref.denominator, hash(ref))
+        assert x == ref and ref == x
+
     def test_rounding_is_to_nearest_even(self):
         assert rounded(Fraction(5, 2), 2) == 2  # 10.1 in binary: a tie, kept even
         assert rounded(Fraction(7, 2), 2) == 4
@@ -274,8 +289,8 @@ def test_machin_pi_equals_mpmath_pi_to_2000_bits():
             assert machin_pi(prec) == exact(+mp.pi), prec
 
 
-def _mpf_pilinear_eval(x: PiLinear, digits: int):
-    """``pilinear_eval`` as it was computed in mpf arithmetic."""
+def _mpf_approx(x: PiLinear, digits: int):
+    """``PiLinear.approx`` as it was computed in mpf arithmetic."""
     work = digits + PI_GUARD_DIGITS + max(
         len(str(abs(f.numerator) // f.denominator)) for f in (x.const, x.inv_pi))
     with mp.workdps(work):
@@ -287,9 +302,16 @@ def _mpf_pilinear_eval(x: PiLinear, digits: int):
     return exact(value), exact(bound)
 
 
+def test_pilinear_eval_is_the_approx_method():
+    # the older function name stays importable; the oracle builder calls it
+    assert pilerace.pilinear_eval is pilinear_eval is PiLinear.approx
+    form = reference.TARGET_TABLE_PM1[(2, 3)]
+    assert pilinear_eval(form, 25) == form.approx(25)
+
+
 @pytest.mark.parametrize("digits", [1, 10, 17, 20, 30, 40, 60])
 def test_pilinear_eval_equals_the_mpf_path(digits):
     forms = [*reference.TARGET_TABLE_PM1.values(), *reference.SQUARE_SUMS_PM1.values()]
     for form in forms:
-        approx = pilinear_eval(form, digits)
-        assert (approx.value, approx.error_bound) == _mpf_pilinear_eval(form, digits), form
+        approx = form.approx(digits)
+        assert (approx.value, approx.error_bound) == _mpf_approx(form, digits), form

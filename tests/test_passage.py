@@ -23,7 +23,7 @@ from pilerace.passage import (
     reduce_zero_drift,
     unpack,
 )
-from pilerace.series import FLOOR_GUARD_BITS, WORK_DPS, _lundberg, win_prob_direct
+from pilerace.series import FLOOR_GUARD_BITS, WORK_DPS, _lundberg, win_prob_direct, win_within
 
 MOVE_MATRIX = [MoveSet(-1, 1), MoveSet(-1, 2), MoveSet(1, 2), MoveSet(-2, 1), MoveSet(0, 1)]
 
@@ -87,6 +87,49 @@ class TestTableExamples:
     def test_rejects_k_below_one(self):
         with pytest.raises(ValueError):
             build_passage_table(GameSpec(MoveSet(-1, 1), 1), 0)
+
+
+def in_lowest_terms(x) -> bool:
+    """A power-of-two denominator, an odd numerator over any larger one,
+    and 0 written as 0/1."""
+    num, den = x.numerator, x.denominator
+    return den & (den - 1) == 0 and (num % 2 == 1 or den == 1) and (num != 0 or den == 1)
+
+
+# {2,3} is absorbed early (zero padding), {-2,-1} never reaches n, and
+# win_within reads {-1,1} from the Catalan stream
+LOWEST_TERMS_CASES = [((-1, 2), 3, 80), ((-1, 3), 5, 120), ((-3, 4), 2, 100), ((2, 3), 7, 12),
+                      ((-2, -1), 1, 10), ((-1, 1), 2, 60)]
+
+
+@pytest.mark.parametrize("moves, n, k_max", LOWEST_TERMS_CASES)
+def test_table_values_are_the_dyadics_of_the_stream(moves, n, k_max):
+    spec = GameSpec(MoveSet(*moves), n)
+    table = build_passage_table(spec, k_max)
+    stream = {k: (win, survived) for k, win, survived, _ in iter_passage(spec, horizon=k_max)}
+    stream[0] = (0, 1)
+    for k in range(k_max + 1):
+        win, survived = stream.get(k, (0, 0))
+        for value, num in ((table.r[k], win), (table.q[k], survived)):
+            ref = Fraction(num, 1 << k)
+            assert in_lowest_terms(value), (k, value)
+            assert (value.numerator, value.denominator) == (ref.numerator, ref.denominator)
+    if moves == (2, 3):
+        assert len(stream) <= k_max and table.q[-1] == 0
+    if moves == (-2, -1):
+        assert set(table.r[1:]) == {0} and set(table.q) == {1}
+
+
+@pytest.mark.parametrize("moves, n, k_max", LOWEST_TERMS_CASES)
+def test_win_within_is_the_dyadic_of_its_partial_sum(moves, n, k_max):
+    spec = GameSpec(MoveSet(*moves), n)
+    table = build_passage_table(spec, k_max)
+    total = Fraction(0)
+    for k in range(1, k_max + 1):
+        total += table.q[k] * table.r[k]
+        value = win_within(spec, k)
+        assert in_lowest_terms(value), (k, value)
+        assert (value.numerator, value.denominator) == (total.numerator, total.denominator)
 
 
 class TestExactIdentities:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from pilerace import series
-from pilerace.closedforms import win_within_one
+from pilerace.closedforms import unit_step_sum, win_within_one
 from pilerace.numeric import ApproxValue, PiLinear
 from pilerace.passage import GameSpec, MoveSet, build_passage_table, iter_passage
 from pilerace.reference import SQUARE_SUMS_PM1, TARGET_TABLE_PM1, recurrence_residual
@@ -578,6 +578,10 @@ class TestZeroDriftConstants:
         for j in range(4, 14):
             res = square_sum_value(PM1, n, TailPolicy(tolerance=1e-30, max_k=2**j))
             self.assert_exact(res, exact)
+
+    def test_exact_forms_equal_the_recurrence_through_100(self):
+        # the telescoped forms at n = 64 and 100 have parts near 1e74
+        assert [unit_step_sum(n) for n in range(1, 101)] == square_sums_pm1(100)
 
     @pytest.mark.parametrize("n", [64, 100])
     def test_large_targets_back_every_digit(self, n):
