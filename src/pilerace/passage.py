@@ -45,7 +45,7 @@ from fractions import Fraction
 from itertools import count
 from operator import add
 
-from .numeric import dyadic, rational_str
+from .numeric import dyadic, nstr, rational_str
 
 # moves between two floors of the fixed-point lattice: each floor costs a
 # pass over the cells, and the weights carry up to this many extra bits
@@ -300,15 +300,24 @@ class PassageTable:
 
     def rows(self):
         """Yield one dict per k: exact r and q and their 15-digit decimals
-        (r is blank at k = 0, where there is no move)."""
+        (r is blank at k = 0, where there is no move).
+
+        A decimal is the float's ``.15g`` at or above 2**-1022, the least
+        normal float, and ``numeric.nstr(x, 15)`` below it, where a float
+        would keep fewer digits or none; zero prints as "0"."""
         for k in range(self.k_max + 1):
             yield {
                 "k": k,
                 "r": rational_str(self.r[k]) if k else "",
                 "q": rational_str(self.q[k]),
-                "r_decimal": f"{float(self.r[k]):.15g}" if k else "",
-                "q_decimal": f"{float(self.q[k]):.15g}",
+                "r_decimal": _decimal(self.r[k]) if k else "",
+                "q_decimal": _decimal(self.q[k]),
             }
+
+
+def _decimal(x: Fraction) -> str:
+    """``x`` >= 0 to 15 significant digits, as ``PassageTable.rows`` prints it."""
+    return nstr(x, 15) if 0 < x.numerator << 1022 < x.denominator else f"{float(x):.15g}"
 
 
 def build_passage_table(spec: GameSpec, k_max: int) -> PassageTable:

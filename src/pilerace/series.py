@@ -3,9 +3,11 @@ tail bound otherwise.
 
 Everything here is a sum over the per-move first-passage probabilities
 ``r(n, k)`` and survival probabilities ``q(n, k)`` of a single walk: the
-second player's win probability ``sum q(n1, k) r(n2, k)`` (``p_n`` is its
-diagonal, also ``1/2 - (1/2) sum r**2``), the expected game length
-``sum q**2`` and exact win-within-k partial sums.
+second player's win probability ``sum q(n1, k) r(n2, k)``, the expected
+game length ``sum q**2`` and exact win-within-k partial sums.  ``p_n`` is
+the diagonal n1 = n2.  Under non-negative drift, with a reachable target
+(b > 0), the race ends almost surely and the paper's identity ``p_n =
+(1 - sum r**2) / 2`` holds as well; ``square_sum_value`` gives that sum.
 
 Zero drift is not summed.  A {-c, c} walk is the unit-step walk with
 target ``ceil(n / c)``, and ``closedforms.unit_step_sum`` telescopes each
@@ -423,39 +425,18 @@ def _exact_result(form: PiLinear) -> SeriesResult:
     return SeriesResult(value=value, method="exact", eval_error=rounded(error, prec))
 
 
-def win_prob_squares(spec: GameSpec, policy: TailPolicy | None = None) -> SeriesResult:
-    """Second player's win probability via ``1/2 - (1/2) sum r**2``.
-
-    Valid only when the race almost surely ends (non-negative drift and a
-    reachable target); otherwise the direct method must be used.  Equal
-    to ``win_prob_direct`` and ``win_prob_targets(n, n)`` but for ``method``.
-    """
-    spec = _validated(spec)
-    if spec.n == 0:
-        return SeriesResult(value=Dyadic(0), method="squares",
-                            witness="zero target: the first player has already won")
-    if spec.moves.drift < 0:
-        raise ValueError(
-            "the squared-passage identity needs non-negative drift; "
-            "use the direct method for this move set"
-        )
-    if spec.moves.b <= 0:
-        raise ValueError(
-            "the squared-passage identity needs an almost surely finished race, "
-            "but these moves can never reach the target"
-        )
-    return _race(spec.n, spec.n, spec.moves, policy, "squares")
-
-
 def win_prob_direct(spec: GameSpec, policy: TailPolicy | None = None) -> SeriesResult:
-    """Second player's win probability, the sum of ``q * r``; valid for
-    every drift.
+    """Second player's win probability p_n, the sum of ``q * r``; valid
+    for every drift.  ``win_prob_squares`` is its older name.
 
-    The tail after move K lies in ``[0, q_K h_K]``, with ``h_K`` the proved
-    bound on a later arrival: ``q_K`` under positive drift, where the
-    reported value ``sum_{k<=K} q r + q_K**2 / 2`` equals ``(1 - sum_{k<=K}
-    r**2) / 2``, and Lundberg's bound under negative drift, where the
-    never-decided probability estimate ``q_K**2`` is reported too.
+    Under non-negative drift, with b > 0, the race ends almost surely and
+    the paper's identity ``p_n = (1 - sum r**2) / 2`` holds;
+    ``square_sum_value`` and the CLI's ``table case_minus1_2`` take that
+    route.  The tail after move K lies in ``[0, q_K h_K]``, with ``h_K``
+    the proved bound on a later arrival: ``q_K`` under positive drift,
+    where the reported value ``sum_{k<=K} q r + q_K**2 / 2`` equals ``(1 -
+    sum_{k<=K} r**2) / 2``, and Lundberg's bound under negative drift,
+    where the never-decided probability estimate ``q_K**2`` is reported too.
     """
     spec = _validated(spec)
     if spec.n == 0:
@@ -465,6 +446,11 @@ def win_prob_direct(spec: GameSpec, policy: TailPolicy | None = None) -> SeriesR
         return SeriesResult(value=Dyadic(0), method="direct",
                             witness="moves can never reach the target", no_winner=Dyadic(1))
     return _race(spec.n, spec.n, spec.moves, policy, "direct")
+
+
+# The benchmark's exact_walks workload calls p_n by this name, and
+# ``pilerace.__all__`` exports it.
+win_prob_squares = win_prob_direct
 
 
 def win_prob_targets(

@@ -7,8 +7,10 @@ targets, tight tolerances, the exact ``within`` and ``passage`` tables,
 the reference tables and the verification suites.  A change that must
 not move any printed number has to leave every record as it is.
 
+``PYTHONPATH=src python tests/test_cli_golden.py`` prints the key of each
+record whose output differs and exits 1 if any does; it writes nothing.
 After an intended change of output, rewrite the records with
-``PYTHONPATH=src python tests/test_cli_golden.py``.
+``PYTHONPATH=src python tests/test_cli_golden.py --rewrite``.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -79,4 +82,14 @@ def test_output_is_unchanged(golden, argv):
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps({_key(argv): run(argv) for argv in COMMANDS}, indent=1) + "\n")
+    if sys.argv[1:] not in ([], ["--rewrite"]):
+        sys.exit(f"usage: {sys.argv[0]} [--rewrite]")
+    records = {_key(argv): run(argv) for argv in COMMANDS}
+    if sys.argv[1:]:
+        GOLDEN.write_text(json.dumps(records, indent=1) + "\n")
+        sys.exit(0)
+    frozen = json.loads(GOLDEN.read_text())
+    changed = [key for key in {**records, **frozen} if records.get(key) != frozen.get(key)]
+    for key in changed:
+        print(key)
+    sys.exit(1 if changed else 0)

@@ -457,6 +457,36 @@ class TestSerialization:
         assert len(lines) == 6
         assert lines[2].startswith("1,1/2,1/2,0.5,0.5")
 
+    def test_decimals_keep_15_digits_below_the_float_range(self):
+        # {-1,10} n=1 falls below 2**-1022 near k = 1,900; a float printed
+        # many of its entries as "0" and k = 1,890 69% off
+        table = build_passage_table(GameSpec(MoveSet(-1, 10), 1), 2000)
+        tiny = 0
+        for row in table.rows():
+            for exact, decimal in ((row["r"], row["r_decimal"]), (row["q"], row["q_decimal"])):
+                if not exact:  # r at k = 0
+                    continue
+                x = Fraction(exact)
+                assert (decimal == "0") == (x == 0), row["k"]
+                if x == 0:
+                    continue
+                assert abs(Fraction(decimal) - x) <= Fraction(10) ** (_exponent10(x) - 14), row["k"]
+                if x < Fraction(1, 1 << 1022):
+                    tiny += 1
+                else:  # the float's decimal, byte for byte, where a float holds it
+                    assert decimal == f"{float(x):.15g}", row["k"]
+        assert tiny > 200
+
+
+def _exponent10(x: Fraction) -> int:
+    """floor(log10(x)) for a rational x > 0, exactly."""
+    e = (x.numerator.bit_length() - x.denominator.bit_length()) * 3 // 10
+    while Fraction(10) ** e > x:
+        e -= 1
+    while Fraction(10) ** (e + 1) <= x:
+        e += 1
+    return e
+
 
 class TestZeroDriftReduction:
     def test_scaled_sets_reduce(self):

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
+import pilerace
 from pilerace import series
 from pilerace.closedforms import unit_step_sum, win_within_one
 from pilerace.numeric import ApproxValue, PiLinear
@@ -22,7 +23,6 @@ from pilerace.series import (
     rq_stream,
     square_sum_value,
     win_prob_direct,
-    win_prob_squares,
     win_prob_targets,
     win_within,
 )
@@ -64,54 +64,33 @@ class TestPolicy:
     def test_defaults_by_drift(self):
         # the cap bounds summed series only; zero drift is answered exactly
         assert TailPolicy().max_k == 5_000
-        assert win_prob_squares(GameSpec(M12, 1)).method != "exact"
-        exact = win_prob_squares(GameSpec(PM1, 1))
+        assert win_prob_direct(GameSpec(M12, 1)).method != "exact"
+        exact = win_prob_direct(GameSpec(PM1, 1))
         assert (exact.method, exact.truncation_k) == ("exact", 0)
 
 
-class TestWinProbSquares:
-    def test_unit_step_target_one(self):
-        res = win_prob_squares(GameSpec(PM1, 1), TailPolicy(tolerance=1e-10))
-        assert res.verdict == CONVERGED
-        assert abs(res.value - pl(1, -2)) < 1e-9
-
-    def test_unit_step_target_two(self):
-        res = win_prob_squares(GameSpec(PM1, 2))
-        assert abs(res.value - pl(3, -8)) < 1e-8
-
-    def test_minus12_target_five(self):
-        res = win_prob_squares(GameSpec(M12, 5))
-        assert abs(res.value - mpf("0.45292179047578731")) < 1e-9
-
-    def test_zero_target_is_immediate(self):
-        res = win_prob_squares(GameSpec(PM1, 0))
-        assert res.value == 0 and res.verdict == CONVERGED
-
-    def test_rejects_negative_drift(self):
-        with pytest.raises(ValueError, match="direct"):
-            win_prob_squares(GameSpec(MoveSet(-2, 1), 1))
-
-    def test_rejects_unreachable_target(self):
-        with pytest.raises(ValueError, match="never"):
-            win_prob_squares(GameSpec(MoveSet(0, 0), 1))
-
-    def test_deterministic_race_second_player_never_wins(self):
-        res = win_prob_squares(GameSpec(MoveSet(1, 1), 5))
-        assert res.value == 0 and res.verdict == CONVERGED and res.tail_estimate == 0
+def test_win_prob_squares_is_the_old_name_of_direct():
+    # the benchmark calls p_n by the old name, and the package exports it
+    assert series.win_prob_squares is series.win_prob_direct
+    assert pilerace.win_prob_squares is pilerace.win_prob_direct
 
 
 class TestWinProbDirect:
-    def test_agrees_with_squares(self):
-        for spec in (GameSpec(PM1, 1), GameSpec(PM1, 3), GameSpec(M12, 2)):
-            tol = 1e-9
-            a = win_prob_squares(spec, TailPolicy(tolerance=tol))
-            b = win_prob_direct(spec, TailPolicy(tolerance=tol))
-            assert a.verdict == b.verdict == CONVERGED
-            assert abs(a.value - b.value) <= 2 * tol
-
     def test_minus12_target_one(self):
         res = win_prob_direct(GameSpec(M12, 1))
         assert abs(res.value - mpf("0.33891390869471156")) < 1e-9
+
+    def test_minus12_target_five(self):
+        res = win_prob_direct(GameSpec(M12, 5))
+        assert abs(res.value - mpf("0.45292179047578731")) < 1e-9
+
+    def test_zero_target_is_immediate(self):
+        res = win_prob_direct(GameSpec(PM1, 0))
+        assert res.value == 0 and res.verdict == CONVERGED
+
+    def test_deterministic_race_second_player_never_wins(self):
+        res = win_prob_direct(GameSpec(MoveSet(1, 1), 5))
+        assert res.value == 0 and res.verdict == CONVERGED and res.tail_estimate == 0
 
     def test_negative_drift_reports_no_winner(self):
         res = win_prob_direct(GameSpec(MoveSet(-2, 1), 1))
@@ -163,11 +142,10 @@ class TestWinProbTargets:
         ids=str,
     )
     def test_equal_targets_are_the_symmetric_game(self, moves, n):
-        # p_n is p_{n,n}: one race body gives all three results exactly
-        spec = GameSpec(moves, n)
-        results = [win_prob_direct(spec), win_prob_squares(spec), win_prob_targets(n, n, moves)]
-        dicts = [{**res.to_json_dict(), "method": None} for res in results]
-        assert dicts[0] == dicts[1] == dicts[2]
+        # p_n is p_{n,n}: one race body gives both results exactly
+        a = win_prob_direct(GameSpec(moves, n)).to_json_dict()
+        b = win_prob_targets(n, n, moves).to_json_dict()
+        assert {**a, "method": None} == {**b, "method": None}
 
     @pytest.mark.parametrize("moves, n", [(MoveSet(-2, 1), 1), (MoveSet(-3, 1), 2)], ids=str)
     def test_negative_drift_equal_targets_are_direct(self, moves, n):
@@ -322,22 +300,13 @@ class TestSquareSums:
 
 
 def _evaluations(moves: MoveSet, policy: TailPolicy | None = None) -> dict:
-    """Each summing evaluator on ``moves``: its result, or the type and
-    message of what it raised."""
-    calls = {
-        "squares": lambda: win_prob_squares(GameSpec(moves, 1), policy),
-        "direct": lambda: win_prob_direct(GameSpec(moves, 1), policy),
-        "targets": lambda: win_prob_targets(2, 1, moves, policy),
-        "square_sum": lambda: square_sum_value(moves, 1, policy),
-        "duration": lambda: expected_duration(GameSpec(moves, 1), policy),
+    """The result of each summing evaluator on ``moves``."""
+    return {
+        "direct": win_prob_direct(GameSpec(moves, 1), policy),
+        "targets": win_prob_targets(2, 1, moves, policy),
+        "square_sum": square_sum_value(moves, 1, policy),
+        "duration": expected_duration(GameSpec(moves, 1), policy),
     }
-    out = {}
-    for name, call in calls.items():
-        try:
-            out[name] = call()
-        except ValueError as exc:
-            out[name] = (type(exc), str(exc))
-    return out
 
 
 class TestReachabilityGuard:
@@ -359,7 +328,6 @@ class TestReachabilityGuard:
             res = results[name]
             assert (res.value, res.truncation_k, res.verdict) == (0, 0, CONVERGED), name
         assert results["duration"].verdict == DIVERGED
-        assert results["squares"][0] is ValueError
 
     def test_huge_span_returns(self):
         moves = MoveSet(-(10**9), 10**9 - 1)
@@ -368,7 +336,6 @@ class TestReachabilityGuard:
             assert results[name].verdict == series.INCONCLUSIVE, name
             assert results[name].truncation_k == 16, name
         assert results["duration"].verdict == DIVERGED
-        assert results["squares"][0] is ValueError
 
 
 # every reachable move set with |a|, |b| <= 4 that is summed: zero drift is exact
@@ -393,8 +360,8 @@ class TestTailHonesty:
     @pytest.mark.parametrize(
         "make",
         [
-            lambda p: win_prob_squares(GameSpec(PM1, 1), p),
-            lambda p: win_prob_squares(GameSpec(M12, 3), p),
+            lambda p: win_prob_direct(GameSpec(PM1, 1), p),
+            lambda p: win_prob_direct(GameSpec(M12, 3), p),
             lambda p: win_prob_targets(1, 2, PM1, p),
             lambda p: expected_duration(GameSpec(M12, 1), p),
             lambda p: win_prob_direct(GameSpec(MoveSet(-2, 1), 1), p),
@@ -418,11 +385,11 @@ class TestTailHonesty:
             (lambda p: win_prob_targets(1, 2, M12, p), DEFAULT_TOLERANCE),
             (lambda p: win_prob_targets(1, 2, MoveSet(-2, 3), p), DEFAULT_TOLERANCE),
             (lambda p: win_prob_targets(2, 3, MoveSet(-2, 3), p), DEFAULT_TOLERANCE),
-            (lambda p: win_prob_squares(GameSpec(MoveSet(-1, 3), 2), p), DEFAULT_TOLERANCE),
+            (lambda p: win_prob_direct(GameSpec(MoveSet(-1, 3), 2), p), DEFAULT_TOLERANCE),
         ],
         ids=["direct(-3,1)n=1", "targets(-1,2)(3,3)", "targets(-3,4)(2,3)",
              "targets(-1,2)(2,1)", "targets(-1,2)(1,2)", "targets(-2,3)(1,2)",
-             "targets(-2,3)(2,3)", "squares(-1,3)n=2"],
+             "targets(-2,3)(2,3)", "direct(-1,3)n=2"],
     )
     def test_former_under_reports(self, make, tol):
         assert within_bound_of_further_run(make, tol).verdict == CONVERGED
@@ -553,8 +520,7 @@ class TestZeroDriftConstants:
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_equal_targets(self, n):
         half = (PiLinear.of(1) - SQUARE_SUMS_PM1[n]) * F(1, 2)
-        for res in (win_prob_direct(GameSpec(PM1, n)), win_prob_squares(GameSpec(PM1, n))):
-            self.assert_exact(res, half)
+        self.assert_exact(win_prob_direct(GameSpec(PM1, n)), half)
 
     # nothing is summed at zero drift, so no cap or tolerance can leave an
     # answer inconclusive or move it off the exact constant
@@ -594,8 +560,8 @@ class TestZeroDriftConstants:
 
 class TestScaledZeroDrift:
     def test_scaled_moves_match_unit_step(self):
-        a = win_prob_squares(GameSpec(MoveSet(-3, 3), 7))
-        b = win_prob_squares(GameSpec(PM1, 3))
+        a = win_prob_direct(GameSpec(MoveSet(-3, 3), 7))
+        b = win_prob_direct(GameSpec(PM1, 3))
         assert a.value == b.value and a.method == b.method == "exact"
 
     @pytest.mark.parametrize("c, n1, n2", [(2, 3, 4), (3, 7, 2), (5, 11, 30)])
@@ -608,9 +574,9 @@ class TestScaledZeroDrift:
 
 
 def test_result_serialization_round_trip():
-    res = win_prob_squares(GameSpec(M12, 1))
+    res = win_prob_direct(GameSpec(M12, 1))
     d = res.to_json_dict()
     assert d["verdict"] == CONVERGED
-    assert d["method"] == "squares"
+    assert d["method"] == "direct"
     assert abs(Fraction(d["value"]) - res.value) <= res.error_bound() / 10
     assert d["witness"] is None

@@ -52,3 +52,20 @@ def test_tracer_records_and_restores(monkeypatch):
     dp_parents = {names[s["parent"]] for s in tracer.spans
                   if s["name"] == "passage.iter_passage" and s["terms"] > 0}
     assert dp_parents == evaluators
+
+
+def test_old_name_of_direct_is_traced_under_its_own_name(monkeypatch):
+    # exact_walks calls p_n as ``win_prob_squares``, which is bound to
+    # ``win_prob_direct``; the tracer wraps each name separately
+    tracing = _load_tracing(monkeypatch)
+    direct = series.win_prob_direct
+    tracer = tracing.Tracer()
+    tracer.install({"series": series, "passage": passage, "simulate": simulate})
+    try:
+        series.win_prob_squares(GameSpec(MoveSet(-1, 2), 1))
+    finally:
+        tracer.uninstall()
+    assert series.win_prob_squares is direct and series.win_prob_direct is direct
+    roots = [s["name"] for s in tracer.spans if s["parent"] is None]
+    assert roots.count("series.win_prob_squares") == 1
+    assert "series.win_prob_direct" not in roots
