@@ -29,6 +29,7 @@ from .numeric import ApproxValue, dps_to_prec, nstr, rational_str, rounded
 from .passage import GameSpec, MoveSet, build_passage_table, iter_passage, reachability_rule
 from .series import (
     CONVERGED,
+    DEFAULT_MAX_K,
     DEFAULT_TOLERANCE,
     DIVERGED,
     SeriesResult,
@@ -98,14 +99,27 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
+def _tolerance(text: str) -> float:
+    """``--tol`` as a float, refused as typed unless it reads as positive
+    and finite: 1e-400 underflows to 0.0 and 1e400 overflows to inf."""
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0 < tol < float("inf"):  # nan fails both
+        raise argparse.ArgumentTypeError(
+            f"must be positive and finite as a double, got {text!r}, which reads as {tol!r}")
+    return tol
+
+
 def _add_series_flags(
     p: argparse.ArgumentParser,
     digits: bool = True,
     only: str = " (summed, non-zero drift series only; zero-drift answers are exact)",
 ) -> None:
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOLERANCE,
                    help=f"tail tolerance, default {DEFAULT_TOLERANCE:g}" + only)
-    p.add_argument("--max-k", type=int, default=None, help="truncation cap" + only)
+    p.add_argument("--max-k", type=int, default=DEFAULT_MAX_K, help="truncation cap" + only)
     if digits:
         p.add_argument("--digits", type=int, default=17, help="max displayed digits")
 
@@ -113,12 +127,7 @@ def _add_series_flags(
 def _policy_from(args) -> TailPolicy:
     if getattr(args, "digits", 1) < 1:
         raise ValueError(f"--digits must be >= 1, got {args.digits}")
-    kwargs = {}
-    if args.tol is not None:
-        kwargs["tolerance"] = args.tol
-    if args.max_k is not None:
-        kwargs["max_k"] = args.max_k
-    return TailPolicy(**kwargs)
+    return TailPolicy(args.tol, args.max_k)
 
 
 def build_parser() -> _Parser:
@@ -233,7 +242,7 @@ def _cmd_within(args) -> tuple[OutputRecord, int]:
 
 
 def _fmt_delta(x, y) -> str:
-    """|x - y| to 6 digits, each number rounded at 30 digits as an mpf is."""
+    """|x - y| to 6 digits, x, y and the difference each rounded at 30 digits' bits."""
     prec = dps_to_prec(30)
     return nstr(rounded(abs(rounded(x, prec) - rounded(y, prec)), prec), 6)
 

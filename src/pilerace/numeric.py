@@ -6,13 +6,14 @@ stdlib ``fractions.Fraction`` (arbitrary precision, always in lowest terms)
 is the rational type.  ``dyadic(num, k)`` builds ``num / 2**k``, the form
 of every exact first-passage number, as a :class:`Dyadic` in lowest terms
 by shifting out trailing zero bits, with no gcd; the closed-form oracles
-keep plain ``Fraction``.  A decimal is made without mpmath: ``rounded``
-rounds a rational as an mpf would, to a Dyadic, and ``nstr`` prints it as
-``mpmath.nstr`` prints that mpf.  Constants of the symmetric unit-step
-race live in span{1, 1/pi} over the rationals; :class:`PiLinear` keeps
-them exact until a decimal is requested, with pi from Machin's formula.
-Approximate values always travel together with an absolute error bound so
-that printed digits are never unbacked.
+keep plain ``Fraction``.  Decimals are made on integers, without mpmath:
+``rounded`` rounds a rational once to a Dyadic of a given precision,
+``nstr`` prints a rational correctly rounded to n significant digits, and
+a digit count is one exact comparison.  Constants of the symmetric
+unit-step race live in span{1, 1/pi} over the rationals; :class:`PiLinear`
+keeps them exact until a decimal is requested, with pi from Machin's
+formula.  Approximate values always travel together with an absolute
+error bound so that printed digits are never unbacked.
 """
 
 from __future__ import annotations
@@ -32,16 +33,12 @@ _LOG2_10 = math.log(10, 2)
 
 
 def as_fraction(x) -> Fraction:
-    """Coerce an int, Fraction, rational string ("3/16") or other exact
-    rational to Fraction.  Floats are rejected: they are not exact."""
+    """Coerce an int, Fraction or other exact rational to Fraction.
+    Floats are rejected: they are not exact."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool):
         raise TypeError("bool is not a rational value")
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
     if isinstance(x, _RationalABC):
         return Fraction(x.numerator, x.denominator)
     raise TypeError(f"not an exact rational: {x!r}")
@@ -56,7 +53,8 @@ def rational_str(x) -> str:
 class Dyadic(Fraction):
     """A Fraction whose denominator is a power of two; arithmetic gives plain
     Fractions.  ``_mpf_`` is mpmath's raw form of the same number, so that
-    ``mpf(x)``, mixed arithmetic and ``mpmath.nstr(x)`` read it exactly."""
+    ``mpf(x)``, mixed arithmetic and ``mpmath.nstr(x)`` read it exactly:
+    callers that check answers in mpmath pass a Dyadic straight in."""
 
     __slots__ = ()
 
@@ -78,7 +76,8 @@ def dyadic(num: int, k: int) -> Dyadic:
 
 
 def dps_to_prec(dps: int) -> int:
-    """The bits mpmath works at for ``dps`` decimal digits."""
+    """The significant bits kept for ``dps`` decimal digits: mpmath's rule
+    ``round((dps + 1) log2(10))``, at which answers have always been rounded."""
     return max(1, int(round((dps + 1) * _LOG2_10)))
 
 
@@ -90,62 +89,47 @@ def _top(num: int, den: int) -> int:
 
 def rounded(x, prec: int, exp: int = 0) -> Dyadic:
     """The rational ``x * 2**exp`` rounded to nearest, ties to even, at
-    ``prec`` significant bits: ``mpf(x * 2**exp)`` at that precision, and
-    any mpf operation whose exact result is x."""
+    ``prec`` significant bits."""
     if exp >= 0:
         return _round(x.numerator << exp, x.denominator, prec)
     return _round(x.numerator, x.denominator << -exp, prec)
 
 
-def _round(num: int, den: int, prec: int) -> Dyadic:
-    """``num / den``, den > 0, rounded as ``rounded`` rounds."""
+def _round(num: int, den: int, prec: int, toward: int = 0) -> Dyadic:
+    """``num / den``, den > 0, at ``prec`` significant bits: to nearest as
+    ``rounded`` rounds, or up for ``toward`` 1 and down for -1."""
     if not num:
         return dyadic(0, 0)
-    mag = -num if num < 0 else num
-    shift = prec - _top(mag, den)  # the result's mantissa has prec bits
-    man, rest = divmod(mag << shift, den) if shift >= 0 else divmod(mag, den << -shift)
-    if 2 * rest > den or (2 * rest == den and man & 1):
+    shift = prec - _top(abs(num), den)  # the result's mantissa has prec bits
+    man, rest = divmod(num << shift, den) if shift >= 0 else divmod(num, den << -shift)
+    if toward > 0 and rest or not toward and (2 * rest > den or 2 * rest == den and man & 1):
         man += 1
-    man = -man if num < 0 else man
     return dyadic(man, shift) if shift >= 0 else dyadic(man << -shift, 0)
 
 
-def exact(x) -> Fraction:
-    """An int or Rational as it is; an mpf (anything with ``_mpf_``) or a
-    finite float as the exact binary number it holds."""
-    if isinstance(x, _RationalABC):
-        return x
-    if not hasattr(x, "_mpf_"):
-        return Fraction(x)
-    sign, man, exp, _ = x._mpf_
-    if not man and exp:
-        raise ValueError(f"not a finite number: {x!r}")
-    man = -man if sign else man
-    return dyadic(man << exp, 0) if exp >= 0 else dyadic(man, -exp)
-
-
 def nstr(x, n: int) -> str:
-    """x to ``n`` >= 1 significant digits, byte for byte as
-    ``mpmath.nstr(x, n)`` prints the mpf of x.  Like mpmath it floors |x|
-    to ``(n + 3) log2(10) + 10`` bits, rounds at the n-th digit by the next
-    digit alone (half up: a tie rounds away from zero), prints in fixed
-    notation when the leading digit's exponent is strictly between
-    ``min(-(n // 3), -5)`` and n, strips trailing zeros, and shows zero as
+    """x, an int, rational or float, correctly rounded to ``n`` >= 1
+    significant digits, an exact tie away from zero, in the notation of
+    ``mpmath.nstr``: fixed when the leading digit's exponent is strictly
+    between ``min(-(n // 3), -5)`` and n, trailing zeros stripped, zero as
     "0.0" and an infinity as "+inf" or "-inf"."""
     if isinstance(x, float) and math.isinf(x):
         return "+inf" if x > 0 else "-inf"
-    x = exact(x)
+    x = Fraction(x)
     if not x:
         return "0.0"
     num, den = abs(x.numerator), x.denominator
-    fixprec = max(int((n + 3) * _LOG2_10) + 10 - _top(num, den), 0)
-    fixdps = int(fixprec / _LOG2_10 + 0.5)
-    digits = str((num << fixprec) // den * 10**fixdps >> fixprec)
-    exponent = len(digits) - fixdps - 1
-    if len(digits) > n and digits[n] >= "5":
-        digits = str(int(digits[:n]) + 1)
-        exponent += len(digits) > n  # carried to a power of ten
-    digits, split = digits[:n], 1
+    # floor(log10 |x|), or one less: 2**(t - 1) <= |x| < 2**t
+    exponent = math.floor((_top(num, den) - 1) / _LOG2_10)
+    shift = n - 1 - exponent  # |x| 10**shift has n digits before the point
+    num, den = (num * 10**shift, den) if shift >= 0 else (num, den * 10**-shift)
+    if num >= 10**n * den:  # the estimate was one low
+        den, exponent = den * 10, exponent + 1
+    man, rest = divmod(num, den)
+    man += 2 * rest >= den  # half up
+    if man == 10**n:  # carried to a power of ten
+        man, exponent = man // 10, exponent + 1
+    digits, split = str(man), 1
     if min(-(n // 3), -5) < exponent < n:  # fixed notation
         digits = "0" * -exponent + digits if exponent < 0 else digits.ljust(exponent + 1, "0")
         split, exponent = max(exponent, 0) + 1, 0
@@ -158,9 +142,9 @@ def nstr(x, n: int) -> str:
 class ApproxValue:
     """A high-precision decimal together with an absolute error bound.
 
-    Both are exact rationals (a Dyadic from ``rounded``), or an mpf or
-    float read at its exact binary value; the bound may be infinite.
-    ``str()`` shows only digits guaranteed by the bound.
+    Both are exact rationals (a Dyadic from ``rounded``) or floats, read at
+    their exact binary values; the bound may be infinite.  ``str()`` shows
+    only digits guaranteed by the bound.
     """
 
     value: Fraction
@@ -172,17 +156,13 @@ class ApproxValue:
 
     def guaranteed_digits(self, cap: int = 30) -> int:
         """Number of significant digits fully backed by the error bound:
-        the largest d <= cap with ``10**d <= |value| / (2 bound)``, or 0.
-        The ratio is rounded as mpfs at 25 digits round it, so that a bound
-        of ``|value| 10**-d / 2``, itself rounded, backs d digits."""
+        the largest d <= cap with ``10**d 2 bound <= |value|``, compared
+        exactly, or 0."""
         if self.error_bound == 0:
             return cap
         if self.value == 0 or self.error_bound == math.inf:
             return 0
-        prec = dps_to_prec(25)
-        value, bound = (rounded(exact(x), prec) for x in (self.value, self.error_bound))
-        ratio = rounded(abs(value) / (2 * bound), prec)
-        whole = ratio.numerator // ratio.denominator
+        whole = int(abs(Fraction(self.value)) / (2 * Fraction(self.error_bound)))
         return cap if whole >= 10**cap else len(str(whole)) - 1 if whole else 0
 
     def formatted(self, max_digits: int = 17) -> str:
@@ -190,7 +170,7 @@ class ApproxValue:
             # a zero has no significant digits; "0" is backed only when
             # the bound cannot move it at the last displayable place
             bound = self.error_bound
-            return "0" if bound != math.inf and 2 * exact(bound) * 10**max_digits < 1 else "?"
+            return "0" if bound != math.inf and 2 * Fraction(bound) * 10**max_digits < 1 else "?"
         digits = self.guaranteed_digits(max_digits)
         if digits <= 0:
             # no digit is backed by the bound; never print false precision
@@ -251,11 +231,11 @@ class PiLinear:
 
     def approx(self, digits: int = 20) -> ApproxValue:
         """Decimal approximation of ``const + inv_pi/pi`` to ``digits``
-        significant digits, with an honest absolute error bound.  The
-        working precision grows with the size of the parts, so that their
-        cancellation does not eat the requested digits.  Each step rounds
-        to nearest at that precision as an mpf evaluation does, so value
-        and bound are the mpf path's, bit for bit."""
+        significant digits, with an honest absolute error bound.  The value
+        is ``const + inv_pi / machin_pi(prec)`` rounded once to ``prec``
+        bits, a working precision that grows with the size of the parts,
+        so that their cancellation does not eat the requested digits.  The
+        value and the bound are Dyadics, so mpmath reads them exactly."""
         if digits < 1:
             raise ValueError("digits must be >= 1")
         if self.is_zero():
@@ -264,20 +244,14 @@ class PiLinear:
         work = digits + PI_GUARD_DIGITS + max(
             len(str(abs(f.numerator) // f.denominator)) for f in (self.const, self.inv_pi))
         prec = dps_to_prec(work)
-
-        def part(f: Fraction) -> Dyadic:  # mpf(f.numerator) / f.denominator
-            top = _round(f.numerator, 1, prec)
-            return _round(top.numerator, top.denominator * f.denominator, prec)
-
-        c0, c1, pi = part(self.const), part(self.inv_pi), machin_pi(prec)
-        quotient = _round(c1.numerator * pi.denominator, c1.denominator * pi.numerator, prec)
-        value = rounded(c0 + quotient, prec)
-        # True error (rounding plus pi truncation) is a few ulps at working
-        # precision; the reported bound is the requested resolution, so the
-        # printed form carries exactly the digits that were asked for.
-        parts = rounded(rounded(abs(c0) + abs(c1), prec) + 1, prec)
-        tight = rounded(parts * ten_to_minus(work - 3, prec), prec)
-        resolution = rounded(abs(value) * ten_to_minus(digits, prec), prec, -1)
+        value = rounded(self.const + self.inv_pi / machin_pi(prec), prec)
+        # ``tight``, rounded up, is far above the true error, pi's rounding
+        # plus the value's, a few ulps at working precision.  The bound is
+        # the requested resolution, rounded down, where that is more, so
+        # that it backs exactly the digits that were asked for.
+        parts = abs(self.const) + abs(self.inv_pi) + 1
+        tight = _round(parts.numerator, parts.denominator * 10 ** (work - 3), prec, 1)
+        resolution = _round(abs(value.numerator), value.denominator * 2 * 10**digits, prec, -1)
         return ApproxValue(value, max(tight, resolution))
 
     def __str__(self) -> str:
@@ -315,13 +289,6 @@ def machin_pi(prec: int) -> Dyadic:
         return total
 
     return rounded(16 * atan_inv(5) - 4 * atan_inv(239), prec, 1 - one.bit_length())
-
-
-@lru_cache(maxsize=None)
-def ten_to_minus(k: int, prec: int) -> Dyadic:
-    """``10**-k`` rounded at ``prec`` bits: mpmath's ``mpf(10) ** -k`` while
-    ``10**k`` is exact at ``prec + 5`` bits (k < prec / 2.3), as at every use."""
-    return _round(1, 10**k, prec)
 
 
 # ``PiLinear.approx`` under its older name, called as ``pilinear_eval(x, digits)``

@@ -59,7 +59,6 @@ from .numeric import (
     dyadic,
     nstr,
     rounded,
-    ten_to_minus,
 )
 from .passage import (
     FLOOR_EVERY,
@@ -114,13 +113,12 @@ class SeriesResult:
     """Outcome of one truncated series evaluation.
 
     Every number is a ``Dyadic``, rounded once from an exact value to
-    nearest at the bits of ``work_dps`` digits, as an mpf at that precision
-    would be.  ``value`` is the estimate; ``tail_estimate`` is a proved
-    bound on what truncation may still be missing (zero for an exact
-    answer, ``math.inf`` for a diverged series), rounded up, and
-    ``eval_error`` bounds the rounding of ``value``.  A diverged verdict
-    always carries a witness.  The defaults are those of an answer decided
-    without summing a term.
+    nearest at ``dps_to_prec(work_dps)`` bits.  ``value`` is the estimate;
+    ``tail_estimate`` is a proved bound on what truncation may still be
+    missing (zero for an exact answer, ``math.inf`` for a diverged
+    series), rounded up, and ``eval_error`` bounds the rounding of
+    ``value``.  A diverged verdict always carries a witness.  The defaults
+    are those of an answer decided without summing a term.
     """
 
     value: Dyadic
@@ -421,7 +419,7 @@ def _exact_result(form: PiLinear) -> SeriesResult:
     prec = dps_to_prec(WORK_DPS)
     approx = form.approx(WORK_DPS)
     value = rounded(approx.value, prec)
-    error = approx.error_bound + rounded(abs(value) * ten_to_minus(WORK_DPS, prec), prec)
+    error = approx.error_bound + abs(value) / 10**WORK_DPS
     return SeriesResult(value=value, method="exact", eval_error=rounded(error, prec))
 
 

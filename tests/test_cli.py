@@ -116,15 +116,26 @@ class TestPn:
         assert captured.out == ""
         assert captured.err == f"pilerace: error: --digits must be >= 1, got {digits}\n"
 
+    @staticmethod
+    def _assert_tolerance_refused(capsys, tol: str) -> None:
+        with pytest.raises(SystemExit) as exc:
+            main(["pn", "--moves=-1,2", "--n=1", f"--tol={tol}"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 1
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            "pilerace pn: error: argument --tol: must be positive and finite as a double, "
+            f"got '{tol}', which reads as {float(tol)!r}")
+
     @pytest.mark.parametrize("tol", ["inf", "1e400", "nan"])
     def test_tolerance_that_is_not_finite_is_a_usage_error(self, capsys, tol):
         # an infinite tolerance would stop the sum at k = 1 and call it converged
-        code = main(["pn", "--moves=-1,2", "--n=1", f"--tol={tol}"])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err.startswith("pilerace: error: tolerance must be positive and finite")
-        assert len(captured.err.splitlines()) == 1
+        self._assert_tolerance_refused(capsys, tol)
+
+    @pytest.mark.parametrize("tol", ["1e-400", "0", "-1"])
+    def test_tolerance_that_is_not_positive_is_a_usage_error(self, capsys, tol):
+        # 1e-400 underflows to 0.0: the message names the text as typed
+        self._assert_tolerance_refused(capsys, tol)
 
 
 class TestPmn:

@@ -1,4 +1,6 @@
+import math
 import random
+from decimal import ROUND_HALF_UP, Context, Decimal, Inexact
 from fractions import Fraction
 
 import pytest
@@ -14,8 +16,8 @@ from pilerace.numeric import (
     Dyadic,
     PiLinear,
     as_fraction,
+    dps_to_prec,
     dyadic,
-    exact,
     machin_pi,
     nstr,
     pilinear_eval,
@@ -24,6 +26,12 @@ from pilerace.numeric import (
 )
 from pilerace.passage import MoveSet
 from pilerace.series import TailPolicy, square_sum_value
+
+
+def _read(y) -> Fraction:
+    """The exact binary value of a finite mpf."""
+    sign, man, exp, _ = y._mpf_
+    return (-1) ** sign * man * Fraction(2) ** exp
 
 
 class TestRationalRoundTrip:
@@ -127,31 +135,31 @@ class TestPiLinear:
 
 class TestApproxValue:
     def test_printed_digits_are_guaranteed(self):
-        val = ApproxValue(mpf("0.123456789"), mpf("1e-5"))
+        val = ApproxValue(Fraction("0.123456789"), Fraction("1e-5"))
         shown = val.formatted()
         # between 3 and 5 significant digits are defensible for this bound;
         # what matters is that the true value sits within half an ulp of
         # the displayed string's last place
         assert shown in ("0.123", "0.1235", "0.12346")
-        half_ulp = mpf(10) ** (-len(shown.split(".")[1])) / 2
-        assert abs(mpf(shown) - val.value) <= half_ulp + val.error_bound
+        half_ulp = Fraction(1, 10 ** len(shown.split(".")[1])) / 2
+        assert abs(Fraction(shown) - val.value) <= half_ulp + val.error_bound
 
     def test_unresolved_value_prints_no_digits(self):
-        assert ApproxValue(mpf("0.5"), mpf("inf")).formatted() == "?"
+        assert ApproxValue(Fraction(1, 2), math.inf).formatted() == "?"
 
     def test_zero_prints_only_when_backed(self):
-        assert ApproxValue(mpf(0), mpf(0)).formatted() == "0"
-        assert ApproxValue(mpf(0), mpf("2e-35")).formatted() == "0"
-        assert ApproxValue(mpf(0), mpf("1e-9")).formatted() == "?"
-        assert ApproxValue(mpf(0), mpf("inf")).formatted() == "?"
+        assert ApproxValue(Fraction(0), Fraction(0)).formatted() == "0"
+        assert ApproxValue(Fraction(0), Fraction("2e-35")).formatted() == "0"
+        assert ApproxValue(Fraction(0), Fraction("1e-9")).formatted() == "?"
+        assert ApproxValue(Fraction(0), math.inf).formatted() == "?"
         # r(100, k) = 0 for every k <= 16, so the sum is in [0, q_16**2 = 1]
         res = square_sum_value(MoveSet(-1, 2), 100, TailPolicy(max_k=16))
-        assert res.tail_estimate >= mpf(1) / 2 and res.verdict == "inconclusive"
+        assert res.tail_estimate >= Fraction(1, 2) and res.verdict == "inconclusive"
         assert res.formatted() == "?"
 
     def test_negative_bound_rejected(self):
         with pytest.raises(ValueError):
-            ApproxValue(mpf(1), mpf(-1))
+            ApproxValue(Fraction(1), Fraction(-1))
 
 
 # m * 2**e with a mantissa of up to 200 bits, either sign
@@ -171,13 +179,23 @@ def _tie(n_digits: int, exp10: int, odd: int) -> Dyadic:
     return Dyadic(x)
 
 
+def _reference_nstr(x: Fraction, n: int) -> str:
+    """x rounded half up at n significant digits by ``decimal``, after a
+    division that is exact on these dyadics, in the notation that
+    ``mpmath.nstr`` gives that n-digit decimal."""
+    exact_value = Context(prec=2000, traps=[Inexact]).divide(Decimal(x.numerator), x.denominator)
+    shown = Context(prec=n, rounding=ROUND_HALF_UP).plus(exact_value)
+    with mp.workdps(n + 20):
+        return mp.nstr(mpf(str(shown)), n)
+
+
 class TestNstr:
-    """``nstr`` prints what ``mpmath.nstr`` prints for the same number."""
+    """``nstr`` rounds the exact value once, a tie away from zero, and
+    prints it in the notation of ``mpmath.nstr``."""
 
     @given(x=dyadics, n=st.integers(1, 60))
-    def test_equals_mpmath_on_random_dyadics(self, x, n):
-        with mp.workdps(80):
-            assert nstr(x, n) == mp.nstr(mpf(x), n)
+    def test_equals_the_decimal_reference_on_random_dyadics(self, x, n):
+        assert nstr(x, n) == _reference_nstr(x, n)
 
     @given(n=st.integers(1, 12), exp10=st.integers(-12, 6), odd=st.integers(0, 10**6))
     def test_ties_round_as_mpmath_does(self, n, exp10, odd):
@@ -206,6 +224,17 @@ class TestNstr:
             assert mp.nstr(mpf(x) if isinstance(x, float) else mpf(x.numerator) / x.denominator,
                            n) == shown
 
+    @pytest.mark.parametrize("x, n, shown", [
+        (0.15 + 2**-40, 1, "0.2"),  # just above a tie, where mpmath prints 0.1
+        (Fraction("0.123456785") + Fraction(1, 2**70), 8, "0.12345679"),
+        # 10**-19 (1 - 2**-60) is ...0859375000...0547e-20 exactly
+        (rounded(Fraction(1, 10**19) * Fraction(2**60 - 1, 2**60), 300), 59,
+         "9.9999999999999999913263826201159645279403775930404663085938e-20"),
+    ])
+    def test_rounds_the_exact_value_next_to_a_tie(self, x, n, shown):
+        assert nstr(x, n) == shown
+        assert nstr(-x, n) == "-" + shown
+
     @pytest.mark.parametrize("n", range(1, 61))
     def test_every_notation_switch(self, n):
         # the leading digit's exponent at and beside both fixed-notation
@@ -215,15 +244,7 @@ class TestNstr:
             for x in (Fraction(10) ** k, Fraction(10) ** k * Fraction(2**60 - 1, 2**60),
                       Fraction(10) ** k * 7 / 3):
                 d = rounded(x, 300)
-                with mp.workdps(120):
-                    assert nstr(d, n) == mp.nstr(mpf(d), n), (k, x)
-
-    @given(x=dyadics, n=st.integers(1, 60))
-    def test_mpf_input_is_read_exactly(self, x, n):
-        with mp.workdps(80):
-            y = mpf(x)
-        assert exact(y) == x
-        assert nstr(y, n) == nstr(x, n)
+                assert nstr(d, n) == _reference_nstr(d, n), (k, x)
 
 
 class TestDyadic:
@@ -240,7 +261,7 @@ class TestDyadic:
         with mp.workprec(prec):
             y = mpf(x.numerator) / x.denominator if abs(x.numerator).bit_length() <= prec else None
         if y is not None:  # one rounding: the numerator is exact at prec
-            assert rounded(x, prec) == exact(y)
+            assert rounded(x, prec) == _read(y)
 
     @given(num=st.integers(-(2**300), 2**300), k=st.integers(0, 600))
     @example(num=0, k=0)
@@ -262,44 +283,27 @@ class TestDyadic:
         assert rounded(Fraction(11, 4), 2) == 3
 
 
-def _old_guaranteed_digits(value, bound, cap):
-    """The mpf formula ``guaranteed_digits`` replaced: the ratio at 25
-    digits and the floor of its log10."""
-    if bound == 0:
-        return cap
-    if value == 0:
-        return 0
-    with mp.workdps(25):
-        ratio = abs(mpf(value)) / (2 * mpf(bound))
-        if ratio <= 1:
-            return 0
-        return min(cap, int(mp.floor(mp.log10(ratio))))
+floats = st.floats(allow_nan=False, allow_infinity=False)
 
 
-@given(value=dyadics, bound=dyadics, cap=st.integers(1, 60))
-def test_guaranteed_digits_equals_the_mpf_formula(value, bound, cap):
-    bound = Dyadic(abs(bound))
-    assert ApproxValue(value, bound).guaranteed_digits(cap) == _old_guaranteed_digits(
-        value, bound, cap)
+@given(value=st.one_of(dyadics, floats), bound=st.one_of(dyadics, floats),
+       cap=st.integers(1, 60))
+@example(value=Fraction(3), bound=Fraction(1, 20), cap=5)  # 10 * 2 * bound == |value|
+@example(value=Fraction(-3), bound=Fraction(3, 20), cap=5)  # 2 * bound < |value| < 20 * bound
+def test_guaranteed_digits_is_the_exact_definition(value, bound, cap):
+    # the largest d <= cap with 10**d 2 bound <= |value|, or 0
+    bound = abs(bound)
+    backed = [d for d in range(cap + 1) if 10**d * 2 * Fraction(bound) <= abs(Fraction(value))]
+    assert ApproxValue(value, bound).guaranteed_digits(cap) == max(backed, default=0)
 
 
 def test_machin_pi_equals_mpmath_pi_to_2000_bits():
     for prec in range(2, 2001):
         with mp.workprec(prec):
-            assert machin_pi(prec) == exact(+mp.pi), prec
+            assert machin_pi(prec) == _read(+mp.pi), prec
 
 
-def _mpf_approx(x: PiLinear, digits: int):
-    """``PiLinear.approx`` as it was computed in mpf arithmetic."""
-    work = digits + PI_GUARD_DIGITS + max(
-        len(str(abs(f.numerator) // f.denominator)) for f in (x.const, x.inv_pi))
-    with mp.workdps(work):
-        c0 = mpf(x.const.numerator) / x.const.denominator
-        c1 = mpf(x.inv_pi.numerator) / x.inv_pi.denominator
-        value = c0 + c1 / mp.pi
-        tight = (abs(c0) + abs(c1) + 1) * mpf(10) ** (-(work - 3))
-        bound = max(tight, abs(value) * mpf(10) ** (-digits) / 2)
-    return exact(value), exact(bound)
+FORMS = [*reference.TARGET_TABLE_PM1.values(), *reference.SQUARE_SUMS_PM1.values()]
 
 
 def test_pilinear_eval_is_the_approx_method():
@@ -310,8 +314,18 @@ def test_pilinear_eval_is_the_approx_method():
 
 
 @pytest.mark.parametrize("digits", [1, 10, 17, 20, 30, 40, 60])
-def test_pilinear_eval_equals_the_mpf_path(digits):
-    forms = [*reference.TARGET_TABLE_PM1.values(), *reference.SQUARE_SUMS_PM1.values()]
-    for form in forms:
+def test_pilinear_eval_error_is_within_the_bound(digits):
+    for form in FORMS:
         approx = form.approx(digits)
-        assert (approx.value, approx.error_bound) == _mpf_approx(form, digits), form
+        work = digits + PI_GUARD_DIGITS + max(
+            len(str(abs(f.numerator) // f.denominator)) for f in (form.const, form.inv_pi))
+        prec = 2 * dps_to_prec(work)  # twice approx's precision
+        truth = form.const + form.inv_pi / machin_pi(prec)  # within |inv_pi| 2**-prec
+        assert abs(approx.value - truth) + abs(form.inv_pi) / 2**prec <= approx.error_bound, form
+        assert type(approx.value) is type(approx.error_bound) is Dyadic
+
+
+def test_pilinear_eval_backs_exactly_the_digits_asked_for():
+    for digits in range(1, 61):
+        for form in FORMS:
+            assert form.approx(digits).guaranteed_digits(61) == digits, (form, digits)

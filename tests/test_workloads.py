@@ -14,8 +14,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from mpmath import mp, mpf
 
+from pilerace import reference
 from pilerace.cli import build_parser
+from pilerace.numeric import pilinear_eval
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -48,3 +51,23 @@ def test_cli_argv_parses(q):
 def test_library_function_resolves(q):
     module = importlib.import_module(f"pilerace.{WORKLOADS.MODULE_OF[q.fn]}")
     assert callable(getattr(module, q.fn))
+
+
+def test_backed_digits_of_an_exact_answer_reads_no_value():
+    # the win_within check passes an mpf value with a zero bound
+    with mp.workdps(60):
+        assert WORKLOADS.backed_digits(mpf(1) / 3, 0) == 30
+
+
+def test_backed_digits_of_a_simulated_rate_takes_floats():
+    # the monte_carlo check passes the rate and 5 standard errors as floats
+    assert WORKLOADS.backed_digits(0.25, 2.0**-12) == 2  # 0.25 / 2**-11 = 512
+    assert WORKLOADS.backed_digits(0.25, 0.0) == 30
+
+
+def test_pilinear_eval_prints_as_decimals_in_mpmath():
+    # the oracle builder prints the value and the bound with mp.nstr
+    approx = pilinear_eval(reference.TARGET_TABLE_PM1[(2, 3)], 60)
+    for x in (approx.value, approx.error_bound):
+        shown = mp.nstr(x, 5)  # "num/den" for a plain Fraction
+        assert float(shown) == pytest.approx(float(x), rel=1e-4), shown
