@@ -32,6 +32,7 @@ from .series import (
     DEFAULT_MAX_K,
     DEFAULT_TOLERANCE,
     DIVERGED,
+    MIN_MAX_K,
     SeriesResult,
     TailPolicy,
     expected_duration,
@@ -112,6 +113,19 @@ def _tolerance(text: str) -> float:
     return tol
 
 
+def _int_at_least(low: int):
+    """An argparse type for an int of at least ``low``, so that a value
+    below it is refused under the flag's own name."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse's "invalid int value" names the type
+    return parse
+
+
 def _add_series_flags(
     p: argparse.ArgumentParser,
     digits: bool = True,
@@ -119,7 +133,8 @@ def _add_series_flags(
 ) -> None:
     p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOLERANCE,
                    help=f"tail tolerance, default {DEFAULT_TOLERANCE:g}" + only)
-    p.add_argument("--max-k", type=int, default=DEFAULT_MAX_K, help="truncation cap" + only)
+    p.add_argument("--max-k", type=_int_at_least(MIN_MAX_K), default=DEFAULT_MAX_K,
+                   help=f"truncation cap, at least {MIN_MAX_K}" + only)
     if digits:
         p.add_argument("--digits", type=int, default=17, help="max displayed digits")
 
@@ -130,6 +145,13 @@ def _policy_from(args) -> TailPolicy:
     return TailPolicy(args.tol, args.max_k)
 
 
+_TARGET_HELP = {
+    "--n": "the target",
+    "--n1": "the first player's target",
+    "--n2": "the second player's target",
+}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="pilerace", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -138,7 +160,7 @@ def build_parser() -> _Parser:
         p.add_argument("--moves", type=MoveSet.parse, required=True,
                        help="the two per-move increments, e.g. --moves=-1,1")
         for t in targets:
-            p.add_argument(t, type=int, required=True)
+            p.add_argument(t, type=int, required=True, help=_TARGET_HELP[t])
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
     p = sub.add_parser("pn", help="second player's win probability, equal targets")
@@ -170,9 +192,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="Monte Carlo estimate from full games")
     common(p, targets=("--n1", "--n2"))
-    p.add_argument("--trials", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=2024)
-    p.add_argument("--horizon", type=int, default=None,
+    p.add_argument("--trials", type=_int_at_least(1), default=1_000_000,
+                   help="number of simulated games")
+    p.add_argument("--seed", type=int, default=2024,
+                   help="seed of the games' random streams, 0 <= seed < 2**64")
+    p.add_argument("--horizon", type=_int_at_least(1), default=None,
                    help="censoring horizon in rounds (default by drift)")
 
     p = sub.add_parser(

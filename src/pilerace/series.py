@@ -80,6 +80,7 @@ FLOOR_GUARD_BITS = 64
 # default commands about 11 backed digits.
 DEFAULT_TOLERANCE = 1e-12
 DEFAULT_MAX_K = 5_000
+MIN_MAX_K = 16
 
 CONVERGED = "converged"
 DIVERGED = "diverged"
@@ -104,8 +105,8 @@ class TailPolicy:
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise ValueError(f"tolerance must be positive and finite, got {self.tolerance!r}")
         require_int(self.max_k, "max_k")
-        if self.max_k < 16:
-            raise ValueError("max_k must be at least 16")
+        if self.max_k < MIN_MAX_K:
+            raise ValueError(f"max_k must be at least {MIN_MAX_K}")
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -24,9 +24,18 @@ moves the pile by ``b``, a clear one by ``a``.
 Each stream byte holds four whole rounds, so games advance four rounds
 per table lookup.  ``_byte_tables`` gives, per player and byte value, the
 pile change over the byte's first k rounds and the highest pile reached
-inside them; a cumulative sum of the changes gives the pile at every
-byte's end, and a hit's round is sought only in the first byte that
-reaches the target.  Piles are ``int32`` when ``(|a| + |b|) * horizon``
+inside them.  A row group lays its bytes out bytes × games, so every
+table read, reduction and prefix sum runs along rows of games, and it
+converts the bytes to ``intp`` once for all of its table reads.  In a
+one-byte chunk a player's first hitting round is simply the count of
+rounds r with ``pile + cmax[r, v] < n``, ``cmax`` being the running
+maximum of the byte's changes; no prefix sum is needed.  A wider chunk
+sums the changes along its bytes to get the pile at every byte's end,
+finds the first byte whose highest pile reaches the target, and counts
+the rounds inside that byte the same way.  At each chunk start, a game in
+which neither pile can reach its target by the horizon, even moving by
+``b`` every round, is censored at once without being played: it could
+neither win nor end.  Piles are ``int32`` when ``(|a| + |b|) * horizon``
 is below ``2**31`` and ``int64`` otherwise.  No table covers more rounds
 than the horizon, so that bound covers every table entry too: at
 ``{-1, 2**62 - 2}`` with horizon 2, a four-round sum would leave
@@ -58,9 +67,11 @@ _CHUNK_CAP = 32_768  # rounds per fetch once the schedule has grown
 # trials per batch: a memory/performance knob only, since the report does not
 # depend on how the trials are partitioned
 BATCH_SIZE = 500_000
-# Stream bytes per row group, rows * ceil(rounds / 4): few enough that the group's
-# arrays stay in a 2 MB L2 cache, and enough that per-group overhead stays small.
-_ELEMENT_BUDGET = 1 << 17
+# Stream bytes per row group, rows * ceil(rounds / 4).  Each byte is an 8-byte intp index
+# plus three pile-dtype arrays (changes, prefix sums, highest piles), 20 to 32 bytes, so one
+# player's pass over a group touches 0.6 to 1 MB and stays in a 2 MB L2 cache, while the
+# group stays large enough that per-group overhead is small.
+_ELEMENT_BUDGET = 1 << 15
 
 
 def _mix64(x):
@@ -228,45 +239,64 @@ class _Tally:
         self.dur_sumsq = 0
 
 
+def _rounds_below(cmax, pile, v, n):
+    """Rounds of byte ``v``, played from ``pile``, before the pile first reaches
+    ``n``: the count of rows r of ``cmax`` with ``pile + cmax[r, v] < n``."""
+    return (cmax.take(v, axis=1) + pile < n).sum(axis=0, dtype=np.int8)
+
+
 def _play_rows(cfg, tables, keys, rows, piles, t, rounds, block, nwords, tally):
     """Advance one group of live games by ``rounds`` rounds, a stream byte
     at a time; returns the surviving row indices."""
-    words = _stream_words(keys[rows, None], np.arange(block, block + nwords, dtype=_U64))
+    words = _stream_words(keys[rows], np.arange(block, block + nwords, dtype=_U64)[:, None])
     nbytes = (rounds + 3) // 4
-    data = np.ascontiguousarray(words.astype("<u8", copy=False).view(np.uint8)[:, :nbytes])
-    k, last = min(4, rounds), rounds - 4 * (nbytes - 1)  # rounds in a full and the last byte
+    idx = np.empty((nbytes, rows.size), np.intp)  # byte j of game g at [j, g]
+    by_word = words.astype("<u8", copy=False).view(np.uint8).reshape(nwords, rows.size, 8)
+    for i in range(min(8, nbytes)):
+        idx[i::8] = by_word[: (nbytes - i + 7) // 8, :, i]
+    last = rounds - 4 * (nbytes - 1)  # rounds in the last byte
+    if nbytes > 1 and last < 4:  # the last byte reads columns 256 + v, which stop at its end
+        idx[-1] += 256
+        cut = np.minimum(np.arange(4), last - 1)
+        tables = [[np.concatenate([tab, tab[cut]], axis=1) for tab in pair] for pair in tables]
     firsts = []
     for p, n in enumerate((cfg.n1, cfg.n2)):
         step, over = tables[p]
-        inc, reach = np.take(step[k - 1], data), np.take(over[k - 1], data)
-        if last < k:
-            inc[:, -1], reach[:, -1] = step[last - 1, data[:, -1]], over[last - 1, data[:, -1]]
-        end = np.cumsum(inc, axis=1, dtype=inc.dtype) + piles[p][rows, None]  # at each byte's end
+        cmax = step + over  # the highest pile change over the byte's first k rounds
+        pile = piles[p][rows]
+        if nbytes == 1:
+            firsts.append(_rounds_below(cmax[:rounds], pile, idx[0], n))  # rounds if no hit
+            piles[p][rows] = pile + step[rounds - 1].take(idx[0])
+            continue
+        inc, reach = step[3].take(idx), over[3].take(idx)
+        end, span = inc.copy(), 1
+        while span < nbytes:  # prefix sums along the bytes, in log2(nbytes) whole-array adds
+            end[span:] += end[:-span]
+            span *= 2
+        end += pile  # the pile at each byte's end
         reach += end  # the highest pile inside each byte
-        hit = np.flatnonzero(reach.max(axis=1) >= n)
-        j = (reach[hit] >= n).argmax(axis=1)  # the first byte that reaches n
-        at = hit * nbytes + j  # its flat index
-        v, before = np.take(data, at), np.take(end, at) - np.take(inc, at)
-        # the first round of byte j that reaches n, reading no round past the
-        # chunk's last, so that every sum stays within the pile bound
-        left, inner = rounds - 1 - 4 * j, np.full(hit.size, step.shape[0] - 1)
-        for r in range(step.shape[0] - 2, -1, -1):
-            inner[before + np.take(step, v + 256 * np.minimum(r, left)) >= n] = r
+        hit = np.flatnonzero(reach.max(axis=0) >= n)
+        j = (reach.take(hit, axis=1) >= n).argmax(axis=0)  # the first byte that reaches n
+        at = j * rows.size + hit
+        before = end.ravel().take(at) - inc.ravel().take(at)
         first = np.full(rows.size, rounds)
-        first[hit] = 4 * j + inner
+        first[hit] = 4 * j + _rounds_below(cmax, before, idx.ravel().take(at), n)
         firsts.append(first)
-        piles[p][rows] = end[:, -1]
+        piles[p][rows] = end[-1]
     first1, first2 = firsts
-    done = (first1 < rounds) | (first2 < rounds)
-    a_wins = done & (first1 <= first2)  # A moves first: simultaneous hits go to A
-    b_wins = done & (first2 < first1)
-    tally.wins1 += int(a_wins.sum())
-    tally.wins2 += int(b_wins.sum())
-    ends = t + 1 + np.where(a_wins, first1, first2)[done]
-    if ends.size * (t + rounds) ** 2 >= 2**63:  # the int64 sum of squares could wrap
-        ends = np.array(ends.tolist(), dtype=object)
-    tally.dur_sum += int(ends.sum())
-    tally.dur_sumsq += int((ends * ends).sum())
+    ended = np.minimum(first1, first2)  # rounds before the game's last move, if it ends
+    done = ended < rounds
+    ndone = int(np.count_nonzero(done))
+    wins1 = int(np.count_nonzero(done & (first1 <= first2)))  # A moves first: ties go to A
+    tally.wins1 += wins1
+    tally.wins2 += ndone - wins1
+    # a game that ends lasts t + 1 + e rounds; the sums over e count ``rounds``
+    # for each game still running, taken out again in Python ints
+    running = rows.size - ndone
+    e1 = int(ended.sum()) - rounds * running
+    e2 = int(np.square(ended, dtype=np.int64).sum()) - rounds * rounds * running
+    tally.dur_sum += ndone * (t + 1) + e1
+    tally.dur_sumsq += ndone * (t + 1) ** 2 + 2 * (t + 1) * e1 + e2
     return rows[~done]
 
 
@@ -278,7 +308,18 @@ def _run_batch(cfg: SimConfig, tables, start: int, count: int, tally: _Tally) ->
     alive = np.arange(count)
     t = 0
     block = 0
-    while alive.size and t < horizon:
+    hopeless = 0
+    while t < horizon:
+        # games in which neither pile can reach its target by the horizon are
+        # censored at once; there are none while even the lowest possible pile,
+        # a * t, could still reach the smaller target
+        gain = max(cfg.moves.b, 0) * (horizon - t)
+        if cfg.moves.a * t + gain < min(cfg.n1, cfg.n2):
+            out = (piles[0][alive] < cfg.n1 - gain) & (piles[1][alive] < cfg.n2 - gain)
+            hopeless += int(np.count_nonzero(out))
+            alive = alive[~out]
+        if not alive.size:
+            break
         rounds = _chunk_schedule(t, horizon)
         nwords = (2 * rounds + 63) // 64
         group = max(1, _ELEMENT_BUDGET // ((rounds + 3) // 4))
@@ -290,7 +331,7 @@ def _run_batch(cfg: SimConfig, tables, start: int, count: int, tally: _Tally) ->
         alive = survivors[0] if len(survivors) == 1 else np.concatenate(survivors)
         t += rounds
         block += nwords
-    return alive.size
+    return hopeless + alive.size
 
 
 def run_simulation(cfg: SimConfig) -> SimReport:

@@ -24,6 +24,16 @@ def run_cli(capsys, *argv):
     return code, out
 
 
+def assert_flag_refused(capsys, argv, message):
+    """argparse refuses ``argv`` with exit code 1, printing ``message`` last."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == message
+
+
 class TestPn:
     def test_unit_step(self, capsys):
         code, out = run_cli(capsys, "pn", "--moves=-1,1", "--n=1", "--tol=1e-8")
@@ -118,12 +128,8 @@ class TestPn:
 
     @staticmethod
     def _assert_tolerance_refused(capsys, tol: str) -> None:
-        with pytest.raises(SystemExit) as exc:
-            main(["pn", "--moves=-1,2", "--n=1", f"--tol={tol}"])
-        captured = capsys.readouterr()
-        assert exc.value.code == 1
-        assert captured.out == ""
-        assert captured.err.splitlines()[-1] == (
+        assert_flag_refused(
+            capsys, ["pn", "--moves=-1,2", "--n=1", f"--tol={tol}"],
             "pilerace pn: error: argument --tol: must be positive and finite as a double, "
             f"got '{tol}', which reads as {float(tol)!r}")
 
@@ -136,6 +142,10 @@ class TestPn:
     def test_tolerance_that_is_not_positive_is_a_usage_error(self, capsys, tol):
         # 1e-400 underflows to 0.0: the message names the text as typed
         self._assert_tolerance_refused(capsys, tol)
+
+    def test_max_k_below_16_is_refused_under_its_name(self, capsys):
+        assert_flag_refused(capsys, ["pn", "--moves=-1,2", "--n=1", "--max-k=15"],
+                            "pilerace pn: error: argument --max-k: must be at least 16, got 15")
 
 
 class TestPmn:
@@ -321,6 +331,16 @@ class TestSimulate:
         _, out1 = run_cli(capsys, *args)
         _, out2 = run_cli(capsys, *args)
         assert out1 == out2
+
+    def test_trials_below_one_is_refused_under_its_name(self, capsys):
+        assert_flag_refused(
+            capsys, ["simulate", "--moves=-1,2", "--n1=1", "--n2=1", "--trials=0"],
+            "pilerace simulate: error: argument --trials: must be at least 1, got 0")
+
+    def test_horizon_below_one_is_refused_under_its_name(self, capsys):
+        assert_flag_refused(
+            capsys, ["simulate", "--moves=-1,2", "--n1=1", "--n2=1", "--horizon=-3"],
+            "pilerace simulate: error: argument --horizon: must be at least 1, got -3")
 
     def test_piles_beyond_64_bits_are_a_usage_error(self, capsys):
         code = main(["simulate", "--moves=-4611686018427387904,4611686018427387904",

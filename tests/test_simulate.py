@@ -200,11 +200,52 @@ class TestDeterminism:
         for batch_size in (999, 4_096):
             monkeypatch.setattr(simulate, "BATCH_SIZE", batch_size)
             assert whole == counts(run_simulation(cfg)), batch_size
+        monkeypatch.undo()
+        # row groups of one game, a few dozen and a few thousand, on short games and
+        # on long ones whose last chunk ends in a one-round byte after most are censored
+        for cfg in (SimConfig(MoveSet(-1, 2), 1, 2, trials=2_000, seed=7),
+                    SimConfig(MoveSet(-2, 1), 1, 1, trials=300, seed=8, max_moves_per_game=3_001)):
+            whole = counts(run_simulation(cfg))
+            for budget in (1, 37, 4_096):
+                monkeypatch.setattr(simulate, "_ELEMENT_BUDGET", budget)
+                assert whole == counts(run_simulation(cfg)), (cfg, budget)
+            monkeypatch.undo()
 
     def test_seed_changes_outcome(self):
         cfg1 = SimConfig(MoveSet(-1, 1), 1, 1, trials=20_000, seed=1)
         cfg2 = SimConfig(MoveSet(-1, 1), 1, 1, trials=20_000, seed=2)
         assert counts(run_simulation(cfg1)) != counts(run_simulation(cfg2))
+
+
+class TestHopelessGames:
+    """A game in which neither pile can reach its target by the horizon is
+    censored at a chunk start without being played."""
+
+    @staticmethod
+    def _count_rows(monkeypatch):
+        rows_at = {}  # chunk start -> rows played there
+
+        def counting(cfg, tables, keys, rows, piles, t, *rest):
+            rows_at[t] = rows_at.get(t, 0) + rows.size
+            return _play_rows(cfg, tables, keys, rows, piles, t, *rest)
+
+        monkeypatch.setattr(simulate, "_play_rows", counting)
+        return rows_at
+
+    @pytest.mark.parametrize("moves", [(-2, -1), (-1, 0), (0, 0)])
+    def test_no_upward_move_plays_nothing(self, monkeypatch, moves):
+        rows_at = self._count_rows(monkeypatch)
+        cfg = SimConfig(MoveSet(*moves), 1, 2, trials=1_000, seed=3, max_moves_per_game=50)
+        assert counts(run_simulation(cfg)) == (0, 0, 1_000, 0, 0) == reference_counts(cfg)
+        assert rows_at == {}
+
+    def test_final_chunk_of_a_negative_drift_race_plays_nothing(self, monkeypatch):
+        # at t = 8,188 the piles sit near -4,094, and 1,812 rounds of +1 cannot reach 1
+        rows_at = self._count_rows(monkeypatch)
+        cfg = SimConfig(MoveSet(-2, 1), 1, 1, 20_000, 904, 10_000)
+        assert counts(run_simulation(cfg)) == (11189, 5883, 2928, 30725, 237095)
+        assert _chunk_schedule(8_188, 10_000) == 1_812
+        assert rows_at[4_092] > 0 and 8_188 not in rows_at
 
 
 class TestAccounting:
