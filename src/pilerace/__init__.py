@@ -14,10 +14,9 @@ with those constants in ``pilerace.reference``.
 numpy is loaded only by the simulator.  Importing it costs more than half
 of a ``pilerace`` process's start-up, and none of the exact or series
 answers use it, so ``SimConfig``, ``SimReport`` and ``run_simulation`` are
-served lazily from ``pilerace.simulate`` on first access.  mpmath is
-loaded only by a summed series under negative drift, whose tail bound
-needs exp and log (``series._lundberg``); every other decimal is made from
-integers.
+served lazily from ``pilerace.simulate`` on first access.  Every answer,
+its decimal and its error bound are made from integers, so no command
+loads mpmath.
 """
 
 from .closedforms import (

@@ -113,13 +113,15 @@ def _tolerance(text: str) -> float:
     return tol
 
 
-def _int_at_least(low: int):
-    """An argparse type for an int of at least ``low``, so that a value
-    below it is refused under the flag's own name."""
+def _int_at_least(low: int, below: int | None = None):
+    """An argparse type for an int in [low, below), ``below`` optional, so
+    that a value out of range is refused under the flag's own name."""
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if below is not None and value >= below:
+            raise argparse.ArgumentTypeError(f"must be below {below}, got {value}")
         return value
 
     parse.__name__ = "int"  # argparse's "invalid int value" names the type
@@ -136,13 +138,7 @@ def _add_series_flags(
     p.add_argument("--max-k", type=_int_at_least(MIN_MAX_K), default=DEFAULT_MAX_K,
                    help=f"truncation cap, at least {MIN_MAX_K}" + only)
     if digits:
-        p.add_argument("--digits", type=int, default=17, help="max displayed digits")
-
-
-def _policy_from(args) -> TailPolicy:
-    if getattr(args, "digits", 1) < 1:
-        raise ValueError(f"--digits must be >= 1, got {args.digits}")
-    return TailPolicy(args.tol, args.max_k)
+        p.add_argument("--digits", type=_int_at_least(1), default=17, help="max displayed digits")
 
 
 _TARGET_HELP = {
@@ -156,15 +152,15 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="pilerace", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, targets=("--n",)):
+    def common(p, targets=("--n",), target_type=_int_at_least(1)):
         p.add_argument("--moves", type=MoveSet.parse, required=True,
                        help="the two per-move increments, e.g. --moves=-1,1")
         for t in targets:
-            p.add_argument(t, type=int, required=True, help=_TARGET_HELP[t])
+            p.add_argument(t, type=target_type, required=True, help=_TARGET_HELP[t])
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
     p = sub.add_parser("pn", help="second player's win probability, equal targets")
-    common(p)
+    common(p, target_type=int)  # a zero target is answered, a negative one refused
     _add_series_flags(p)
 
     p = sub.add_parser("pmn", help="second player's win probability, distinct targets")
@@ -173,10 +169,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("within", help="exact win-within-k probability")
     common(p)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_int_at_least(1), required=True)
 
     p = sub.add_parser("duration", help="expected number of rounds until someone wins")
-    common(p)
+    common(p, target_type=int)  # as in pn
     _add_series_flags(p)
 
     p = sub.add_parser("table", help="reproduce a verification table")
@@ -187,14 +183,14 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("passage", help="exact r/q table for one walk")
     common(p)
-    p.add_argument("--max-k", type=int, default=40)
+    p.add_argument("--max-k", type=_int_at_least(1), default=40)
     p.add_argument("--csv", type=str, default=None, help="write the full table as CSV")
 
     p = sub.add_parser("simulate", help="Monte Carlo estimate from full games")
     common(p, targets=("--n1", "--n2"))
     p.add_argument("--trials", type=_int_at_least(1), default=1_000_000,
                    help="number of simulated games")
-    p.add_argument("--seed", type=int, default=2024,
+    p.add_argument("--seed", type=_int_at_least(0, below=2**64), default=2024,
                    help="seed of the games' random streams, 0 <= seed < 2**64")
     p.add_argument("--horizon", type=_int_at_least(1), default=None,
                    help="censoring horizon in rounds (default by drift)")
@@ -230,17 +226,17 @@ def _exit_code_for(*results: SeriesResult) -> int:
 # provenance and its evaluator call
 _SERIES = {
     "pn": (("n",), "direct", "second player's win probability for equal targets",
-           lambda args: win_prob_direct(GameSpec(args.moves, args.n), _policy_from(args))),
+           lambda args, policy: win_prob_direct(GameSpec(args.moves, args.n), policy)),
     "pmn": (("n1", "n2"), "p", "second player's win probability for distinct targets",
-            lambda args: win_prob_targets(args.n1, args.n2, args.moves, _policy_from(args))),
+            lambda args, policy: win_prob_targets(args.n1, args.n2, args.moves, policy)),
     "duration": (("n",), "expected_rounds", "expected number of rounds until someone wins",
-                 lambda args: expected_duration(GameSpec(args.moves, args.n), _policy_from(args))),
+                 lambda args, policy: expected_duration(GameSpec(args.moves, args.n), policy)),
 }
 
 
 def _cmd_series(args) -> tuple[OutputRecord, int]:
     targets, key, provenance, evaluate = _SERIES[args.subcommand]
-    res = evaluate(args)
+    res = evaluate(args, TailPolicy(args.tol, args.max_k))
     record = OutputRecord(
         command=args.subcommand,
         inputs={"moves": str(args.moves), **{t: getattr(args, t) for t in targets}},
@@ -284,7 +280,7 @@ _PINNED_TABLES = {
 
 
 def _cmd_table(args) -> tuple[OutputRecord, int]:
-    policy = _policy_from(args)
+    policy = TailPolicy(args.tol, args.max_k)
     rows: list[dict] = []
     outputs: list[SeriesResult] = []
     if args.which in _PINNED_TABLES:
@@ -489,7 +485,7 @@ _SUITES = {
 
 
 def _cmd_verify(args) -> tuple[OutputRecord, int]:
-    policy = _policy_from(args)
+    policy = TailPolicy(args.tol, args.max_k)
     chosen = _SUITES if args.suite == "all" else {args.suite: _SUITES[args.suite]}
     lines = [line for suite, _ in chosen.values() for line in suite(policy)]
     ok = all(line["ok"] for line in lines)

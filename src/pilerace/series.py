@@ -37,7 +37,7 @@ Lundberg bound of its sink raise ``q1`` and ``h2`` before B_K is formed,
 and bound how far each term can be from the exact one.  Only the
 returned numbers are rounded, once each, at the working precision, to
 ``numeric.Dyadic`` rationals; ``eval_error`` covers that rounding and the
-floor error together.  mpmath is imported only for Lundberg's exp and log.
+floor error together.  Lundberg's base is a dyadic tested on integers.
 ``win_within`` steps the exact DP only up to its move count (its
 horizon), or the exact Catalan stream at zero drift, and returns the
 partial sum as a ``Dyadic`` made from its integer numerator.
@@ -206,11 +206,10 @@ def rq_stream(spec: GameSpec, *, prefer_float: bool = False):
     and the exact lattice DP otherwise (``cells`` as ``iter_passage``
     yields them).  ``win_within`` reads it at zero drift; the DP-backed
     evaluators step ``iter_passage`` with a horizon or in fixed point
-    instead.  ``prefer_float`` gives r and q as mpf values at mpmath's
-    current precision instead, each numerator rounded once; no evaluator
-    reads that form, and it is kept for the benchmark's tracer.
-    DP-backed streams end once the walk is absorbed; the Catalan stream is
-    infinite.
+    instead.  DP-backed streams end once the walk is absorbed; the Catalan
+    stream is infinite.  ``prefer_float`` gives r and q as mpf values at
+    mpmath's current precision, each numerator rounded once: the package's
+    one import of mpmath, kept only for the benchmark's tracer.
     """
     reduced = reduce_zero_drift(spec)
     stream = iter_passage(spec) if reduced is None else _stream_unit_exact(reduced)
@@ -233,74 +232,79 @@ def _lundberg(spec: GameSpec, bits: int):
     unit of mass more than ``depth`` positions below n reaches it with
     chance below ``2**-bits``.
 
-    For theta in (0, theta*], where theta* > 0 is the root of
-    ``(e**(theta a) + e**(theta b)) / 2 = 1``, ``e**(theta S_k)`` is a
-    supermartingale, so from x the walk ever reaches n with chance at most
-    ``e**(-theta (n - x))``.  Summed over the cells at ``x_j = a K +
-    (b - a) j`` this is one Horner pass in ``e**(theta (b - a))``, from the
-    top cell down; ``bound`` decodes the lattice's slots once per call, in
-    O(cells), and returns an integer numerator on the cells' scale, rounded
-    up past the rounding of its mpf factor.  With b = 1 the walk cannot
-    overshoot and the bound is exact at theta*.  theta* is solved in
-    floats and polished by three Newton steps at ``WORK_DPS`` digits;
-    theta is then taken just below it and kept only if ``E[e**(theta X)]
-    - 1``, summed from ``expm1`` terms, is negative past its rounding.
-    ``depth`` is ``ceil((bits ln 2 + 1) / theta)``, so ``e**(-theta depth)
-    < 2**-bits``.  Both are None when no theta passes that check (a span
-    of about 10**14 at ``WORK_DPS``), which leaves ``q_K`` as the bound and
-    no sink.
+    For z in (1, z*], where z* > 1 solves ``z**a + z**b = 2``, ``z**S_k``
+    is a supermartingale: from x the walk ever reaches n with chance at
+    most ``z**-(n - x)``.  Summed over the cells by one Horner pass in
+    ``z**(b - a)``, times ``z**-(n - x_low)``, every product rounded up,
+    this is exact at z* when b = 1.  z is ``_lundberg_base`` at s = 2
+    ``bits``; ``depth`` is the least L with ``z**-L < 2**-bits / e``, a
+    float estimate confirmed on integers.  Both are None if either fails.
     """
-    from mpmath import mp, mpf  # only negative drift loads mpmath, for exp and log
-
     a, b, n = spec.moves.a, spec.moves.b, spec.n
-    with mp.workdps(WORK_DPS):
-        theta = mpf(_theta_float(a, b))
-        for _ in range(3):  # Newton's method from the float root, past WORK_DPS digits
-            slope = a * mp.exp(theta * a) + b * mp.exp(theta * b)
-            if not slope > 0:  # lost to cancellation at a huge span
-                return None, None
-            theta -= (mp.expm1(theta * a) + mp.expm1(theta * b)) / slope
-        theta *= 1 - mpf(10) ** -20  # just below the root
-        # 2 E[e**(theta X)] - 2 = ea + eb must be negative past its rounding
-        ea, eb = mp.expm1(theta * a), mp.expm1(theta * b)
-        if not ea + eb + (abs(ea) + abs(eb)) * mpf(10) ** (5 - WORK_DPS) <= 0:
-            return None, None
-        depth = int(mp.ceil((bits * mp.log(2) + 1) / theta))
-        # e**(theta (b - a)) over 2**zbits as an integer, raised past the
-        # rounding of exp: the Horner pass runs on integers, and every step
-        # rounds up.  z has about theta (b - a) / ln 2 bits and is not built
-        # once b - a >= depth: cells lie b - a apart and the sink keeps those
-        # within depth of n, so at most one is left and z meets only the zero
-        # that the pass starts from.
-        zbits = 4 * WORK_DPS
-        margin = 1 + mpf(10) ** (5 - WORK_DPS)  # covers the rounding of each mpf step
-        z = int(mp.ldexp(mp.exp(theta * (b - a)), zbits) * margin) + 1 if b - a < depth else 0
+    s = 2 * bits
+    z = _lundberg_base(a, b, s)
+    if z is None:
+        return None, None
+    theta = math.log1p((z - (1 << s)) / (1 << s))
+    depth = math.ceil((bits * math.log(2) + 1) / theta * (1 + 1e-12))
+    if _power(z, -depth, s) * 27182818284590453 >= 10**16 << (s - bits):  # e < 2.7182818284590453
+        return None, None
+    # z**(b - a) is huge but unused once b - a >= depth: one cell is left
+    factor = _power(z, b - a, s) if b - a < depth else 0
 
     def bound(k: int, lattice: int, low: int) -> int:
         acc = 0
         for c in unpack(lattice, bits):
-            acc = c - (-acc * z >> zbits)
-        with mp.workdps(WORK_DPS):
-            return int(mp.ceil(acc * mp.exp(-theta * (n - a * k - (b - a) * low)) * margin))
+            acc = c - (-acc * factor >> s)
+        # an empty lattice's low may lie far above n
+        return -(-acc * _power(z, a * k + (b - a) * low - n, s) >> s) if acc else 0
 
     return depth, bound
 
 
-def _theta_float(a: int, b: int) -> float:
-    """theta* of ``_lundberg`` in floats, by Newton's method from log(2)/b.
-    There the excess ``(e**(theta a) + e**(theta b)) / 2 - 1`` is positive,
-    and it is convex and rising from its minimum on, so the iterates fall
-    to the root; ``expm1`` keeps its relative precision at a small theta."""
-    theta = math.log(2) / b
-    for _ in range(200):
-        slope = a * math.exp(theta * a) + b * math.exp(theta * b)
-        if not slope > 0:
+def _lundberg_base(a: int, b: int, s: int) -> int | None:
+    """Lundberg's base for moves {a, b} of negative drift, as the numerator
+    of z over ``2**s``: Newton's method on ``g(z) = z**a + z**b - 2``, its
+    powers rounded down, falls to the root z* from above ``2**(1/b)``, where
+    g > 0 is convex and rising; the last iterate that falls is lowered by
+    the factor ``1 - theta 1e-20``, theta = ln z* in floats.  None unless
+    g(z) <= 0 holds with powers rounded up and ln z lies in a float's
+    range: at ``WORK_DPS``, b up to about 10**100, spans at drift -1/2 to 10**33."""
+    if b >> min(s, 990):  # z* - 1 < ln 2 / b: below the point or the floats
+        return None
+    one = 1 << s
+
+    def g(z: int, up: bool = False) -> tuple[int, int]:  # g(z) over one, and Newton's step
+        za, zb = _power(z, a, s, up), _power(z, b, s, up)
+        excess, slope = za + zb - 2 * one, a * za + b * zb  # slope: z g'(z)
+        return excess, z * excess // slope if slope > 0 else 0
+
+    num, den = math.expm1(math.log(2) / b).as_integer_ratio()
+    rise = -(-(num << s) // den)
+    z = one + rise + (rise >> 40)  # past the float's rounding, so g > 0
+    for _ in range(200):  # capped: z - 1 only halves per step at a drift tiny beside the span
+        if (step := g(z)[1]) <= 0:
             break
-        below = theta - (math.expm1(theta * a) + math.expm1(theta * b)) / slope
-        if not below < theta:
-            break
-        theta = below
-    return theta
+        z -= step
+    num, den = math.log1p((z - one) / one).as_integer_ratio()
+    z -= z * num // (den * 10**20)  # just below the root
+    return z if (z - one) << 990 > one and g(z, up=True)[0] <= 0 else None
+
+
+def _power(x: int, e: int, s: int, up: bool = True) -> int:
+    """``(x / 2**s)**e`` over ``2**s`` by repeated squaring, every product,
+    and ``2**s / x`` for a negative e, rounded up, or down if not ``up``."""
+    sign = -1 if up else 1  # sign * (sign * v >> s) is v / 2**s rounded
+    if e < 0:
+        x, e = sign * ((sign << 2 * s) // x), -e
+    y = 1 << s
+    while True:
+        if e & 1:
+            y = sign * (sign * y * x >> s)
+        e >>= 1
+        if not e:
+            return y
+        x = sign * (sign * x * x >> s)
 
 
 def _summed(specs: tuple[GameSpec, ...], policy: TailPolicy | None, method: str, term, bound,
@@ -326,10 +330,11 @@ def _summed(specs: tuple[GameSpec, ...], policy: TailPolicy | None, method: str,
     Flooring and the sink enter the bounds.  The exact q is at most the
     fixed-point q plus the tally, so ``q1`` and ``h2`` are raised by their
     tallies before B is formed.  Under negative drift each walk's cells
-    more than L = ``ceil((P ln 2 + 1) / theta)`` positions below its
-    target sit in a sink; a unit of sunk mass ever arrives with chance
-    below ``2**-P`` (Lundberg), so the sink's mass over ``2**P``, rounded
-    up, bounds every later arrival of the sink and is added to ``h2``.
+    more than L positions below its target sit in a sink, L the least
+    with ``z**-L < 2**-P / e`` for Lundberg's base z; a unit of sunk mass
+    ever arrives with chance below ``2**-P``, so the sink's mass over
+    ``2**P``, rounded up, bounds every later arrival of the sink and is
+    added to ``h2``.
     Each r and q is then within e = tally + that sink bound of its
     fixed-point value, and every term, a product of two such factors in
     [0, 1], within ``e1 + e2``.

@@ -120,11 +120,9 @@ class TestPn:
 
     @pytest.mark.parametrize("digits", ["0", "-3"])
     def test_digits_below_one_is_a_usage_error(self, capsys, digits):
-        code = main(["pn", "--moves=-1,2", "--n=1", f"--digits={digits}"])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err == f"pilerace: error: --digits must be >= 1, got {digits}\n"
+        assert_flag_refused(
+            capsys, ["pn", "--moves=-1,2", "--n=1", f"--digits={digits}"],
+            f"pilerace pn: error: argument --digits: must be at least 1, got {digits}")
 
     @staticmethod
     def _assert_tolerance_refused(capsys, tol: str) -> None:
@@ -196,6 +194,37 @@ class TestWithin:
         code, out = run_cli(capsys, "within", f"--moves={moves}", f"--n={n}", "--k=8")
         assert code == 0
         assert "exact: 0/1\ndecimal: 0\n" in out
+
+
+class TestFlagBounds:
+    """Each integer flag refuses an out-of-range value under its own name,
+    before the library sees it."""
+
+    REFUSED = {
+        "within --moves=-1,2 --n=1 --k=-1": "--k: must be at least 1, got -1",
+        "within --moves=-1,2 --n=0 --k=3": "--n: must be at least 1, got 0",
+        "passage --moves=-1,2 --n=1 --max-k=0": "--max-k: must be at least 1, got 0",
+        "passage --moves=-1,2 --n=0": "--n: must be at least 1, got 0",
+        "pmn --moves=-1,2 --n1=0 --n2=1": "--n1: must be at least 1, got 0",
+        "pmn --moves=-1,2 --n1=1 --n2=0": "--n2: must be at least 1, got 0",
+        "simulate --moves=-1,2 --n1=0 --n2=1": "--n1: must be at least 1, got 0",
+        "simulate --moves=-1,2 --n1=1 --n2=0": "--n2: must be at least 1, got 0",
+        "simulate --moves=-1,2 --n1=1 --n2=1 --seed=-1": "--seed: must be at least 0, got -1",
+        f"simulate --moves=-1,2 --n1=1 --n2=1 --seed={2**64}":
+            f"--seed: must be below {2**64}, got {2**64}",
+    }
+
+    @pytest.mark.parametrize("argv", list(REFUSED))
+    def test_refused_under_its_name(self, capsys, argv):
+        command = argv.split()[0]
+        assert_flag_refused(capsys, argv.split(),
+                            f"pilerace {command}: error: argument {self.REFUSED[argv]}")
+
+    @pytest.mark.parametrize("command", ["pn", "duration"])
+    def test_zero_target_still_answers(self, capsys, command):
+        code, out = run_cli(capsys, command, "--moves=-1,2", "--n=0", "--json")
+        assert code == 0
+        assert json.loads(out)["inputs"]["n"] == 0
 
 
 class TestDuration:

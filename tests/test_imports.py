@@ -1,6 +1,5 @@
-"""numpy is loaded only where the simulator runs, mpmath only where a
-summed series under negative drift needs exp and log, and a CLI process
-starts with a pinned set of pilerace modules.
+"""numpy is loaded only where the simulator runs, no command loads
+mpmath, and a CLI process starts with a pinned set of pilerace modules.
 
 Each check that a module stays unloaded runs in a fresh interpreter,
 because the test process itself has long since imported numpy and mpmath.
@@ -8,6 +7,7 @@ because the test process itself has long since imported numpy and mpmath.
 
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -40,8 +40,9 @@ for argv in [
 print("ok")
 """
 
-# main() on each command of the benchmark's cli_short workload, and on the
-# other series and table commands that decide or sum without negative drift
+# main() on each command of the benchmark's cli_short workload, on the
+# other series, table and verify commands that decide or sum without
+# negative drift, and on the simulator
 _NO_MPMATH_COMMANDS = """
 import contextlib, io, sys
 from pilerace.cli import main
@@ -62,6 +63,7 @@ for argv in [
     ["pmn", "--moves=-1,2", "--n1=1", "--n2=2"],
     ["duration", "--moves=-1,2", "--n=1"],
     ["table", "t_values"],
+    ["simulate", "--moves=-1,2", "--n1=2", "--n2=2", "--trials=2000"],
 ]:
     with contextlib.redirect_stdout(io.StringIO()):
         assert main([*argv, "--json"]) == 0, argv
@@ -69,14 +71,23 @@ for argv in [
 print("ok")
 """
 
-# a negative-drift sum imports mpmath for Lundberg's bound, and answers
+# main() on negative-drift sums, whose tail bound is Lundberg's on an
+# integer base; prints {-2,1} n=1
 _NEGATIVE_DRIFT = """
 import contextlib, io, json, sys
 from pilerace.cli import main
-out = io.StringIO()
-with contextlib.redirect_stdout(out):
-    code = main(["pn", "--moves=-2,1", "--n=1", "--json"])
-print(code, "mpmath" in sys.modules, json.loads(out.getvalue())["results"]["direct"]["display"])
+for argv in [
+    ["pn", "--moves=-2,1", "--n=1"],
+    ["pn", "--moves=-3,2", "--n=1"],
+    ["pmn", "--moves=-3,2", "--n1=3", "--n2=2"],
+]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main([*argv, "--json"]) == 0, argv
+    assert "mpmath" not in sys.modules, argv
+    if argv[:2] == ["pn", "--moves=-2,1"]:
+        display = json.loads(out.getvalue())["results"]["direct"]["display"]
+print(display)
 """
 
 _SIMULATE = """
@@ -121,8 +132,19 @@ def test_commands_without_negative_drift_never_load_mpmath():
     assert _child(_NO_MPMATH_COMMANDS) == "ok\n"
 
 
-def test_negative_drift_loads_mpmath_on_demand():
-    assert _child(_NEGATIVE_DRIFT) == "0 True 0.29971615217\n"
+def test_negative_drift_sums_never_load_mpmath():
+    assert _child(_NEGATIVE_DRIFT) == "0.29971615217\n"
+
+
+def test_numpy_is_the_only_run_time_dependency():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    project = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())["project"]
+
+    def names(requirements):
+        return [re.match(r"[\w.-]+", req).group() for req in requirements]
+
+    assert names(project["dependencies"]) == ["numpy"]
+    assert "mpmath" in names(project["optional-dependencies"]["test"])
 
 
 def test_simulate_loads_numpy_and_reports():

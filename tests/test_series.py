@@ -10,8 +10,8 @@ from mpmath import mp, mpf
 import pilerace
 from pilerace import series
 from pilerace.closedforms import unit_step_sum, win_within_one
-from pilerace.numeric import ApproxValue, PiLinear
-from pilerace.passage import GameSpec, MoveSet, build_passage_table, iter_passage
+from pilerace.numeric import ApproxValue, PiLinear, dps_to_prec
+from pilerace.passage import GameSpec, MoveSet, build_passage_table, iter_passage, unpack
 from pilerace.reference import SQUARE_SUMS_PM1, TARGET_TABLE_PM1, recurrence_residual
 from pilerace.series import (
     CONVERGED,
@@ -496,6 +496,80 @@ class TestLundbergScale:
     def test_stop_move(self, moves, stop):
         res = win_prob_direct(GameSpec(moves, 1))
         assert (res.verdict, res.truncation_k) == (CONVERGED, stop)
+
+
+# the fixed-point bits of a sum at the default tolerance, and the s of
+# Lundberg's base at those bits
+LUNDBERG_BITS = dps_to_prec(WORK_DPS) + series.FLOOR_GUARD_BITS
+LUNDBERG_S = 2 * LUNDBERG_BITS
+
+
+class TestLundbergBase:
+    """Lundberg's integer base z, its bound and its sink depth, checked in
+    mpmath: ``z**S_k`` is a supermartingale only for z at most the root z*
+    of ``(z**a + z**b) / 2 = 1``."""
+
+    @pytest.mark.parametrize(
+        "moves",
+        NEGATIVE_DRIFT + [MoveSet(-101, 100), MoveSet(-1001, 1000), MoveSet(-10**12, 1),
+                          MoveSet(-10**13, 10**13 - 1)],
+        ids=str)
+    def test_base_is_just_below_the_root(self, moves):
+        a, b = moves.a, moves.b
+        big = series._lundberg_base(a, b, LUNDBERG_S)
+        with mp.workdps(100):
+            z = mpf(big) / 2**LUNDBERG_S
+            assert (z**a + z**b) / 2 <= 1
+            # and z* lies within twice the nudge z (1 - theta 1e-20) above
+            above = z * (1 + 2 * mp.log(z) * mpf(10) ** -20)
+            assert (above**a + above**b) / 2 > 1
+
+    def test_no_base_where_rounding_hides_the_root(self):
+        # the nudge moves g by about 1e-100 here, less than the rounding of
+        # z**b at s bits
+        moves = MoveSet(-10**40, 10**40 - 1)
+        assert series._lundberg_base(moves.a, moves.b, LUNDBERG_S) is None
+        assert series._lundberg(GameSpec(moves, 1), LUNDBERG_BITS) == (None, None)
+
+    @pytest.mark.parametrize("a, b", [(-10**310, 10**309), (-(2**950 + 2**850), 2**950)],
+                             ids=["b-past-floats", "root-past-floats"])
+    def test_no_base_below_the_floats(self, a, b):
+        # at 1175 bits each z* - 1 is resolved, below 2**-1000, where ln z and
+        # the depth would leave a float's range
+        assert series._lundberg(GameSpec(MoveSet(a, b), 1), 1175) == (None, None)
+
+    @staticmethod
+    def _checkpoints(moves, ks=(150, 250, 350)):
+        """(k, cells top first, low) of the sink-cut lattice at each move k."""
+        spec = GameSpec(moves, 1)
+        depth, _ = series._lundberg(spec, LUNDBERG_BITS)
+        stream = iter_passage(spec, LUNDBERG_BITS, depth)
+        for k, _, _, lattice, low, *_ in islice(stream, max(ks)):
+            if k in ks:
+                yield k, lattice, low
+
+    @pytest.mark.parametrize("moves", [MoveSet(-2, 1), MoveSet(-3, 2), MoveSet(-5, 4)], ids=str)
+    def test_bound_is_the_sum_rounded_up(self, moves):
+        a, b = moves.a, moves.b
+        _, bound = series._lundberg(GameSpec(moves, 1), LUNDBERG_BITS)
+        with mp.workprec(2 * LUNDBERG_S):  # z exactly, and a unit of each cell
+            z = mpf(series._lundberg_base(a, b, LUNDBERG_S)) / 2**LUNDBERG_S
+            for k, lattice, low in self._checkpoints(moves):
+                cells = unpack(lattice, LUNDBERG_BITS)
+                top = low + len(cells) - 1
+                assert cells and cells[-1], k  # the lowest cell is low's
+                exact = mp.fsum(c * z ** -(1 - a * k - (b - a) * (top - i))
+                                for i, c in enumerate(cells))
+                got = bound(k, lattice, low)
+                assert exact <= got <= exact * (1 + mpf(10) ** -30), k
+
+    @pytest.mark.parametrize("moves", NEGATIVE_DRIFT, ids=str)
+    def test_depth_is_the_least_deep_enough(self, moves):
+        depth, _ = series._lundberg(GameSpec(moves, 1), LUNDBERG_BITS)
+        with mp.workprec(2 * LUNDBERG_S):
+            z = mpf(series._lundberg_base(moves.a, moves.b, LUNDBERG_S)) / 2**LUNDBERG_S
+            level = mpf(2) ** -LUNDBERG_BITS / mp.e
+            assert z**-depth < level <= z ** -(depth - 1)
 
 
 class TestZeroDriftConstants:
