@@ -22,7 +22,7 @@ import sys
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from itertools import chain, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 
 from . import closedforms, reference
 from .numeric import ApproxValue, dps_to_prec, nstr, rational_str, rounded
@@ -419,19 +419,19 @@ def _verify_identities(policy: TailPolicy) -> Iterator[dict]:
 def _verify_oracles(policy: TailPolicy) -> Iterator[dict]:
     from .closedforms import passage_prob_m1p2, passage_prob_pm1, survival_one, win_within_one
 
-    table = build_passage_table(GameSpec(MoveSet(-1, 1), 1), 100)
-    good = all(survival_one(k) == table.q[k] for k in range(101))
-    good &= all(
-        win_within_one(k) == win_within(GameSpec(MoveSet(-1, 1), 1), k) for k in range(1, 101)
-    )
+    def dp(moves, n, horizon):  # r_k and q_k from the DP itself, not the tables' closed forms
+        stream = iter_passage(GameSpec(MoveSet(*moves), n), horizon=horizon)
+        return [(Fraction(r, 1 << k), Fraction(q, 1 << k)) for k, r, q, _ in stream]
+
+    rq = dp((-1, 1), 1, 100)
+    good = all(survival_one(k) == q for k, (_, q) in enumerate([(0, 1)] + rq))
+    good &= all(win_within_one(k) == w for k, w in enumerate(accumulate(r * q for r, q in rq), 1))
     yield {"check": "unit-step closed forms equal exact partial sums (k<=100)", "ok": bool(good)}
     for n in range(1, 6):
-        t = build_passage_table(GameSpec(MoveSet(-1, 1), n), 40)
-        good = all(passage_prob_pm1(n, k) == t.r[k] for k in range(1, 41))
+        good = all(passage_prob_pm1(n, k) == r for k, (r, _) in enumerate(dp((-1, 1), n, 40), 1))
         yield {"check": f"catalan counts equal unit-step DP (n={n}, k<=40)", "ok": bool(good)}
     for n in range(1, 5):
-        t = build_passage_table(GameSpec(MoveSet(-1, 2), n), 30)
-        good = all(passage_prob_m1p2(n, k) == t.r[k] for k in range(1, 31))
+        good = all(passage_prob_m1p2(n, k) == r for k, (r, _) in enumerate(dp((-1, 2), n, 30), 1))
         yield {"check": f"raney counts equal {{-1,2}} DP (n={n}, k<=30)", "ok": bool(good)}
 
 

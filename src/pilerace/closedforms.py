@@ -1,7 +1,8 @@
 """Closed-form counting formulas for the two classic move sets.
 
 These are the independent oracles against the lattice DP in
-:mod:`pilerace.passage`:
+:mod:`pilerace.passage`, read from ``iter_passage`` itself: the tables and
+``win_within`` take closed-form streams of their own on {a, 1} and {-1, b}.
 
 * ``catalan_count(n, k)``: number of ±1 walks of length k that stay
   strictly below n and end at n - 1.  First-passage mass for {-1, 1}

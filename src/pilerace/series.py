@@ -38,9 +38,10 @@ and bound how far each term can be from the exact one.  Only the
 returned numbers are rounded, once each, at the working precision, to
 ``numeric.Dyadic`` rationals; ``eval_error`` covers that rounding and the
 floor error together.  Lundberg's base is a dyadic tested on integers.
-``win_within`` steps the exact DP only up to its move count (its
-horizon), or the exact Catalan stream at zero drift, and returns the
-partial sum as a ``Dyadic`` made from its integer numerator.
+``win_within`` reads an exact stream up to its move count (its horizon),
+a closed form on {a, 1} (zero drift reduces to {-1, 1}) and on {-1, b}
+where cheaper, the DP elsewhere (``passage._exact_stream``), and returns
+the partial sum as a ``Dyadic`` made from its integer numerator.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, islice
+from itertools import islice
 
 from .closedforms import unit_step_sum
 from .numeric import (
@@ -64,6 +65,7 @@ from .passage import (
     FLOOR_EVERY,
     GameSpec,
     MoveSet,
+    _exact_stream,
     iter_passage,
     reduce_zero_drift,
     require_int,
@@ -175,44 +177,18 @@ class SeriesResult:
 # term streams
 
 
-def _stream_unit_exact(n: int):
-    """(k, r, q, None) for the unit-step symmetric walk, exact: r and q as
-    integer numerators over ``2**k``, the format of ``iter_passage``, with
-    no lattice cells.
-
-    The walk first hits n only at k = n + 2j, with count n C(k, j) / k
-    (hitting-time theorem).  The binomial is kept as a running integer,
-    ``C(k + 2, j + 1) = C(k, j) (k + 1)(k + 2) / ((j + 1)(n + j + 1))``,
-    so each term is one multiply and two exact divisions.
-    """
-    q = 1
-    binom = 1  # C(k, j) at the next hitting index k = n + 2j
-    for k in count(1):
-        q <<= 1
-        if k < n or (k - n) % 2:
-            yield k, 0, q, None
-            continue
-        j = (k - n) // 2
-        r = n * binom // k
-        binom = binom * (k + 1) * (k + 2) // ((j + 1) * (n + j + 1))
-        q -= r
-        yield k, r, q, None
-
-
 def rq_stream(spec: GameSpec, *, prefer_float: bool = False):
     """(k, r, q, cells) for any move set, r and q as exact integer
-    numerators over ``2**k``: the unit-step Catalan stream for a
+    numerators over ``2**k``: the hitting-time stream of {-1, 1} for a
     zero-drift set, reduced to its unit-step target (``cells`` is None),
     and the exact lattice DP otherwise (``cells`` as ``iter_passage``
-    yields them).  ``win_within`` reads it at zero drift; the DP-backed
-    evaluators step ``iter_passage`` with a horizon or in fixed point
-    instead.  DP-backed streams end once the walk is absorbed; the Catalan
-    stream is infinite.  ``prefer_float`` gives r and q as mpf values at
-    mpmath's current precision, each numerator rounded once: the package's
-    one import of mpmath, kept only for the benchmark's tracer.
+    yields them).  ``win_within`` reads it at zero drift.  DP-backed
+    streams end once the walk is absorbed; the hitting-time stream is
+    infinite.  ``prefer_float`` gives r and q as mpf values at mpmath's
+    current precision, each numerator rounded once: the package's one
+    import of mpmath, kept only for the benchmark's tracer.
     """
-    reduced = reduce_zero_drift(spec)
-    stream = iter_passage(spec) if reduced is None else _stream_unit_exact(reduced)
+    stream = iter_passage(spec) if reduce_zero_drift(spec) is None else _exact_stream(spec)
     if prefer_float:
         from mpmath import mpf
 
@@ -226,18 +202,19 @@ def rq_stream(spec: GameSpec, *, prefer_float: bool = False):
 
 def _lundberg(spec: GameSpec, bits: int):
     """Lundberg's bound for a negative-drift walk, as ``(depth, bound)``:
-    ``bound(k, lattice, low)`` is at least the chance that the walk, alive
-    at move K with the packed fixed-point ``lattice`` of ``iter_passage``
-    at ``bits``, lowest cell j = ``low``, still reaches ``n`` later, and a
-    unit of mass more than ``depth`` positions below n reaches it with
-    chance below ``2**-bits``.
+    ``bound(k, lattice, low, lift)``, over ``2**(bits + FLOOR_EVERY)``, is
+    at least the chance that the walk, alive at move k with the packed
+    fixed-point ``lattice`` of ``iter_passage`` at ``bits`` (lowest cell j
+    = ``low``, cells over that denominator shifted down by ``lift``),
+    still reaches ``n`` later, and a unit of mass more than ``depth``
+    positions below n reaches it with chance below ``2**-bits``.
 
     For z in (1, z*], where z* > 1 solves ``z**a + z**b = 2``, ``z**S_k``
     is a supermartingale: from x the walk ever reaches n with chance at
     most ``z**-(n - x)``.  Summed over the cells by one Horner pass in
-    ``z**(b - a)``, times ``z**-(n - x_low)``, every product rounded up,
-    this is exact at z* when b = 1.  z is ``_lundberg_base`` at s = 2
-    ``bits``; ``depth`` is the least L with ``z**-L < 2**-bits / e``, a
+    ``z**(b - a)``, times ``z**-(n - x_low)``, every product rounded up on
+    that denominator, this is exact at z* when b = 1.  z is
+    ``_lundberg_base`` at s = 2 ``bits``; ``depth`` is the least L with ``z**-L < 2**-bits / e``, a
     float estimate confirmed on integers.  Both are None if either fails.
     """
     a, b, n = spec.moves.a, spec.moves.b, spec.n
@@ -252,10 +229,10 @@ def _lundberg(spec: GameSpec, bits: int):
     # z**(b - a) is huge but unused once b - a >= depth: one cell is left
     factor = _power(z, b - a, s) if b - a < depth else 0
 
-    def bound(k: int, lattice: int, low: int) -> int:
+    def bound(k: int, lattice: int, low: int, lift: int) -> int:
         acc = 0
         for c in unpack(lattice, bits):
-            acc = c - (-acc * factor >> s)
+            acc = (c << lift) - (-acc * factor >> s)
         # an empty lattice's low may lie far above n
         return -(-acc * _power(z, a * k + (b - a) * low - n, s) >> s) if acc else 0
 
@@ -265,11 +242,12 @@ def _lundberg(spec: GameSpec, bits: int):
 def _lundberg_base(a: int, b: int, s: int) -> int | None:
     """Lundberg's base for moves {a, b} of negative drift, as the numerator
     of z over ``2**s``: Newton's method on ``g(z) = z**a + z**b - 2``, its
-    powers rounded down, falls to the root z* from above ``2**(1/b)``, where
-    g > 0 is convex and rising; the last iterate that falls is lowered by
-    the factor ``1 - theta 1e-20``, theta = ln z* in floats.  None unless
-    g(z) <= 0 holds with powers rounded up and ln z lies in a float's
-    range: at ``WORK_DPS``, b up to about 10**100, spans at drift -1/2 to 10**33."""
+    powers rounded down, falls to the root z* from a start where g > 0 is
+    convex and rising: z*'s quadratic estimate, or else ``2**(1/b)``.  The
+    last iterate that falls is lowered by the factor ``1 - theta 1e-20``,
+    theta = ln z* in floats.  None unless g(z) <= 0 holds with powers
+    rounded up and ln z lies in a float's range: at ``WORK_DPS``, b up to
+    about 10**100, spans at drift -1/2 to 10**33."""
     if b >> min(s, 990):  # z* - 1 < ln 2 / b: below the point or the floats
         return None
     one = 1 << s
@@ -279,9 +257,17 @@ def _lundberg_base(a: int, b: int, s: int) -> int | None:
         excess, slope = za + zb - 2 * one, a * za + b * zb  # slope: z g'(z)
         return excess, z * excess // slope if slope > 0 else 0
 
-    num, den = math.expm1(math.log(2) / b).as_integer_ratio()
-    rise = -(-(num << s) // den)
-    z = one + rise + (rise >> 40)  # past the float's rounding, so g > 0
+    # ln z* ~ -2 (a + b) / (a**2 + b**2) by g's quadratic term; from below, a Newton step
+    # lands above the root, and 256 |a| units past g's rounding (a squaring doubles it)
+    theta = (-2 * (a + b) << s) // (a * a + b * b)
+    z = one + theta + (theta * theta >> s + 1)
+    excess, step = g(z)
+    if excess <= 0:
+        z += (-a << 8) - step
+    if g(z)[0] <= 0:  # not above the root after all
+        num, den = math.expm1(math.log(2) / b).as_integer_ratio()
+        rise = -(-(num << s) // den)
+        z = one + rise + (rise >> 40)  # past the float's rounding, so g > 0
     for _ in range(200):  # capped: z - 1 only halves per step at a drift tiny beside the span
         if (step := g(z)[1]) <= 0:
             break
@@ -366,7 +352,7 @@ def _summed(specs: tuple[GameSpec, ...], policy: TailPolicy | None, method: str,
         if t:
             last = t
         if lundberg is not None and (k >= next_check or k >= max_k):
-            reach = lundberg(k, lattice, low) << lift
+            reach = lundberg(k, lattice, low, lift)
             next_check = max(k + 1, int(k * 1.25))
         # a later arrival only gets less likely, so an earlier figure
         # holds at move k
@@ -531,20 +517,17 @@ def win_within(spec: GameSpec, k: int) -> Fraction:
     """Exact probability the second player wins within ``k`` moves: the
     partial sum of ``q * r`` through ``k`` as a rational.
 
-    The exact DP, stopped at its horizon k, or at zero drift the exact
-    Catalan stream, gives every r and q at index j as a count over
-    ``2**j``, so the sum is kept as one integer over ``4**j`` and made a
-    ``numeric.dyadic`` at the end, in lowest terms with no gcd."""
+    The exact stream stopped at its horizon k (see the module docstring)
+    gives every r and q at index j as a count over ``2**j``, so the sum is
+    kept as one integer over ``4**j`` and made a ``numeric.dyadic`` at the
+    end, in lowest terms with no gcd."""
     spec = _validated(spec)
     if spec.n < 1:
         raise ValueError("target must be >= 1")
     require_int(k, "k")
     if k < 1:
         raise ValueError("k must be >= 1")
-    if reduce_zero_drift(spec) is None:
-        stream = iter_passage(spec, horizon=k)  # drops the cells that cannot win by move k
-    else:
-        stream = rq_stream(spec)
+    stream = _exact_stream(spec, k) if reduce_zero_drift(spec) is None else rq_stream(spec)
     total = last = 0
     for j, win, survived, _ in islice(stream, k):
         total = (total << 2) + win * survived

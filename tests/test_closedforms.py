@@ -17,10 +17,17 @@ from pilerace.closedforms import (
     win_within_one,
 )
 from pilerace.numeric import PiLinear
-from pilerace.passage import GameSpec, MoveSet, build_passage_table
+from pilerace.passage import GameSpec, MoveSet, iter_passage
 from pilerace.series import rq_stream, win_within
 
 F = Fraction
+
+
+def dp_rq(moves, n, horizon):
+    """The exact DP's r_k and q_k, k = 1..horizon, read from ``iter_passage``
+    itself: tables and ``win_within`` take closed forms on skip-free sets."""
+    stream = iter_passage(GameSpec(MoveSet(*moves), n), horizon=horizon)
+    return [(F(win, 1 << k), F(survived, 1 << k)) for k, win, survived, _ in stream]
 
 
 def walk_count(steps, n, k, targets):
@@ -118,15 +125,13 @@ class TestRaneyCount:
 class TestPassageEquivalence:
     def test_unit_step_counts_equal_dp(self):
         for n in range(1, 10):
-            table = build_passage_table(GameSpec(MoveSet(-1, 1), n), 400)
-            for k in range(1, 401):
-                assert passage_prob_pm1(n, k) == table.r[k]
+            for k, (r, _) in enumerate(dp_rq((-1, 1), n, 400), 1):
+                assert passage_prob_pm1(n, k) == r
 
     def test_minus12_counts_equal_dp(self):
         for n in range(1, 8):
-            table = build_passage_table(GameSpec(MoveSet(-1, 2), n), 400)
-            for k in range(1, 401):
-                assert passage_prob_m1p2(n, k) == table.r[k]
+            for k, (r, _) in enumerate(dp_rq((-1, 2), n, 400), 1):
+                assert passage_prob_m1p2(n, k) == r
 
 
 class TestClassicalLaws:
@@ -155,9 +160,9 @@ class TestSurvivalOne:
             assert survival_one(2 * m) == survival_one(2 * m - 1)
 
     def test_equals_dp(self):
-        table = build_passage_table(GameSpec(MoveSet(-1, 1), 1), 200)
-        for k in range(201):
-            assert survival_one(k) == table.q[k]
+        assert survival_one(0) == 1
+        for k, (_, q) in enumerate(dp_rq((-1, 1), 1, 200), 1):
+            assert survival_one(k) == q
 
 
 class TestWinWithinOne:
@@ -167,8 +172,10 @@ class TestWinWithinOne:
 
     def test_equals_exact_partial_sums(self):
         spec = GameSpec(MoveSet(-1, 1), 1)
-        for k in range(1, 201):
-            assert win_within_one(k) == win_within(spec, k)
+        total = F(0)
+        for k, (r, q) in enumerate(dp_rq((-1, 1), 1, 200), 1):
+            total += r * q
+            assert win_within_one(k) == total == win_within(spec, k)
 
     def test_limit_approaches_win_probability(self):
         # 1 - 2/pi ~ 0.36338

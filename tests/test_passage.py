@@ -3,6 +3,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, islice, repeat
 from operator import add
+from time import perf_counter
 
 import pytest
 from brute_force import enumerate_first_passage
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 from mpmath.libmp import dps_to_prec
 
+from pilerace import passage
 from pilerace.cli import _write_rows_csv
 from pilerace.closedforms import hitting_time_count, monotone_survival_count, passage_prob_m1p2
 from pilerace.passage import (
@@ -96,8 +98,9 @@ def in_lowest_terms(x) -> bool:
     return den & (den - 1) == 0 and (num % 2 == 1 or den == 1) and (num != 0 or den == 1)
 
 
-# {2,3} is absorbed early (zero padding), {-2,-1} never reaches n, and
-# win_within reads {-1,1} from the Catalan stream
+# {2,3} is absorbed early (zero padding), {-2,-1} never reaches n, and the
+# table and win_within read {-1,1} from the hitting-time stream and {-1,2}
+# and {-1,3} from the row recursion, so each is checked against the DP
 LOWEST_TERMS_CASES = [((-1, 2), 3, 80), ((-1, 3), 5, 120), ((-3, 4), 2, 100), ((2, 3), 7, 12),
                       ((-2, -1), 1, 10), ((-1, 1), 2, 60)]
 
@@ -139,15 +142,17 @@ class TestExactIdentities:
         # the exact r and q masses against laws that share no code with the
         # DP: the hitting-time theorem ({a, 1}, a <= 0), the binomial
         # survival law (0 <= a < b) and the Raney counts ({-1, 2})
+        # (read from iter_passage: the table takes closed forms on {a, 1}
+        # and {-1, b})
         a, b = moves.a, moves.b
-        table = build_passage_table(GameSpec(moves, n), 120)
-        for k in range(1, 121):
+        stream = chain(iter_passage(GameSpec(moves, n), horizon=120), repeat((0, 0, 0, None)))
+        for k, (_, win, survived, _) in zip(range(1, 121), stream):
             if b == 1 and a <= 0:
-                assert table.r[k] == F(hitting_time_count(a, n, k), 1 << k)
+                assert win == hitting_time_count(a, n, k)
             if a >= 0:
-                assert table.q[k] == F(monotone_survival_count(a, b, n, k), 1 << k)
+                assert survived == monotone_survival_count(a, b, n, k)
             if (a, b) == (-1, 2):
-                assert table.r[k] == passage_prob_m1p2(n, k)
+                assert F(win, 1 << k) == passage_prob_m1p2(n, k)
 
     @pytest.mark.parametrize("moves", MOVE_MATRIX, ids=str)
     def test_brute_force_equivalence(self, moves):
@@ -545,3 +550,73 @@ def test_positive_walk_stops_at_its_last_win(moves, n):
     items = list(islice(iter_passage(GameSpec(moves, n)), last + 1))
     k, r, q, _ = items[-1]
     assert (k, q) == (last, 0) and r != 0
+
+
+class TestSkipFreeStreams:
+    """The closed-form streams of {a, 1} and {-1, b} against the DP, item
+    for item, and against exhaustive enumeration."""
+
+    @staticmethod
+    def streams(a: int, b: int, n: int, horizon: int):
+        """The closed-form stream of {a, b}, whichever the chooser would pick
+        ({a, 1} always takes it)."""
+        if b == 1:
+            return passage._exact_stream(GameSpec(MoveSet(a, b), n), horizon)
+        return passage._with_survival(passage._descending(b, n), horizon)
+
+    @given(a=st.integers(-8, 0), n=st.integers(1, 200), horizon=st.integers(1, 300))
+    def test_climbing_equals_the_dp(self, a, n, horizon):
+        spec = GameSpec(MoveSet(a, 1), n)
+        dp = [item[:3] for item in iter_passage(spec, horizon=horizon)]
+        assert [item[:3] for item in self.streams(a, 1, n, horizon)] == dp
+
+    @given(b=st.integers(2, 8), n=st.integers(1, 200), horizon=st.integers(1, 300))
+    def test_descending_equals_the_dp(self, b, n, horizon):
+        spec = GameSpec(MoveSet(-1, b), n)
+        dp = [item[:3] for item in iter_passage(spec, horizon=horizon)]
+        assert [item[:3] for item in self.streams(-1, b, n, horizon)] == dp
+
+    @pytest.mark.parametrize("c, n", [(2, 5), (3, 7), (5, 1)])
+    def test_zero_drift_reduces_to_the_unit_walk(self, c, n):
+        spec = GameSpec(MoveSet(-c, c), n)
+        dp = [item[:3] for item in iter_passage(spec, horizon=150)]
+        assert [item[:3] for item in passage._exact_stream(spec, 150)] == dp
+
+    @pytest.mark.parametrize("a, b", [(-8, 1), (-3, 1), (-1, 1), (0, 1), (-1, 2), (-1, 3), (-1, 8)])
+    def test_streams_equal_enumeration(self, a, b):
+        for n in range(1, 13):
+            oracle = enumerate_first_passage(MoveSet(a, b), n, 12)
+            q = 1
+            for k, win, survived, cells in self.streams(a, b, n, 12):
+                q -= oracle[k]
+                assert (F(win, 1 << k), F(survived, 1 << k), cells) == (oracle[k], q, None), (n, k)
+
+    @pytest.mark.parametrize("moves, n", [((-3, 1), 200), ((0, 1), 10**9), ((-1, 2), 200),
+                                          ((-1, 8), 150)])
+    def test_first_items_come_at_once(self, moves, n):
+        # nothing of the horizon's size is built before the first yield
+        start = perf_counter()
+        items = list(islice(passage._exact_stream(GameSpec(MoveSet(*moves), n), 10**12), 5))
+        assert perf_counter() - start < 0.1
+        assert [item[0] for item in items] == [1, 2, 3, 4, 5] and items[0][3] is None
+
+    @pytest.mark.parametrize("count_moves", [build_passage_table, win_within])
+    @pytest.mark.parametrize("n, horizon, rows", [(1000, 2000, False), (10, 2000, True)])
+    def test_row_recursion_only_where_it_is_cheaper(self, monkeypatch, count_moves, n, horizon,
+                                                    rows):
+        # about n (K + n) additions for the rows against the DP's cells
+        calls = []
+
+        def counted(name):
+            original = getattr(passage, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("iter_passage", "_descending"):
+            monkeypatch.setattr(passage, name, counted(name))
+        count_moves(GameSpec(MoveSet(-1, 2), n), horizon)
+        assert calls == ["_descending" if rows else "iter_passage"]

@@ -539,14 +539,14 @@ class TestLundbergBase:
         assert series._lundberg(GameSpec(MoveSet(a, b), 1), 1175) == (None, None)
 
     @staticmethod
-    def _checkpoints(moves, ks=(150, 250, 350)):
-        """(k, cells top first, low) of the sink-cut lattice at each move k."""
+    def _checkpoints(moves, ks=(16, 150, 250, 350)):
+        """(k, packed cells, low, lift) of the sink-cut lattice at each move k."""
         spec = GameSpec(moves, 1)
         depth, _ = series._lundberg(spec, LUNDBERG_BITS)
         stream = iter_passage(spec, LUNDBERG_BITS, depth)
-        for k, _, _, lattice, low, *_ in islice(stream, max(ks)):
+        for k, _, _, lattice, low, lift, *_ in islice(stream, max(ks)):
             if k in ks:
-                yield k, lattice, low
+                yield k, lattice, low, lift
 
     @pytest.mark.parametrize("moves", [MoveSet(-2, 1), MoveSet(-3, 2), MoveSet(-5, 4)], ids=str)
     def test_bound_is_the_sum_rounded_up(self, moves):
@@ -554,14 +554,31 @@ class TestLundbergBase:
         _, bound = series._lundberg(GameSpec(moves, 1), LUNDBERG_BITS)
         with mp.workprec(2 * LUNDBERG_S):  # z exactly, and a unit of each cell
             z = mpf(series._lundberg_base(a, b, LUNDBERG_S)) / 2**LUNDBERG_S
-            for k, lattice, low in self._checkpoints(moves):
+            for k, lattice, low, lift in self._checkpoints(moves):
                 cells = unpack(lattice, LUNDBERG_BITS)
                 top = low + len(cells) - 1
                 assert cells and cells[-1], k  # the lowest cell is low's
-                exact = mp.fsum(c * z ** -(1 - a * k - (b - a) * (top - i))
+                # on the final scale: before the first floor a cell's unit
+                # is 2**lift of it, and the bound rounds in the finer one
+                exact = mp.fsum((c << lift) * z ** -(1 - a * k - (b - a) * (top - i))
                                 for i, c in enumerate(cells))
-                got = bound(k, lattice, low)
+                got = bound(k, lattice, low, lift)
                 assert exact <= got <= exact * (1 + mpf(10) ** -30), k
+
+    @pytest.mark.parametrize("a, stop", [(-100, 16), (-20, 25)])
+    def test_bound_rounds_at_the_final_scale(self, a, stop):
+        # rounded up to a lattice unit, 2**-k before the first floor, the
+        # bound held both sums open until move 38
+        assert win_prob_direct(GameSpec(MoveSet(a, 1), 1)).truncation_k == stop
+
+    def test_newton_starts_near_the_root(self, monkeypatch):
+        # from 2**(1/b), z - 1 only halves per Newton step at this span, and
+        # the search gave up after its 200 steps of two powers each
+        calls = []
+        power = series._power
+        monkeypatch.setattr(series, "_power", lambda *args: calls.append(args) or power(*args))
+        assert series._lundberg(GameSpec(MoveSet(-2**500, 2**500 - 1), 1), 1175) == (None, None)
+        assert len(calls) < 20
 
     @pytest.mark.parametrize("moves", NEGATIVE_DRIFT, ids=str)
     def test_depth_is_the_least_deep_enough(self, moves):
