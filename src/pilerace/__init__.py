@@ -15,8 +15,8 @@ numpy is loaded only by the simulator.  Importing it costs more than half
 of a ``pilerace`` process's start-up, and none of the exact or series
 answers use it, so ``SimConfig``, ``SimReport`` and ``run_simulation`` are
 served lazily from ``pilerace.simulate`` on first access.  Every answer,
-its decimal and its error bound are made from integers, so no command
-loads mpmath.
+its decimal and its error bound are made from integers, and no module of
+the package imports mpmath; it is a test dependency only.
 """
 
 from .closedforms import (

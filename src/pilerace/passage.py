@@ -22,11 +22,13 @@ A consumer that reads only the first K moves passes ``horizon=K``: the
 cells that can no longer reach n by move K are dropped as the walk goes,
 their mass kept in q, and the stream ends at K.
 
-``build_passage_table`` and ``series.win_within`` read ``_exact_stream``:
-this stream in closed form on {a, 1}, a <= 0 (and zero drift, reduced to
-{-1, 1}), and on {-1, b} where its about n (K + n) additions are fewer
-than the K-move DP's cells.  ``iter_passage`` is always the DP, and
-``verify`` and the tests read it.
+``_exact_stream`` carries exact r and q to ``build_passage_table`` and
+``series.win_within``: this stream's, item for item, but with ``cells``
+None from a closed form where one is cheaper, the hitting-time counts on
+{a, 1}, a <= 0 (and zero drift, reduced to {-1, 1}), and the row recursion
+on {-1, b} where its about n (K + n) additions are fewer than the K-move
+DP's cells.  ``iter_passage`` is always the DP; ``verify`` and the tests
+read it.
 
 Exact numerators grow by one bit per move, so a long sum would cost about
 K**3 bit operations.  The series core therefore asks for the same steps
@@ -212,33 +214,32 @@ def _exact_stream(spec: GameSpec, horizon: int | None = None):
     form (``cells`` None) where the module docstring says, else the DP."""
     unit = reduce_zero_drift(spec)
     a, b, n = (-1, 1, unit) if unit else (spec.moves.a, spec.moves.b, spec.n)
+    wins = None
     if n >= 1 and b == 1 and a <= 0:  # r = n C(k, u) / k at k = n + (1 - a) u
-        hits = (0 if i else n * binom // k for k, (i, binom) in enumerate(_first_passages(a, n), n))
-        return _with_survival(chain(repeat(0, n - 1), hits), horizon)
-    if n >= 1 and a == -1 and b >= 2 and horizon is not None:
+        wins = chain(repeat(0, n - 1), _first_passages(a, n, 1))
+    elif n >= 1 and a == -1 and b >= 2 and horizon is not None:
         # 2 (b + 1)**3 times the DP's cells, min(n + k, b (K - k)) / (b + 1) at move k, summed
         x = max(b * horizon - n, 0)
         dp_cells = 2 * (b + 1) * n * x + x * x + b * ((b + 1) * horizon - x) ** 2
         if 2 * (b + 1) ** 3 * n * (horizon + n) < dp_cells:
-            return _with_survival(_descending(b, n), horizon)
-    return iter_passage(spec, horizon=horizon)
-
-
-def _with_survival(wins, horizon: int | None):
-    """``(k, win, survived, None)`` from the r numerators ``wins``: q_k = 2 q_(k-1) - r_k."""
+            wins = _descending(b, n)
+    if wins is None:
+        yield from iter_passage(spec, horizon=horizon)
+        return
     survived = 1
     for k, win in zip(count(1) if horizon is None else range(1, horizon + 1), wins):
-        survived = 2 * survived - win
+        survived = 2 * survived - win  # q_k = 2 q_(k-1) - r_k
         yield k, win, survived, None
 
 
-def _first_passages(a: int, n: int):
-    """Yield ``(i, C(k, u))``, a running integer, for k = n, n + 1, ...: {a, 1},
-    a <= 0, first reaches n + i, i = (k - n) mod (1 - a), at move k with u
-    a-moves on (n + i) C(k, u) / k paths (hitting-time theorem)."""
+def _first_passages(a: int, n: int, reach: int):
+    """Yield, for k = n, n + 1, ..., the paths of {a, 1}, a <= 0, that first
+    reach n + i, i = (k - n) mod (1 - a), at move k with u a-moves: (n + i)
+    C(k, u) / k by the hitting-time theorem, from a running binomial, where
+    i < ``reach``, and 0 elsewhere."""
     binom, u, i = 1, 0, 0
     for k in count(n):
-        yield i, binom
+        yield (n + i) * binom // k if i < reach else 0
         if i == -a:
             i, u = 0, u + 1
             binom = binom * (k + 1) // u
@@ -254,16 +255,18 @@ def _descending(b: int, n: int):
     it, gives r(n, k) = P(n, k - 1); splitting off the first move gives
     P(m, i) = P(m - 1, i + 1) - P(m - 1 - b, i), P = 0 for m < 1.  Row 1,
     read backwards, is walks {-b, 1} first reaching 1..b.  Down a diagonal
-    d = m + i, P is P(1, d - 1) less a running sum of diagonal d - 1 - b;
-    its first n - 1 - b entries are held, and entries with m > d are filler."""
+    d = m + i, P(m) is P(1, d - 1) for m <= b + 1 and that less a running
+    sum of diagonal d - 1 - b below; its first n - 1 - b entries are held."""
     rest = max(n - 1 - b, 0)
     ring = deque([[0] * rest] * (b + 1 if rest else 1))  # diagonals d - 1 - b .. d - 1
-    for d, (i, binom) in enumerate(_first_passages(-b, 1), 1):
-        top = (i + 1) * binom // d if i < b else 0  # P(1, d - 1)
-        column = list(accumulate(chain((top,), ring.popleft()), sub))  # P(m, d - m), m = b + 1..n
-        ring.append(([top] * min(b, rest) + column)[:rest])
+    for d, top in enumerate(_first_passages(-b, 1, b), 1):  # top = P(1, d - 1)
+        column = [top] * min(b, rest)  # P(m, d - m), m = 1..min(b, n - 1 - b)
+        column += accumulate(chain((top,), ring.popleft()), sub)  # m = b + 1..n, or n
+        last = column[-1]  # P(n, d - n)
+        del column[rest:]
+        ring.append(column)
         if d >= n:
-            yield column[-1]
+            yield last
 
 
 def _fixed_passage(a: int, b: int, n: int, bits: int, depth: int | None):

@@ -38,10 +38,9 @@ and bound how far each term can be from the exact one.  Only the
 returned numbers are rounded, once each, at the working precision, to
 ``numeric.Dyadic`` rationals; ``eval_error`` covers that rounding and the
 floor error together.  Lundberg's base is a dyadic tested on integers.
-``win_within`` reads an exact stream up to its move count (its horizon),
-a closed form on {a, 1} (zero drift reduces to {-1, 1}) and on {-1, b}
-where cheaper, the DP elsewhere (``passage._exact_stream``), and returns
-the partial sum as a ``Dyadic`` made from its integer numerator.
+``win_within`` is not summed to a bound: it adds the exact terms of
+``passage._exact_stream`` up to its move count, the stream's horizon, and
+returns the partial sum as a ``Dyadic`` made from its integer numerator.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 
 from .closedforms import unit_step_sum
 from .numeric import (
@@ -173,27 +171,9 @@ class SeriesResult:
         }
 
 
-# ---------------------------------------------------------------------------
-# term streams
-
-
-def rq_stream(spec: GameSpec, *, prefer_float: bool = False):
-    """(k, r, q, cells) for any move set, r and q as exact integer
-    numerators over ``2**k``: the hitting-time stream of {-1, 1} for a
-    zero-drift set, reduced to its unit-step target (``cells`` is None),
-    and the exact lattice DP otherwise (``cells`` as ``iter_passage``
-    yields them).  ``win_within`` reads it at zero drift.  DP-backed
-    streams end once the walk is absorbed; the hitting-time stream is
-    infinite.  ``prefer_float`` gives r and q as mpf values at mpmath's
-    current precision, each numerator rounded once: the package's one
-    import of mpmath, kept only for the benchmark's tracer.
-    """
-    stream = iter_passage(spec) if reduce_zero_drift(spec) is None else _exact_stream(spec)
-    if prefer_float:
-        from mpmath import mpf
-
-        return ((k, mpf((w, -k)), mpf((s, -k)), cells) for k, w, s, cells in stream)
-    return stream
+# the exact stream under its old name, with no caller in the package: the
+# benchmark's tracer still installs a wrapper under this name
+rq_stream = _exact_stream
 
 
 # ---------------------------------------------------------------------------
@@ -517,19 +497,20 @@ def win_within(spec: GameSpec, k: int) -> Fraction:
     """Exact probability the second player wins within ``k`` moves: the
     partial sum of ``q * r`` through ``k`` as a rational.
 
-    The exact stream stopped at its horizon k (see the module docstring)
-    gives every r and q at index j as a count over ``2**j``, so the sum is
-    kept as one integer over ``4**j`` and made a ``numeric.dyadic`` at the
-    end, in lowest terms with no gcd."""
+    ``passage._exact_stream`` at horizon k, a closed form or the DP for
+    every move set, gives each r and q at move j as a count over ``2**j``,
+    so the sum is kept as one integer over ``4**j`` and made a
+    ``numeric.dyadic`` at the end, in lowest terms with no gcd.  A stream
+    that ends early (the walk is absorbed) sets the denominator by its last
+    move."""
     spec = _validated(spec)
     if spec.n < 1:
         raise ValueError("target must be >= 1")
     require_int(k, "k")
     if k < 1:
         raise ValueError("k must be >= 1")
-    stream = _exact_stream(spec, k) if reduce_zero_drift(spec) is None else rq_stream(spec)
     total = last = 0
-    for j, win, survived, _ in islice(stream, k):
+    for j, win, survived, _ in _exact_stream(spec, k):
         total = (total << 2) + win * survived
         last = j
     return dyadic(total, 2 * last)

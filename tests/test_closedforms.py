@@ -4,7 +4,7 @@ from math import comb
 import pytest
 from mpmath import mp, mpf
 
-from pilerace import closedforms, reference
+from pilerace import closedforms, passage, reference
 from pilerace.closedforms import (
     catalan_count,
     hitting_time_count,
@@ -18,7 +18,7 @@ from pilerace.closedforms import (
 )
 from pilerace.numeric import PiLinear
 from pilerace.passage import GameSpec, MoveSet, iter_passage
-from pilerace.series import rq_stream, win_within
+from pilerace.series import win_within
 
 F = Fraction
 
@@ -224,7 +224,7 @@ class TestUnitStepSum:
     def test_between_exact_partial_sums(self, n1, n2):
         # 0 <= p - sum_{k <= K} q1 r2 <= q1(K) sum_{k > K} r2 <= q1(K) q2(K)
         K = 10_000
-        walks = zip(*(rq_stream(GameSpec(MoveSet(-1, 1), n)) for n in (n1, n2)))
+        walks = zip(*(passage._exact_stream(GameSpec(MoveSet(-1, 1), n)) for n in (n1, n2)))
         total = 0
         for (k, _, q1, _), (_, r2, q2, _) in walks:
             total = 4 * total + q1 * r2

@@ -1,10 +1,14 @@
-"""numpy is loaded only where the simulator runs, no command loads
-mpmath, and a CLI process starts with a pinned set of pilerace modules.
+"""numpy is loaded only where the simulator runs, no module of the
+package imports mpmath, and a CLI process starts with a pinned set of
+pilerace modules.
 
-Each check that a module stays unloaded runs in a fresh interpreter,
-because the test process itself has long since imported numpy and mpmath.
+mpmath's absence is read from the source, so that an import on a path
+no command runs is caught too.  Each check that a module stays unloaded
+runs in a fresh interpreter, because the test process itself has long
+since imported numpy and mpmath.
 """
 
+import ast
 import json
 import os
 import re
@@ -126,6 +130,21 @@ def test_cli_start_up_loads_only_its_modules():
         "pilerace.passage", "pilerace.reference", "pilerace.series",
     ]
     assert heavy == "False False"  # neither mpmath nor numpy
+
+
+def test_no_module_imports_mpmath():
+    # every import statement, at any depth: in a function body, under a
+    # condition or in a try block
+    for path in sorted(Path(pilerace.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] if node.level == 0 else []
+            else:
+                continue
+            assert not [name for name in names if name.split(".")[0] == "mpmath"], (
+                f"{path.name}:{node.lineno} imports mpmath")
 
 
 def test_commands_without_negative_drift_never_load_mpmath():

@@ -1,7 +1,7 @@
 import hashlib
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, islice, repeat
+from itertools import accumulate, chain, count, islice, repeat, zip_longest
 from operator import add
 from time import perf_counter
 
@@ -99,10 +99,11 @@ def in_lowest_terms(x) -> bool:
 
 
 # {2,3} is absorbed early (zero padding), {-2,-1} never reaches n, and the
-# table and win_within read {-1,1} from the hitting-time stream and {-1,2}
-# and {-1,3} from the row recursion, so each is checked against the DP
+# table and win_within read {-1,1} and {-2,2} (zero drift, reduced) from the
+# hitting-time stream, {-1,2} n=3 and {-1,3} from the row recursion and
+# {-1,2} n=60 from the DP, so each is checked against the DP itself
 LOWEST_TERMS_CASES = [((-1, 2), 3, 80), ((-1, 3), 5, 120), ((-3, 4), 2, 100), ((2, 3), 7, 12),
-                      ((-2, -1), 1, 10), ((-1, 1), 2, 60)]
+                      ((-2, -1), 1, 10), ((-1, 1), 2, 60), ((-2, 2), 3, 60), ((-1, 2), 60, 40)]
 
 
 @pytest.mark.parametrize("moves, n, k_max", LOWEST_TERMS_CASES)
@@ -126,10 +127,11 @@ def test_table_values_are_the_dyadics_of_the_stream(moves, n, k_max):
 @pytest.mark.parametrize("moves, n, k_max", LOWEST_TERMS_CASES)
 def test_win_within_is_the_dyadic_of_its_partial_sum(moves, n, k_max):
     spec = GameSpec(MoveSet(*moves), n)
-    table = build_passage_table(spec, k_max)
+    terms = {k: Fraction(win * survived, 1 << 2 * k)
+             for k, win, survived, _ in iter_passage(spec, horizon=k_max)}
     total = Fraction(0)
     for k in range(1, k_max + 1):
-        total += table.q[k] * table.r[k]
+        total += terms.get(k, 0)  # absorbed early: every later term is 0
         value = win_within(spec, k)
         assert in_lowest_terms(value), (k, value)
         assert (value.numerator, value.denominator) == (total.numerator, total.denominator)
@@ -558,11 +560,14 @@ class TestSkipFreeStreams:
 
     @staticmethod
     def streams(a: int, b: int, n: int, horizon: int):
-        """The closed-form stream of {a, b}, whichever the chooser would pick
-        ({a, 1} always takes it)."""
+        """The closed-form stream of {a, b}, whichever the chooser would pick:
+        {a, 1} always takes it, and the rows of {-1, b} are read directly,
+        with q_k = 2 q_(k-1) - r_k."""
         if b == 1:
             return passage._exact_stream(GameSpec(MoveSet(a, b), n), horizon)
-        return passage._with_survival(passage._descending(b, n), horizon)
+        wins = list(islice(passage._descending(b, n), horizon))
+        survived = accumulate(wins, lambda q, r: 2 * q - r, initial=1)
+        return zip(count(1), wins, islice(survived, 1, None), repeat(None))
 
     @given(a=st.integers(-8, 0), n=st.integers(1, 200), horizon=st.integers(1, 300))
     def test_climbing_equals_the_dp(self, a, n, horizon):
@@ -582,6 +587,15 @@ class TestSkipFreeStreams:
         dp = [item[:3] for item in iter_passage(spec, horizon=150)]
         assert [item[:3] for item in passage._exact_stream(spec, 150)] == dp
 
+    @pytest.mark.parametrize("moves, n", [((-1, 1), 3), ((-3, 3), 7), ((-3, 1), 4), ((-1, 2), 3),
+                                          ((1, 2), 5), ((0, 0), 2)])
+    def test_open_ended_stream_equals_the_dp(self, moves, n):
+        # with no horizon a closed form never ends, and the DP ends once absorbed
+        spec = GameSpec(MoveSet(*moves), n)
+        for item, dp in islice(zip_longest(passage._exact_stream(spec), iter_passage(spec)), 400):
+            assert item is not None and dp is not None, "one stream ended first"
+            assert item[:3] == dp[:3]
+
     @pytest.mark.parametrize("a, b", [(-8, 1), (-3, 1), (-1, 1), (0, 1), (-1, 2), (-1, 3), (-1, 8)])
     def test_streams_equal_enumeration(self, a, b):
         for n in range(1, 13):
@@ -592,7 +606,7 @@ class TestSkipFreeStreams:
                 assert (F(win, 1 << k), F(survived, 1 << k), cells) == (oracle[k], q, None), (n, k)
 
     @pytest.mark.parametrize("moves, n", [((-3, 1), 200), ((0, 1), 10**9), ((-1, 2), 200),
-                                          ((-1, 8), 150)])
+                                          ((-1, 8), 150), ((-1, 10**8), 1)])
     def test_first_items_come_at_once(self, moves, n):
         # nothing of the horizon's size is built before the first yield
         start = perf_counter()

@@ -1,6 +1,6 @@
 import math
 from fractions import Fraction
-from itertools import islice, zip_longest
+from itertools import islice
 
 import pytest
 from hypothesis import assume, given, settings
@@ -20,7 +20,6 @@ from pilerace.series import (
     WORK_DPS,
     TailPolicy,
     expected_duration,
-    rq_stream,
     square_sum_value,
     win_prob_direct,
     win_prob_targets,
@@ -410,37 +409,6 @@ class TestTailHonesty:
             "duration": lambda p: expected_duration(GameSpec(moves, n2), p),
         }[evaluator]
         within_bound_of_further_run(make, 10.0**-digits)
-
-
-# unit-step Catalan streams (ids 1..6), then lattice-DP walks of every
-# kind: positive, negative and no drift, and one that is absorbed
-STREAMS = [(PM1, n) for n in range(1, 7)] + [
-    (M12, 3), (MoveSet(-3, 4), 2), (MoveSet(-2, 1), 1), (MoveSet(1, 2), 5), (MoveSet(0, 0), 2),
-]
-
-
-class TestZeroDriftStream:
-    """``rq_stream``'s mpf form rounds each item of the exact stream once:
-    the Catalan stream at zero drift, the lattice DP otherwise.  It must
-    match the exact stream, integer numerators over 2**k, to near the
-    working precision, with the same zeros and the same end."""
-
-    @pytest.mark.parametrize(
-        "moves, n", STREAMS, ids=[str(n) if m == PM1 else f"{m}-n{n}" for m, n in STREAMS]
-    )
-    def test_mpf_stream_matches_exact(self, moves, n):
-        spec = GameSpec(moves, n)
-        with mp.workdps(WORK_DPS):
-            pairs = zip_longest(rq_stream(spec, prefer_float=True), rq_stream(spec))
-            for item, exact_item in islice(pairs, 1024):
-                assert item is not None and exact_item is not None, "one stream ended first"
-                (k, *xs, cells), (k_exact, *exacts, exact_cells) = item, exact_item
-                assert k == k_exact and cells == exact_cells
-                for x, exact in zip(xs, exacts):
-                    assert type(exact) is int, k
-                    assert (x == 0) == (exact == 0), k
-                    ref = mpf(exact) / 2**k
-                    assert abs(x - ref) <= mpf("1e-35") * ref, k
 
 
 class TestRoundingBound:

@@ -3,7 +3,7 @@
 ``perfbench/tracing.py`` patches names in ``pilerace.series``,
 ``pilerace.passage`` and ``pilerace.simulate`` by string and reads
 ``series.WORK_DPS``.  A refactor that renames one of them breaks only the
-traced benchmark run, so this runs the tracer on three small calls.
+traced benchmark run, so this runs the tracer on five small calls.
 """
 
 from __future__ import annotations
@@ -40,12 +40,17 @@ def test_tracer_records_and_restores(monkeypatch):
         series.win_prob_direct(GameSpec(MoveSet(-2, 1), 1))
         # {-2,3} has no closed-form stream, so win_within steps the DP
         series.win_within(GameSpec(MoveSet(-2, 3), 3), 50)
+        # the hitting-time stream and the rows, read from passage._exact_stream
+        series.win_within(GameSpec(MoveSet(-1, 1), 1), 50)
+        passage.build_passage_table(GameSpec(MoveSet(-1, 3), 50), 2000)
     finally:
         tracer.uninstall()
+    assert (series, "rq_stream") in patched
     for module, name in patched:
         assert getattr(module, name) is before[modules.index(module)][name], name
-    # every evaluator steps the DP directly: the summed ones in fixed
-    # point, win_within in exact mode up to its horizon
+    assert series.rq_stream is passage._exact_stream
+    # the summed evaluators step the DP directly in fixed point, and every
+    # exact reader takes passage._exact_stream, so the alias is never called
     assert not [s for s in tracer.spans if s["name"] == "series.rq_stream"]
     names = {s["id"]: s["name"] for s in tracer.spans}
     evaluators = {"series.square_sum_value", "series.win_prob_direct", "series.win_within"}
