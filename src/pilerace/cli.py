@@ -1,12 +1,12 @@
 """Command-line front end.
 
-Every computation the library offers is exposed as a subcommand, each
-emitting an OutputRecord: the echoed command, its inputs, the results
-(exact strings, decimals with only guaranteed digits, error bounds) and
-a one-line provenance note saying which reference object the numbers
-reproduce.  ``--json`` switches to the machine-readable rendering of the
-same record; the two renderings always agree because the human table is
-generated from the JSON dictionary.
+Every computation the library offers is exposed as a subcommand.  Each
+command body returns its inputs, its results (exact strings, decimals
+with only guaranteed digits, error bounds), a one-line provenance note
+saying which reference object the numbers reproduce, and its exit code;
+``main`` alone adds the subcommand's name and builds the record, a plain
+dict, from them.  ``--json`` prints that dict and the default prints
+``render_human`` of it, so the two renderings always agree.
 
 Exit codes: 0 on success, 1 on usage errors or when stdout is closed
 before the output is written (``pilerace ... | head``), 2 when a series
@@ -20,7 +20,6 @@ import json
 import os
 import sys
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, islice, repeat
 
@@ -46,33 +45,22 @@ USAGE_ERROR = 1
 CONVERGENCE_ERROR = 2
 
 
-@dataclass
-class OutputRecord:
-    """One command's machine- and human-readable output."""
-
-    command: str
-    inputs: dict
-    results: dict
-    provenance: str
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
-
-    def render_human(self) -> str:
-        lines = [f"# {self.command}: {self.provenance}"]
-        inputs = ", ".join(f"{k}={v}" for k, v in self.inputs.items())
-        lines.append(f"inputs: {inputs}")
-        for key, value in self.results.items():
-            if isinstance(value, list) and value and isinstance(value[0], dict):
-                lines.append(f"{key}:")
-                lines.extend(_render_table(value))
-            elif isinstance(value, dict):
-                lines.append(f"{key}:")
-                for k2, v2 in value.items():
-                    lines.append(f"  {k2}: {_scalar(v2)}")
-            else:
-                lines.append(f"{key}: {_scalar(value)}")
-        return "\n".join(lines)
+def render_human(record: dict) -> str:
+    """The human rendering of a record, from exactly the dict ``--json`` prints."""
+    lines = [f"# {record['command']}: {record['provenance']}"]
+    inputs = ", ".join(f"{k}={v}" for k, v in record["inputs"].items())
+    lines.append(f"inputs: {inputs}")
+    for key, value in record["results"].items():
+        if isinstance(value, list) and value and isinstance(value[0], dict):
+            lines.append(f"{key}:")
+            lines.extend(_render_table(value))
+        elif isinstance(value, dict):
+            lines.append(f"{key}:")
+            for k2, v2 in value.items():
+                lines.append(f"  {k2}: {_scalar(v2)}")
+        else:
+            lines.append(f"{key}: {_scalar(value)}")
+    return "\n".join(lines)
 
 
 def _scalar(v) -> str:
@@ -111,6 +99,15 @@ def _tolerance(text: str) -> float:
         raise argparse.ArgumentTypeError(
             f"must be positive and finite as a double, got {text!r}, which reads as {tol!r}")
     return tol
+
+
+def _moves(text: str) -> MoveSet:
+    """``--moves`` as a MoveSet, refused under the flag's name with the reason
+    ``MoveSet.parse`` gives: argparse would print only the function's name."""
+    try:
+        return MoveSet.parse(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _int_at_least(low: int, below: int | None = None):
@@ -153,14 +150,14 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def common(p, targets=("--n",), target_type=_int_at_least(1)):
-        p.add_argument("--moves", type=MoveSet.parse, required=True,
+        p.add_argument("--moves", type=_moves, required=True,
                        help="the two per-move increments, e.g. --moves=-1,1")
         for t in targets:
             p.add_argument(t, type=target_type, required=True, help=_TARGET_HELP[t])
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
     p = sub.add_parser("pn", help="second player's win probability, equal targets")
-    common(p, target_type=int)  # a zero target is answered, a negative one refused
+    common(p, target_type=_int_at_least(0))  # a zero target is answered
     _add_series_flags(p)
 
     p = sub.add_parser("pmn", help="second player's win probability, distinct targets")
@@ -172,7 +169,7 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=_int_at_least(1), required=True)
 
     p = sub.add_parser("duration", help="expected number of rounds until someone wins")
-    common(p, target_type=int)  # as in pn
+    common(p, target_type=_int_at_least(0))  # as in pn
     _add_series_flags(p)
 
     p = sub.add_parser("table", help="reproduce a verification table")
@@ -212,7 +209,7 @@ def build_parser() -> _Parser:
 
 
 # ---------------------------------------------------------------------------
-# subcommand bodies
+# subcommand bodies: each returns (inputs, results, provenance, exit code)
 
 
 def _exit_code_for(*results: SeriesResult) -> int:
@@ -234,31 +231,19 @@ _SERIES = {
 }
 
 
-def _cmd_series(args) -> tuple[OutputRecord, int]:
+def _cmd_series(args):
     targets, key, provenance, evaluate = _SERIES[args.subcommand]
     res = evaluate(args, TailPolicy(args.tol, args.max_k))
-    record = OutputRecord(
-        command=args.subcommand,
-        inputs={"moves": str(args.moves), **{t: getattr(args, t) for t in targets}},
-        results={key: res.to_json_dict(args.digits)},
-        provenance=provenance,
-    )
-    return record, _exit_code_for(res)
+    inputs = {"moves": str(args.moves), **{t: getattr(args, t) for t in targets}}
+    return inputs, {key: res.to_json_dict(args.digits)}, provenance, _exit_code_for(res)
 
 
-def _cmd_within(args) -> tuple[OutputRecord, int]:
+def _cmd_within(args):
     spec = GameSpec(args.moves, args.n)
     exact = win_within(spec, args.k)
-    record = OutputRecord(
-        command="within",
-        inputs={"moves": str(args.moves), "n": args.n, "k": args.k},
-        results={
-            "exact": rational_str(exact),
-            "decimal": ApproxValue(exact, 0).formatted(17),
-        },
-        provenance="probability the second player wins within k moves",
-    )
-    return record, 0
+    inputs = {"moves": str(args.moves), "n": args.n, "k": args.k}
+    results = {"exact": rational_str(exact), "decimal": ApproxValue(exact, 0).formatted(17)}
+    return inputs, results, "probability the second player wins within k moves", 0
 
 
 def _fmt_delta(x, y) -> str:
@@ -279,7 +264,7 @@ _PINNED_TABLES = {
 }
 
 
-def _cmd_table(args) -> tuple[OutputRecord, int]:
+def _cmd_table(args):
     policy = TailPolicy(args.tol, args.max_k)
     rows: list[dict] = []
     outputs: list[SeriesResult] = []
@@ -317,15 +302,9 @@ def _cmd_table(args) -> tuple[OutputRecord, int]:
             )
             outputs.append(t_res)
         provenance = "win probabilities for the {-1,2} move set"
-    record = OutputRecord(
-        command="table",
-        inputs={"which": args.which},
-        results={"rows": rows},
-        provenance=provenance,
-    )
     if args.csv:
         _write_rows_csv(args.csv, rows)
-    return record, _exit_code_for(*outputs)
+    return {"which": args.which}, {"rows": rows}, provenance, _exit_code_for(*outputs)
 
 
 def _write_rows_csv(path: str, rows) -> None:
@@ -341,7 +320,7 @@ def _write_rows_csv(path: str, rows) -> None:
         writer.writerows(rows)
 
 
-def _cmd_passage(args) -> tuple[OutputRecord, int]:
+def _cmd_passage(args):
     spec = GameSpec(args.moves, args.n)
     shown = min(args.max_k, 20)
     table = build_passage_table(spec, args.max_k if args.csv else shown)
@@ -353,41 +332,18 @@ def _cmd_passage(args) -> tuple[OutputRecord, int]:
         results["note"] = f"showing k <= {shown} of {args.max_k}; use --csv for the full table"
     if args.csv:
         _write_rows_csv(args.csv, table.rows())
-    record = OutputRecord(
-        command="passage",
-        inputs={"moves": str(args.moves), "n": args.n, "max_k": args.max_k},
-        results=results,
-        provenance="exact first-passage and survival probabilities",
-    )
-    return record, 0
+    inputs = {"moves": str(args.moves), "n": args.n, "max_k": args.max_k}
+    return inputs, results, "exact first-passage and survival probabilities", 0
 
 
-def _cmd_simulate(args) -> tuple[OutputRecord, int]:
+def _cmd_simulate(args):
     from .simulate import SimConfig, run_simulation
 
-    cfg = SimConfig(
-        moves=args.moves,
-        n1=args.n1,
-        n2=args.n2,
-        trials=args.trials,
-        seed=args.seed,
-        max_moves_per_game=args.horizon,
-    )
+    cfg = SimConfig(args.moves, args.n1, args.n2, args.trials, args.seed, args.horizon)
     report = run_simulation(cfg)
-    record = OutputRecord(
-        command="simulate",
-        inputs={
-            "moves": str(args.moves),
-            "n1": args.n1,
-            "n2": args.n2,
-            "trials": args.trials,
-            "seed": args.seed,
-            "horizon": cfg.horizon,
-        },
-        results=report.to_json_dict(),
-        provenance="Monte Carlo estimates from full simulated games",
-    )
-    return record, 0
+    inputs = {"moves": str(args.moves), "n1": args.n1, "n2": args.n2, "trials": args.trials,
+              "seed": args.seed, "horizon": cfg.horizon}
+    return inputs, report.to_json_dict(), "Monte Carlo estimates from full simulated games", 0
 
 
 # ---------------------------------------------------------------------------
@@ -484,18 +440,14 @@ _SUITES = {
 }
 
 
-def _cmd_verify(args) -> tuple[OutputRecord, int]:
+def _cmd_verify(args):
     policy = TailPolicy(args.tol, args.max_k)
     chosen = _SUITES if args.suite == "all" else {args.suite: _SUITES[args.suite]}
     lines = [line for suite, _ in chosen.values() for line in suite(policy)]
     ok = all(line["ok"] for line in lines)
-    record = OutputRecord(
-        command="verify",
-        inputs={"suite": args.suite},
-        results={"checks": lines, "all_ok": ok},
-        provenance="; ".join(dict.fromkeys(what for _, what in chosen.values())),
-    )
-    return record, 0 if ok else CONVERGENCE_ERROR
+    provenance = "; ".join(dict.fromkeys(what for _, what in chosen.values()))
+    code = 0 if ok else CONVERGENCE_ERROR
+    return {"suite": args.suite}, {"checks": lines, "all_ok": ok}, provenance, code
 
 
 _COMMANDS = {
@@ -514,11 +466,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        record, code = _COMMANDS[args.subcommand](args)
+        inputs, results, provenance, code = _COMMANDS[args.subcommand](args)
     except (ValueError, TypeError, OSError) as exc:
         print(f"pilerace: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    print(record.to_json() if getattr(args, "json", False) else record.render_human())
+    record = {"command": args.subcommand, "inputs": inputs, "results": results,
+              "provenance": provenance}
+    print(json.dumps(record, indent=2) if getattr(args, "json", False) else render_human(record))
     return code
 
 

@@ -22,13 +22,13 @@ A consumer that reads only the first K moves passes ``horizon=K``: the
 cells that can no longer reach n by move K are dropped as the walk goes,
 their mass kept in q, and the stream ends at K.
 
-``_exact_stream`` carries exact r and q to ``build_passage_table`` and
-``series.win_within``: this stream's, item for item, but with ``cells``
-None from a closed form where one is cheaper, the hitting-time counts on
-{a, 1}, a <= 0 (and zero drift, reduced to {-1, 1}), and the row recursion
-on {-1, b} where its about n (K + n) additions are fewer than the K-move
-DP's cells.  ``iter_passage`` is always the DP; ``verify`` and the tests
-read it.
+``_exact_stream`` carries the first K moves' exact r and q to
+``build_passage_table`` and ``series.win_within``: the K-move stream's,
+item for item, but with ``cells`` None from a closed form where one is
+cheaper, the hitting-time counts on {a, 1}, a <= 0 (and zero drift,
+reduced to {-1, 1}), and the row recursion on {-1, b} where its about
+n (K + n) additions are fewer than the K-move DP's cells.
+``iter_passage`` is always the DP; ``verify`` and the tests read it.
 
 Exact numerators grow by one bit per move, so a long sum would cost about
 K**3 bit operations.  The series core therefore asks for the same steps
@@ -85,10 +85,11 @@ class MoveSet:
     @classmethod
     def parse(cls, text: str) -> "MoveSet":
         """Parse "a,b" (e.g. "-1,2")."""
-        parts = text.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"expected two comma-separated integers, got {text!r}")
-        return cls(int(parts[0].strip()), int(parts[1].strip()))
+        try:
+            a, b = map(int, text.split(","))
+        except ValueError:  # too few or too many parts, or a part not an integer
+            raise ValueError(f"expected two comma-separated integers, got {text!r}") from None
+        return cls(a, b)
 
     @property
     def drift(self) -> Fraction:
@@ -209,7 +210,7 @@ def _exact_passage(a: int, b: int, n: int, horizon: int | None):
             return
 
 
-def _exact_stream(spec: GameSpec, horizon: int | None = None):
+def _exact_stream(spec: GameSpec, horizon: int):
     """``iter_passage(spec, horizon=horizon)``'s r and q, item for item: a closed
     form (``cells`` None) where the module docstring says, else the DP."""
     unit = reduce_zero_drift(spec)
@@ -217,7 +218,7 @@ def _exact_stream(spec: GameSpec, horizon: int | None = None):
     wins = None
     if n >= 1 and b == 1 and a <= 0:  # r = n C(k, u) / k at k = n + (1 - a) u
         wins = chain(repeat(0, n - 1), _first_passages(a, n, 1))
-    elif n >= 1 and a == -1 and b >= 2 and horizon is not None:
+    elif n >= 1 and a == -1 and b >= 2:
         # 2 (b + 1)**3 times the DP's cells, min(n + k, b (K - k)) / (b + 1) at move k, summed
         x = max(b * horizon - n, 0)
         dp_cells = 2 * (b + 1) * n * x + x * x + b * ((b + 1) * horizon - x) ** 2
@@ -227,7 +228,7 @@ def _exact_stream(spec: GameSpec, horizon: int | None = None):
         yield from iter_passage(spec, horizon=horizon)
         return
     survived = 1
-    for k, win in zip(count(1) if horizon is None else range(1, horizon + 1), wins):
+    for k, win in zip(range(1, horizon + 1), wins):
         survived = 2 * survived - win  # q_k = 2 q_(k-1) - r_k
         yield k, win, survived, None
 

@@ -10,9 +10,10 @@ from pathlib import Path
 
 import pytest
 from mpmath import mp, mpf
+from test_cli_golden import COMMANDS
 
 import pilerace
-from pilerace.cli import OutputRecord, main
+from pilerace.cli import main, render_human
 from pilerace.passage import MoveSet
 from pilerace.reference import TARGET_TABLE_PM1
 from pilerace.series import TailPolicy, win_prob_targets
@@ -115,8 +116,15 @@ class TestPn:
         assert exc.value.code == 1
 
     def test_bad_value_exit_code(self, capsys):
-        code = main(["pn", "--moves=-1,1", "--n=-2"])
-        assert code == 1
+        assert_flag_refused(capsys, ["pn", "--moves=-1,1", "--n=-2"],
+                            "pilerace pn: error: argument --n: must be at least 0, got -2")
+
+    @pytest.mark.parametrize("moves", ["1,2,3", "1.5,2"])
+    def test_bad_moves_are_refused_with_the_reason(self, capsys, moves):
+        assert_flag_refused(
+            capsys, ["pn", f"--moves={moves}", "--n=1"],
+            "pilerace pn: error: argument --moves: expected two comma-separated integers, "
+            f"got '{moves}'")
 
     @pytest.mark.parametrize("digits", ["0", "-3"])
     def test_digits_below_one_is_a_usage_error(self, capsys, digits):
@@ -205,6 +213,7 @@ class TestFlagBounds:
         "within --moves=-1,2 --n=0 --k=3": "--n: must be at least 1, got 0",
         "passage --moves=-1,2 --n=1 --max-k=0": "--max-k: must be at least 1, got 0",
         "passage --moves=-1,2 --n=0": "--n: must be at least 1, got 0",
+        "duration --moves=-1,2 --n=-1": "--n: must be at least 0, got -1",
         "pmn --moves=-1,2 --n1=0 --n2=1": "--n1: must be at least 1, got 0",
         "pmn --moves=-1,2 --n1=1 --n2=0": "--n2: must be at least 1, got 0",
         "simulate --moves=-1,2 --n1=0 --n2=1": "--n1: must be at least 1, got 0",
@@ -447,12 +456,15 @@ class TestVerify:
 
 
 class TestOutputRecord:
-    def test_json_round_trip_reproduces_human_rendering(self, capsys):
-        code, out = run_cli(capsys, "pn", "--moves=-1,2", "--n=2", "--json")
-        assert code == 0
-        _, human = run_cli(capsys, "pn", "--moves=-1,2", "--n=2")
+    SIMULATE = ("simulate", "--moves=-1,2", "--n1=1", "--n2=2", "--trials=2000")
+
+    @pytest.mark.parametrize("argv", [*COMMANDS, SIMULATE], ids=" ".join)
+    def test_json_round_trip_reproduces_human_rendering(self, capsys, argv):
+        code, out = run_cli(capsys, *argv, "--json")
+        human_code, human = run_cli(capsys, *argv)
         # the human table is rendered from exactly the dict --json prints
-        assert human == OutputRecord(**json.loads(out)).render_human() + "\n"
+        assert human == render_human(json.loads(out)) + "\n"
+        assert human_code == code
 
     def test_deterministic_output(self, capsys):
         args = ("pmn", "--moves=-1,1", "--n1=1", "--n2=2", "--tol=1e-7", "--json")

@@ -8,7 +8,8 @@ the reference tables and the verification suites.  A change that must
 not move any printed number has to leave every record as it is.
 
 ``PYTHONPATH=src python tests/test_cli_golden.py`` prints the key of each
-record whose output differs and exits 1 if any does; it writes nothing.
+record whose output differs, followed by a unified diff of its stdout and
+exit code, and exits 1 if any does; it writes nothing.
 After an intended change of output, rewrite the records with
 ``PYTHONPATH=src python tests/test_cli_golden.py --rewrite``.
 """
@@ -16,6 +17,7 @@ After an intended change of output, rewrite the records with
 from __future__ import annotations
 
 import contextlib
+import difflib
 import io
 import json
 import sys
@@ -67,6 +69,13 @@ def _key(argv) -> str:
     return " ".join(argv)
 
 
+def _lines(record: dict | None) -> list[str]:
+    """A record as lines to diff: its stdout, then its exit code."""
+    if record is None:
+        return []
+    return [*record["stdout"].splitlines(keepends=True), f"exit code: {record['exit_code']}\n"]
+
+
 @pytest.fixture(scope="module")
 def golden() -> dict:
     return json.loads(GOLDEN.read_text())
@@ -92,4 +101,6 @@ if __name__ == "__main__":
     changed = [key for key in {**records, **frozen} if records.get(key) != frozen.get(key)]
     for key in changed:
         print(key)
+        sys.stdout.writelines(
+            difflib.unified_diff(_lines(frozen.get(key)), _lines(records.get(key)), "golden", "now"))
     sys.exit(1 if changed else 0)

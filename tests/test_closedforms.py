@@ -224,12 +224,10 @@ class TestUnitStepSum:
     def test_between_exact_partial_sums(self, n1, n2):
         # 0 <= p - sum_{k <= K} q1 r2 <= q1(K) sum_{k > K} r2 <= q1(K) q2(K)
         K = 10_000
-        walks = zip(*(passage._exact_stream(GameSpec(MoveSet(-1, 1), n)) for n in (n1, n2)))
+        walks = zip(*(passage._exact_stream(GameSpec(MoveSet(-1, 1), n), K) for n in (n1, n2)))
         total = 0
-        for (k, _, q1, _), (_, r2, q2, _) in walks:
+        for (_, _, q1, _), (_, r2, q2, _) in walks:
             total = 4 * total + q1 * r2
-            if k == K:
-                break
         value = unit_step_sum(n2, n1).approx(30)
         with mp.workdps(60):
             low, slack = mpf(total) / 4**K, mpf(q1 * q2) / 4**K
