@@ -32,15 +32,33 @@ rounds r with ``pile + cmax[r, v] < n``, ``cmax`` being the running
 maximum of the byte's changes; no prefix sum is needed.  A wider chunk
 sums the changes along its bytes to get the pile at every byte's end,
 finds the first byte whose highest pile reaches the target, and counts
-the rounds inside that byte the same way.  At each chunk start, a game in
-which neither pile can reach its target by the horizon, even moving by
-``b`` every round, is censored at once without being played: it could
-neither win nor end.  Piles are ``int32`` when ``(|a| + |b|) * horizon``
-is below ``2**31`` and ``int64`` otherwise.  No table covers more rounds
-than the horizon, so that bound covers every table entry too: at
-``{-1, 2**62 - 2}`` with horizon 2, a four-round sum would leave
-``int64``.  ``SimConfig`` rejects move sets and horizons whose bound
-reaches ``2**63``.
+the rounds inside that byte the same way.
+
+A chunk of more than one word first takes a word pass over its group's
+games, which are ``_ELEMENT_BUDGET // nwords`` at a time.  Per word and
+player, ``cnt = bitwise_count(word & mask)`` counts the ``b`` moves, with
+``mask`` = ``0x5555...`` for A (bits 2i), ``0xAAAA...`` for B (bits
+2i + 1), and the unread bits of the last word masked off.  A word of R
+rounds (32, or fewer in the last word) moves the pile by
+``a * R + (b - a) * cnt``, and no pile inside it exceeds its start plus
+its upward moves, ``max(b, 0) * cnt + max(a, 0) * (R - cnt)``.  One
+cumulative sum over the words gives every word's start.  A game whose bound
+stays below both targets in every word is far: it cannot end in the chunk,
+so it survives, and its piles advance by the summed changes without a
+table read.  Only the near games are played byte by byte, from the words
+already mixed.  Long games under negative drift sink far below their
+targets, and from their first few hundred rounds on they take only the
+word pass, 32 rounds per word read.  The pass is exact, and the stream
+layout does not change with it.
+
+At each chunk start, a game in which neither pile can reach its target
+by the horizon, even moving by ``b`` every round, is censored at once
+without being played: it could neither win nor end.  Piles are ``int32``
+when ``(|a| + |b|) * horizon`` is below ``2**31`` and ``int64`` otherwise.
+No table covers more rounds than the horizon, so that bound covers every
+table entry too: at ``{-1, 2**62 - 2}`` with horizon 2, a four-round sum
+would leave ``int64``.  ``SimConfig`` rejects move sets and horizons whose
+bound reaches ``2**63``.
 
 This is the one module that imports numpy.  The package and the CLI load
 it on first use, so the exact and series commands never pay numpy's
@@ -67,10 +85,12 @@ _CHUNK_CAP = 32_768  # rounds per fetch once the schedule has grown
 # trials per batch: a memory/performance knob only, since the report does not
 # depend on how the trials are partitioned
 BATCH_SIZE = 500_000
-# Stream bytes per row group, rows * ceil(rounds / 4).  Each byte is an 8-byte intp index
-# plus three pile-dtype arrays (changes, prefix sums, highest piles), 20 to 32 bytes, so one
-# player's pass over a group touches 0.6 to 1 MB and stays in a 2 MB L2 cache, while the
-# group stays large enough that per-group overhead is small.
+# Stream bytes per row group played byte by byte, rows * ceil(rounds / 4), and stream words
+# per word-pass group, rows * nwords.  Each byte is an 8-byte intp index plus three
+# pile-dtype arrays (changes, prefix sums, highest piles), 20 to 32 bytes, and each word
+# 8 bytes plus its masked copy and a few pile-dtype arrays, so one player's pass over a
+# group touches 0.6 to 1.2 MB and stays in a 2 MB L2 cache, while the group stays large
+# enough that per-group overhead is small.
 _ELEMENT_BUDGET = 1 << 15
 
 
@@ -137,7 +157,8 @@ class SimConfig:
     @property
     def _pile_bound(self) -> int:
         """Bounds the magnitude of every pile, and of every intermediate
-        of ``_play_rows``' pile arithmetic, within the horizon."""
+        of the pile arithmetic of ``_play_rows`` and ``_near_games``, within
+        the horizon."""
         return (abs(self.moves.a) + abs(self.moves.b)) * self.horizon
 
 
@@ -245,10 +266,38 @@ def _rounds_below(cmax, pile, v, n):
     return (cmax.take(v, axis=1) + pile < n).sum(axis=0, dtype=np.int8)
 
 
-def _play_rows(cfg, tables, keys, rows, piles, t, rounds, block, nwords, tally):
+def _near_games(cfg, words, rows, piles, rounds):
+    """The word pass over one chunk's ``words`` (words × games): a game whose piles
+    stay below both targets in every word moves by the words' summed changes and
+    survives; returns the mask of the other, near, games, whose piles are untouched."""
+    nwords = words.shape[0]
+    dt = piles[0].dtype
+    a, b = cfg.moves.a, cfg.moves.b
+    last = rounds - 32 * (nwords - 1)  # rounds in the last word
+    per_word = np.full((nwords, 1), 32, dt)
+    per_word[-1] = last
+    mask = np.full((nwords, 1), 0x5555555555555555, _U64)  # player A's bits, 2i
+    mask[-1] &= _U64((1 << 2 * last) - 1)  # unread bits of the last word
+    near, ends = np.zeros(rows.size, bool), []
+    for p, n in enumerate((cfg.n1, cfg.n2)):
+        cnt = np.bitwise_count(words & (mask << _U64(p))).astype(dt)  # b moves per word
+        end = np.cumsum((b - a) * cnt + a * per_word, axis=0, dtype=dt)  # change to each word's end
+        pile = piles[p][rows]
+        ends.append(pile + end[-1])
+        # the word's start plus its upward moves bounds every pile inside it
+        end -= (min(b, 0) - min(a, 0)) * cnt + min(a, 0) * per_word
+        near |= pile + end.max(axis=0) >= n
+    far = ~near
+    for p in (0, 1):
+        piles[p][rows[far]] = ends[p][far]
+    return near
+
+
+def _play_rows(cfg, tables, words, rows, piles, t, rounds, tally):
     """Advance one group of live games by ``rounds`` rounds, a stream byte
-    at a time; returns the surviving row indices."""
-    words = _stream_words(keys[rows], np.arange(block, block + nwords, dtype=_U64)[:, None])
+    at a time, reading the chunk's ``words`` (words × games); returns the
+    surviving row indices."""
+    nwords = words.shape[0]
     nbytes = (rounds + 3) // 4
     idx = np.empty((nbytes, rows.size), np.intp)  # byte j of game g at [j, g]
     by_word = words.astype("<u8", copy=False).view(np.uint8).reshape(nwords, rows.size, 8)
@@ -300,6 +349,24 @@ def _play_rows(cfg, tables, keys, rows, piles, t, rounds, block, nwords, tally):
     return rows[~done]
 
 
+def _play_group(cfg, tables, keys, rows, piles, t, rounds, blocks, tally) -> list:
+    """Advance one group of live games by ``rounds`` rounds, reading the stream
+    words at ``blocks``; returns the surviving row indices, in pieces.  In a chunk
+    of more than one word, the word pass moves far games and only near ones are
+    played byte by byte."""
+    words = _stream_words(keys[rows], blocks)
+    survivors = []
+    if words.shape[0] > 1:
+        near = _near_games(cfg, words, rows, piles, rounds)
+        survivors.append(rows[~near])
+        rows, words = rows[near], words.compress(near, axis=1)
+    play = max(1, _ELEMENT_BUDGET // ((rounds + 3) // 4))
+    for h in range(0, rows.size, play):
+        survivors.append(_play_rows(cfg, tables, words[:, h : h + play], rows[h : h + play],
+                                    piles, t, rounds, tally))
+    return survivors
+
+
 def _run_batch(cfg: SimConfig, tables, start: int, count: int, tally: _Tally) -> int:
     horizon = cfg.horizon
     keys = _trial_keys(cfg.seed, np.arange(start, start + count, dtype=np.int64))
@@ -322,12 +389,12 @@ def _run_batch(cfg: SimConfig, tables, start: int, count: int, tally: _Tally) ->
             break
         rounds = _chunk_schedule(t, horizon)
         nwords = (2 * rounds + 63) // 64
-        group = max(1, _ELEMENT_BUDGET // ((rounds + 3) // 4))
+        group = max(1, _ELEMENT_BUDGET // nwords)
+        blocks = np.arange(block, block + nwords, dtype=_U64)[:, None]
         survivors = []
         for g0 in range(0, alive.size, group):
-            rows = alive[g0 : g0 + group]
-            survivors.append(_play_rows(cfg, tables, keys, rows, piles, t, rounds, block, nwords,
-                                        tally))
+            survivors += _play_group(cfg, tables, keys, alive[g0 : g0 + group], piles, t, rounds,
+                                     blocks, tally)
         alive = survivors[0] if len(survivors) == 1 else np.concatenate(survivors)
         t += rounds
         block += nwords

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from pilerace import simulate
 from pilerace.passage import MoveSet
 from pilerace.simulate import (SimConfig, SimReport, _byte_tables, _chunk_schedule, _play_rows,
-                                _Tally, _trial_keys, run_simulation)
+                                _near_games, _stream_words, _Tally, _trial_keys,
+                                run_simulation)
 
 
 def counts(report: SimReport):
@@ -84,6 +85,15 @@ def reference_counts(cfg):
 @example(a=1, b=2**29, n1=2**29 + 2, n2=2**30 + 1, horizon=1, seed=0, trials=40)
 @example(a=1, b=2**29, n1=2**29 + 2, n2=2**30 + 1, horizon=2, seed=0, trials=40)
 @example(a=1, b=2**29, n1=2**29 + 2, n2=2**30 + 1, horizon=3, seed=0, trials=40)
+# the word pass: far games up to a last chunk of 981 rounds, whose last word
+# holds 21; both moves upward, so the bound counts a, and most games end in
+# the last word of the chunk at 124; trial 0 is far in the first three words
+# of the chunk at 124 and wins in its fourth, at round 242; int64 piles, far
+# and near, over chunks of up to 31 words
+@example(a=-2, b=1, n1=1, n2=1, horizon=2_001, seed=0, trials=40)
+@example(a=1, b=3, n1=470, n2=480, horizon=300, seed=0, trials=40)
+@example(a=-1, b=2, n1=115, n2=116, horizon=300, seed=0, trials=40)
+@example(a=-(2**31), b=2**31 + 5, n1=2**36, n2=2**35 + 3, horizon=2_000, seed=7, trials=40)
 def test_matches_scalar_reference(a, b, n1, n2, horizon, seed, trials):
     cfg = SimConfig(MoveSet(a, b), n1, n2, trials, seed, horizon)
     assert counts(run_simulation(cfg)) == reference_counts(cfg)
@@ -155,11 +165,35 @@ def test_partial_last_byte_reads_only_its_rounds():
     keys, rows = _trial_keys(cfg.seed, np.arange(64)), np.arange(64)
     piles, tally = (np.zeros(64, np.int32), np.zeros(64, np.int32)), _Tally()
     assert _chunk_schedule(4, 10) == 6
-    _play_rows(cfg, _byte_tables(cfg), keys, rows, piles, 4, 6, 1, 1, tally)  # word 2
+    words = _stream_words(keys, np.uint64(1))[None]  # word 2
+    _play_rows(cfg, _byte_tables(cfg), words, rows, piles, 4, 6, tally)
     for i, key in enumerate(keys.tolist()):
         word = _mix(key + 2 * GOLDEN & M64)
         for p in (0, 1):
             assert piles[p][i] == sum(5 if word >> (2 * r + p) & 1 else -3 for r in range(6))
+
+
+def test_word_pass_reads_only_its_rounds():
+    # a 40-round chunk reads two words, the second holding 8 rounds; a far game
+    # moves by those rounds alone, and a near one, which must include every game
+    # that reaches a target inside them, is left where it was
+    cfg = SimConfig(MoveSet(-3, 5), 80, 80, 64, 5, 100)
+    keys, rows = _trial_keys(cfg.seed, np.arange(64)), np.arange(64)
+    piles = (np.zeros(64, np.int32), np.zeros(64, np.int32))
+    words = _stream_words(keys, np.arange(3, 5, dtype=np.uint64)[:, None])  # words 4 and 5
+    near = _near_games(cfg, words, rows, piles, 40)
+    assert 0 < near.sum() < 64
+    reached = 0
+    for i, key in enumerate(keys.tolist()):
+        stream = [_mix(key + w * GOLDEN & M64) for w in (4, 5)]
+        for p in (0, 1):
+            walk = [0]
+            for r in range(40):  # round r reads bit 2r + p of the chunk's words
+                walk.append(walk[-1] + (5 if stream[r // 32] >> (2 * (r % 32) + p) & 1 else -3))
+            reached += max(walk) >= 80
+            assert near[i] or max(walk) < 80
+            assert piles[p][i] == (0 if near[i] else walk[-1])
+    assert reached > 0
 
 
 def test_duration_moments_past_int64():
@@ -171,22 +205,26 @@ def test_duration_moments_past_int64():
         t += _chunk_schedule(t, horizon)
     rounds, tally = horizon - t, _Tally()
     piles, row = (np.array([t]), np.array([t])), np.arange(1)
-    alive = _play_rows(cfg, _byte_tables(cfg), _trial_keys(0, row), row, piles, t, rounds, 0,
-                       (2 * rounds + 63) // 64, tally)
+    blocks = np.arange((2 * rounds + 63) // 64, dtype=np.uint64)[:, None]
+    words = _stream_words(_trial_keys(0, row), blocks)
+    alive = _play_rows(cfg, _byte_tables(cfg), words, row, piles, t, rounds, tally)
     assert alive.size == 0 and tally.wins1 == 1
     assert tally.dur_sum == horizon
     assert tally.dur_sumsq == horizon**2 == 9_610_000_000_000_000_000
 
 
-def test_peak_memory():
-    cfg = SimConfig(MoveSet(-1, 2), 3, 3, trials=200_000, seed=5)
+def traced_peak(cfg):
+    """The ``tracemalloc`` peak of one ``run_simulation(cfg)``, in bytes."""
     tracemalloc.start()
     try:
         run_simulation(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 40 * 2**20
+
+
+def test_peak_memory():
+    assert traced_peak(SimConfig(MoveSet(-1, 2), 3, 3, trials=200_000, seed=5)) < 40 * 2**20
 
 
 class TestDeterminism:
@@ -217,35 +255,58 @@ class TestDeterminism:
         assert counts(run_simulation(cfg1)) != counts(run_simulation(cfg2))
 
 
+def count_rows(monkeypatch, name):
+    """Spies on ``simulate.<name>``, ``_play_group`` or ``_play_rows``, whose arguments
+    begin (cfg, tables, keys or words, rows, piles, t); returns chunk start -> rows
+    passed there.  ``_play_group`` sees every game that is played, by the word pass
+    or byte by byte, and ``_play_rows`` only those played byte by byte."""
+    rows_at = {}
+    inner = getattr(simulate, name)
+
+    def counting(cfg, tables, stream, rows, piles, t, *rest):
+        rows_at[t] = rows_at.get(t, 0) + rows.size
+        return inner(cfg, tables, stream, rows, piles, t, *rest)
+
+    monkeypatch.setattr(simulate, name, counting)
+    return rows_at
+
+
 class TestHopelessGames:
     """A game in which neither pile can reach its target by the horizon is
     censored at a chunk start without being played."""
 
-    @staticmethod
-    def _count_rows(monkeypatch):
-        rows_at = {}  # chunk start -> rows played there
-
-        def counting(cfg, tables, keys, rows, piles, t, *rest):
-            rows_at[t] = rows_at.get(t, 0) + rows.size
-            return _play_rows(cfg, tables, keys, rows, piles, t, *rest)
-
-        monkeypatch.setattr(simulate, "_play_rows", counting)
-        return rows_at
-
     @pytest.mark.parametrize("moves", [(-2, -1), (-1, 0), (0, 0)])
     def test_no_upward_move_plays_nothing(self, monkeypatch, moves):
-        rows_at = self._count_rows(monkeypatch)
+        rows_at = count_rows(monkeypatch, "_play_group")
         cfg = SimConfig(MoveSet(*moves), 1, 2, trials=1_000, seed=3, max_moves_per_game=50)
         assert counts(run_simulation(cfg)) == (0, 0, 1_000, 0, 0) == reference_counts(cfg)
         assert rows_at == {}
 
     def test_final_chunk_of_a_negative_drift_race_plays_nothing(self, monkeypatch):
         # at t = 8,188 the piles sit near -4,094, and 1,812 rounds of +1 cannot reach 1
-        rows_at = self._count_rows(monkeypatch)
+        rows_at = count_rows(monkeypatch, "_play_group")
         cfg = SimConfig(MoveSet(-2, 1), 1, 1, 20_000, 904, 10_000)
         assert counts(run_simulation(cfg)) == (11189, 5883, 2928, 30725, 237095)
         assert _chunk_schedule(8_188, 10_000) == 1_812
         assert rows_at[4_092] > 0 and 8_188 not in rows_at
+
+
+class TestWordPass:
+    """In a chunk of more than one word, a game whose piles stay below both
+    targets in every word moves a word at a time, without the byte tables."""
+
+    CFG = SimConfig(MoveSet(-2, 1), 1, 1, 20_000, 904, 10_000)
+
+    def test_far_games_skip_the_byte_tables(self, monkeypatch):
+        # from the 1,024-round chunk on, every live {-2,1} game sits far below 1
+        played = count_rows(monkeypatch, "_play_group")
+        by_bytes = count_rows(monkeypatch, "_play_rows")
+        assert counts(run_simulation(self.CFG)) == (11189, 5883, 2928, 30725, 237095)
+        assert played[1_020] > 0 and played[4_092] > 0
+        assert by_bytes[0] == 20_000 and max(by_bytes) < 1_020
+
+    def test_peak_memory(self):
+        assert traced_peak(self.CFG) < 4 * 2**20
 
 
 class TestAccounting:
