@@ -20,17 +20,14 @@ the package imports mpmath; it is a test dependency only.
 """
 
 from .closedforms import (
-    catalan_count,
     passage_prob_m1p2,
     passage_prob_pm1,
-    raney_count,
     survival_one,
     win_within_one,
 )
 from .numeric import (
     ApproxValue,
     PiLinear,
-    pilinear_eval,
     rational_str,
 )
 from .passage import (
@@ -46,7 +43,6 @@ from .series import (
     expected_duration,
     square_sum_value,
     win_prob_direct,
-    win_prob_squares,
     win_prob_targets,
     win_within,
 )
@@ -75,19 +71,15 @@ __all__ = [
     "SimReport",
     "TailPolicy",
     "build_passage_table",
-    "catalan_count",
     "expected_duration",
     "iter_passage",
     "passage_prob_m1p2",
     "passage_prob_pm1",
-    "pilinear_eval",
-    "raney_count",
     "rational_str",
     "run_simulation",
     "square_sum_value",
     "survival_one",
     "win_prob_direct",
-    "win_prob_squares",
     "win_prob_targets",
     "win_within",
     "win_within_one",

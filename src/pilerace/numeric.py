@@ -9,11 +9,11 @@ by shifting out trailing zero bits, with no gcd; the closed-form oracles
 keep plain ``Fraction``.  Decimals are made on integers, without mpmath:
 ``rounded`` rounds a rational once to a Dyadic of a given precision,
 ``nstr`` prints a rational correctly rounded to n significant digits, and
-a digit count is one exact comparison.  Constants of the symmetric
-unit-step race live in span{1, 1/pi} over the rationals; :class:`PiLinear`
-keeps them exact until a decimal is requested, with pi from Machin's
-formula.  Approximate values always travel together with an absolute
-error bound so that printed digits are never unbacked.
+a digit count is one exact comparison, made by ``floor_log10``.  Constants
+of the symmetric unit-step race live in span{1, 1/pi} over the rationals;
+:class:`PiLinear` keeps them exact until a decimal is requested, with pi
+from Machin's formula.  Approximate values always travel together with an
+absolute error bound so that printed digits are never unbacked.
 """
 
 from __future__ import annotations
@@ -87,6 +87,16 @@ def _top(num: int, den: int) -> int:
     return t + 1 if (num >= den << t if t >= 0 else num << -t >= den) else t
 
 
+def floor_log10(num: int, den: int) -> int:
+    """``floor(log10(num / den))`` for positive num and den, exactly, at a
+    cost set by the size of the parts alone.  With ``2**m <= num / den <
+    2**(m + 1)``, ``m log10(2)``, floored with log10(2) to 100 bits on the
+    side that lowers it, is the answer or one less: one comparison decides."""
+    m = _top(num, den) - 1
+    e = (m * (0x4D104D427DE7FBCC47C4ACD60 + (m < 0)) >> 100) + 1
+    return e if (num >= den * 10**e if e >= 0 else num * 10**-e >= den) else e - 1
+
+
 def rounded(x, prec: int, exp: int = 0) -> Dyadic:
     """The rational ``x * 2**exp`` rounded to nearest, ties to even, at
     ``prec`` significant bits."""
@@ -119,12 +129,9 @@ def nstr(x, n: int) -> str:
     if not x:
         return "0.0"
     num, den = abs(x.numerator), x.denominator
-    # floor(log10 |x|), or one less: 2**(t - 1) <= |x| < 2**t
-    exponent = math.floor((_top(num, den) - 1) / _LOG2_10)
+    exponent = floor_log10(num, den)
     shift = n - 1 - exponent  # |x| 10**shift has n digits before the point
     num, den = (num * 10**shift, den) if shift >= 0 else (num, den * 10**-shift)
-    if num >= 10**n * den:  # the estimate was one low
-        den, exponent = den * 10, exponent + 1
     man, rest = divmod(num, den)
     man += 2 * rest >= den  # half up
     if man == 10**n:  # carried to a power of ten
@@ -156,21 +163,25 @@ class ApproxValue:
 
     def guaranteed_digits(self, cap: int = 30) -> int:
         """Number of significant digits fully backed by the error bound:
-        the largest d <= cap with ``10**d 2 bound <= |value|``, compared
-        exactly, or 0."""
+        the largest d <= cap with ``10**d 2 bound <= |value|``, or 0: the
+        ``floor_log10`` of their ratio, so no power of ten grows with cap."""
         if self.error_bound == 0:
             return cap
         if self.value == 0 or self.error_bound == math.inf:
             return 0
-        whole = int(abs(Fraction(self.value)) / (2 * Fraction(self.error_bound)))
-        return cap if whole >= 10**cap else len(str(whole)) - 1 if whole else 0
+        ratio = abs(Fraction(self.value)) / (2 * Fraction(self.error_bound))
+        return min(cap, floor_log10(ratio.numerator, ratio.denominator)) if ratio >= 1 else 0
 
     def formatted(self, max_digits: int = 17) -> str:
         if self.value == 0:
             # a zero has no significant digits; "0" is backed only when
-            # the bound cannot move it at the last displayable place
-            bound = self.error_bound
-            return "0" if bound != math.inf and 2 * Fraction(bound) * 10**max_digits < 1 else "?"
+            # the bound cannot move it at the last displayable place:
+            # 2 bound < 10**-max_digits
+            if self.error_bound == math.inf:
+                return "?"
+            bound = 2 * Fraction(self.error_bound)
+            backed = not bound or floor_log10(bound.numerator, bound.denominator) < -max_digits
+            return "0" if backed else "?"
         digits = self.guaranteed_digits(max_digits)
         if digits <= 0:
             # no digit is backed by the bound; never print false precision
@@ -240,9 +251,12 @@ class PiLinear:
             raise ValueError("digits must be >= 1")
         if self.is_zero():
             return ApproxValue(Dyadic(0), Dyadic(0))
-        # parts far above 1 may cancel to a small value: carry their digits too
-        work = digits + PI_GUARD_DIGITS + max(
-            len(str(abs(f.numerator) // f.denominator)) for f in (self.const, self.inv_pi))
+        # parts far above 1 may cancel to a small value: carry the digits of
+        # their integer parts too, one for a part below 1 (or zero, read as 1/den)
+        const, inv_pi = self.const, self.inv_pi
+        work = digits + PI_GUARD_DIGITS + 1 + max(
+            0, floor_log10(abs(const.numerator) or 1, const.denominator),
+            floor_log10(abs(inv_pi.numerator) or 1, inv_pi.denominator))
         prec = dps_to_prec(work)
         value = rounded(self.const + self.inv_pi / machin_pi(prec), prec)
         # ``tight``, rounded up, is far above the true error, pi's rounding

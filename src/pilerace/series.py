@@ -37,7 +37,9 @@ Lundberg bound of its sink raise ``q1`` and ``h2`` before B_K is formed,
 and bound how far each term can be from the exact one.  Only the
 returned numbers are rounded, once each, at the working precision, to
 ``numeric.Dyadic`` rationals; ``eval_error`` covers that rounding and the
-floor error together.  Lundberg's base is a dyadic tested on integers.
+floor error together; ``numeric._round`` makes every rounding, and the
+value's ulp is its rounding up minus its rounding down.  Lundberg's base
+is a dyadic tested on integers.
 ``win_within`` is not summed to a bound: it adds the exact terms of
 ``passage._exact_stream`` up to its move count, the stream's horizon, and
 returns the partial sum as a ``Dyadic`` made from its integer numerator.
@@ -54,8 +56,10 @@ from .numeric import (
     ApproxValue,
     Dyadic,
     PiLinear,
+    _round,
     dps_to_prec,
     dyadic,
+    floor_log10,
     nstr,
     rounded,
 )
@@ -150,7 +154,7 @@ class SeriesResult:
         if bound == math.inf:
             return 1
         ratio = 50 * abs(self.value) / bound
-        digits = len(str(ratio.numerator // ratio.denominator))  # floor(log10 ratio) + 1, if >= 1
+        digits = floor_log10(ratio.numerator, ratio.denominator) + 1
         return max(1, min(self.work_dps, digits))
 
     def to_json_dict(self, max_digits: int = 17) -> dict:
@@ -307,7 +311,8 @@ def _summed(specs: tuple[GameSpec, ...], policy: TailPolicy | None, method: str,
 
     The value is the partial sum plus B/2 and ``tail_estimate`` is B/2
     rounded up.  Each is rounded once, to the working precision.  Half an
-    ulp of the value bounds its rounding to nearest, and ``eval_error`` is
+    ulp of the value (rounded up minus rounded down, zero where it is
+    exact) bounds its rounding to nearest, and ``eval_error`` is
     one ulp, or half an ulp plus the K terms' floor error ``K (e1 + e2)``
     rounded up if that is more.  The result is converged, and summation
     stops, at the first k where ``tail_estimate + eval_error`` is at most
@@ -340,16 +345,17 @@ def _summed(specs: tuple[GameSpec, ...], policy: TailPolicy | None, method: str,
         tail_bound = bound(k, q1 + t1, h2)
         # on the scale 2**-(2 one + 1), B is tail_estimate and 2 * total + B the value
         if tail_bound * den <= limit or k >= max_k:
-            ulp = _ulp(2 * total + tail_bound, prec)
+            value = 2 * total + tail_bound
+            ulp = int(_round(value, 1, prec, 1) - _round(value, 1, prec, -1))
             floor_error = k * (t1 + w1 + t2 + w2) << (one + 1)
-            tail = _round_up(tail_bound, prec)
-            error = _round_up(max(ulp, ulp // 2 + floor_error), prec)
+            tail = int(_round(tail_bound, 1, prec, 1))
+            error = int(_round(max(ulp, ulp // 2 + floor_error), 1, prec, 1))
             converged = (tail + error) * den <= limit
             if converged or k >= max_k:
                 break
     scale = -(2 * one + 1)
     return SeriesResult(
-        value=rounded(2 * total + tail_bound, prec, scale),
+        value=rounded(value, prec, scale),
         truncation_k=k,
         last_term=rounded(last, prec, -2 * one),
         tail_estimate=rounded(tail, prec, scale),
@@ -360,19 +366,6 @@ def _summed(specs: tuple[GameSpec, ...], policy: TailPolicy | None, method: str,
         eval_error=rounded(error, prec, scale),
         work_dps=dps,
     )
-
-
-def _round_up(x: int, prec: int) -> int:
-    """The least integer >= x with at most ``prec`` significant bits."""
-    shift = x.bit_length() - prec
-    return x if shift <= 0 else -(-x >> shift) << shift
-
-
-def _ulp(x: int, prec: int) -> int:
-    """One unit in the last place of x rounded to ``prec`` bits, twice the
-    bound on that rounding to nearest; zero when x needs no rounding."""
-    shift = x.bit_length() - prec
-    return 1 << shift if shift > 0 and x & ((1 << shift) - 1) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +411,7 @@ def win_prob_direct(spec: GameSpec, policy: TailPolicy | None = None) -> SeriesR
     return _race(spec.n, spec.n, spec.moves, policy, "direct")
 
 
-# The benchmark's exact_walks workload calls p_n by this name, and
-# ``pilerace.__all__`` exports it.
+# The benchmark's exact_walks workload calls p_n by this name.
 win_prob_squares = win_prob_direct
 
 

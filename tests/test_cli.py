@@ -338,6 +338,23 @@ class TestPassage:
         assert results["note"] == "showing k <= 20 of 100000000; use --csv for the full table"
 
 
+@pytest.mark.parametrize("argv", [("pn", "--moves=-1,2", "--n=1"), ("pn", "--moves=-2,-1", "--n=3"),
+                                  ("table", "case_minus1_2")], ids=["pn", "pn-negative", "table"])
+def test_huge_digits_cost_nothing_past_the_backed_digits(argv):
+    # --digits only caps the display: no step raises 10 to it
+    src = str(Path(pilerace.__file__).resolve().parents[1])
+
+    def run(digits):
+        proc = subprocess.run(
+            [sys.executable, "-m", "pilerace.cli", *argv, f"--digits={digits}"],
+            capture_output=True, timeout=10, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    assert run(1_000_000_000) == run(17)
+
+
 @pytest.mark.parametrize(
     "argv, shown, written",
     [(("passage", "--moves=-3,4", "--n=2", "--max-k=60"), 21, 61), (("table", "t_values"), 6, 6)],

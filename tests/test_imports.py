@@ -147,6 +147,19 @@ def test_no_module_imports_mpmath():
                 f"{path.name}:{node.lineno} imports mpmath")
 
 
+def test_no_digit_count_prints_an_integer():
+    # len(str(...)) prints the whole integer to count its digits, which is
+    # slow and past 4,300 digits an error; numeric.floor_log10 counts them
+    def calls(tree, name):
+        return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name) and node.func.id == name]
+
+    for path in sorted(Path(pilerace.__file__).parent.glob("*.py")):
+        for node in calls(ast.parse(path.read_text(), str(path)), "len"):
+            assert not [arg for arg in node.args if calls(arg, "str")], (
+                f"{path.name}:{node.lineno} counts digits with len(str(...))")
+
+
 def test_commands_without_negative_drift_never_load_mpmath():
     assert _child(_NO_MPMATH_COMMANDS) == "ok\n"
 

@@ -2,14 +2,14 @@ import math
 import random
 from decimal import ROUND_HALF_UP, Context, Decimal, Inexact
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-import pilerace
-from pilerace import reference
+from pilerace import numeric, reference
 from pilerace.numeric import (
     PI_GUARD_DIGITS,
     ApproxValue,
@@ -18,6 +18,7 @@ from pilerace.numeric import (
     as_fraction,
     dps_to_prec,
     dyadic,
+    floor_log10,
     machin_pi,
     nstr,
     pilinear_eval,
@@ -25,7 +26,7 @@ from pilerace.numeric import (
     rounded,
 )
 from pilerace.passage import MoveSet
-from pilerace.series import TailPolicy, square_sum_value
+from pilerace.series import SeriesResult, TailPolicy, square_sum_value
 
 
 def _read(y) -> Fraction:
@@ -152,6 +153,11 @@ class TestApproxValue:
         assert ApproxValue(Fraction(0), Fraction("2e-35")).formatted() == "0"
         assert ApproxValue(Fraction(0), Fraction("1e-9")).formatted() == "?"
         assert ApproxValue(Fraction(0), math.inf).formatted() == "?"
+        # "0" needs 2 bound < 10**-max_digits, strictly
+        for max_digits in (5, 17, 5000):
+            edge = 2 * 10**max_digits
+            assert ApproxValue(Fraction(0), Fraction(1, edge)).formatted(max_digits) == "?"
+            assert ApproxValue(Fraction(0), Fraction(1, edge + 1)).formatted(max_digits) == "0"
         # r(100, k) = 0 for every k <= 16, so the sum is in [0, q_16**2 = 1]
         res = square_sum_value(MoveSet(-1, 2), 100, TailPolicy(max_k=16))
         assert res.tail_estimate >= Fraction(1, 2) and res.verdict == "inconclusive"
@@ -297,6 +303,113 @@ def test_guaranteed_digits_is_the_exact_definition(value, bound, cap):
     assert ApproxValue(value, bound).guaranteed_digits(cap) == max(backed, default=0)
 
 
+def _floor_log10_reference(x: Fraction) -> int:
+    """The largest e with ``10**e <= x``, bisected on exact comparisons."""
+    lo, hi = -x.denominator.bit_length(), x.numerator.bit_length()  # 10**lo <= x < 10**hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if x >= Fraction(10) ** mid else (lo, mid)
+    return lo
+
+
+class _HexFraction(Fraction):
+    """A Fraction that prints its parts in hex, which has no length limit,
+    so that hypothesis can show a failing example past 4,300 digits."""
+
+    def __repr__(self):
+        return f"Fraction({self.numerator:#x}, {self.denominator:#x})"
+
+
+# 10**k and 10**k +- 1, their reciprocals and both over a power of ten
+near_powers_of_ten = st.builds(
+    lambda k, d, j, flip: _HexFraction(*((10**k + d, 10**j) if not flip else (10**j, 10**k + d))),
+    st.integers(1, 5000), st.sampled_from([-1, 0, 1]), st.integers(0, 5000), st.booleans())
+# 2**t and 2**t +- 1 over a power of two, and the reciprocals
+near_powers_of_two = st.builds(
+    lambda t, d, s, flip: _HexFraction(*((2**t + d, 2**s) if not flip else (2**s, 2**t + d))),
+    st.integers(1, 17000), st.sampled_from([-1, 0, 1]), st.integers(0, 17000), st.booleans())
+# parts of up to 6,000 digits, past the 4,300 digits an int may print,
+# drawn as bytes, which hypothesis can show
+big_parts = st.builds(lambda b: int.from_bytes(b, "big") + 1, st.binary(max_size=2500))
+big_fractions = st.builds(_HexFraction, big_parts, big_parts)
+
+
+def _check_floor_log10(x: Fraction):
+    assert floor_log10(x.numerator, x.denominator) == _floor_log10_reference(x)
+    # the parts need not be in lowest terms
+    assert floor_log10(3 * x.numerator, 3 * x.denominator) == _floor_log10_reference(x)
+
+
+@given(x=st.one_of(near_powers_of_ten, near_powers_of_two, big_fractions))
+def test_floor_log10_is_exact(x):
+    _check_floor_log10(x)
+
+
+# pytest's ids, not hypothesis' examples: a 5,000-digit int cannot be printed
+@pytest.mark.parametrize("x", [
+    Fraction(10**5000), Fraction(10**5000 - 1), Fraction(1, 10**5000 + 1), Fraction(1),
+    Fraction(9, 10), Fraction(2**20000 - 1, 3**9000)])
+def test_floor_log10_pinned_cases(x):
+    _check_floor_log10(x)
+
+
+def _guaranteed_digits_by_integer_part(value, bound, cap: int) -> int:
+    if bound == 0:
+        return cap
+    if value == 0 or bound == math.inf:
+        return 0
+    whole = int(abs(Fraction(value)) / (2 * Fraction(bound)))
+    return cap if whole >= 10**cap else len(str(whole)) - 1 if whole else 0
+
+
+@pytest.mark.parametrize("cap", range(1, 41))
+@given(value=st.one_of(dyadics, floats), bound=st.one_of(dyadics, floats, st.just(math.inf)))
+@settings(max_examples=25)
+def test_guaranteed_digits_keeps_the_integer_part_count(cap, value, bound):
+    bound = abs(bound)
+    assert (ApproxValue(value, bound).guaranteed_digits(cap)
+            == _guaranteed_digits_by_integer_part(value, bound, cap))
+
+
+@given(value=dyadics, tail=st.one_of(dyadics, st.just(math.inf)), error=dyadics,
+       work_dps=st.integers(1, 60))
+def test_value_digits_keep_the_integer_part_count(value, tail, error, work_dps):
+    res = SeriesResult(value=value, tail_estimate=abs(tail), eval_error=abs(error), method="test",
+                       work_dps=work_dps)
+    bound = res.error_bound()
+    if not bound or not value:
+        expected = work_dps
+    elif bound == math.inf:
+        expected = 1
+    else:
+        ratio = 50 * abs(value) / bound
+        expected = max(1, min(work_dps, len(str(ratio.numerator // ratio.denominator))))
+    assert res._value_digits() == expected
+
+
+# rationals of up to 300 digits either side of the point, and powers of ten
+parts = st.one_of(
+    st.builds(Fraction, st.integers(-(10**300), 10**300), st.integers(1, 10**300)),
+    st.builds(lambda k, d: Fraction(10**k + d), st.integers(0, 300), st.sampled_from([-1, 0, 1])),
+    st.just(Fraction(0)))
+
+
+@given(const=parts, inv_pi=parts, digits=st.integers(1, 40))
+def test_pilinear_working_digits_count_the_integer_parts(const, inv_pi, digits):
+    form = PiLinear(const, inv_pi)
+    assume(not form.is_zero())
+    with mock.patch.object(numeric, "dps_to_prec", wraps=numeric.dps_to_prec) as spy:
+        form.approx(digits)
+    work = digits + PI_GUARD_DIGITS + max(
+        len(str(abs(f.numerator) // f.denominator)) for f in (const, inv_pi))
+    assert spy.call_args.args == (work,)
+
+
+def test_pilinear_approx_reads_parts_past_the_int_print_limit():
+    # the integer part has 5,001 digits, past the 4,300 an int may print
+    assert PiLinear(Fraction(10**5000 + 1), Fraction(-1)).approx(10).formatted() == "1.0e+5000"
+
+
 def test_machin_pi_equals_mpmath_pi_to_2000_bits():
     for prec in range(2, 2001):
         with mp.workprec(prec):
@@ -308,7 +421,7 @@ FORMS = [*reference.TARGET_TABLE_PM1.values(), *reference.SQUARE_SUMS_PM1.values
 
 def test_pilinear_eval_is_the_approx_method():
     # the older function name stays importable; the oracle builder calls it
-    assert pilerace.pilinear_eval is pilinear_eval is PiLinear.approx
+    assert pilinear_eval is PiLinear.approx
     form = reference.TARGET_TABLE_PM1[(2, 3)]
     assert pilinear_eval(form, 25) == form.approx(25)
 

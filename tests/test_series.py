@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-import pilerace
 from pilerace import series
 from pilerace.closedforms import unit_step_sum, win_within_one
 from pilerace.numeric import ApproxValue, PiLinear, dps_to_prec
@@ -69,9 +68,8 @@ class TestPolicy:
 
 
 def test_win_prob_squares_is_the_old_name_of_direct():
-    # the benchmark calls p_n by the old name, and the package exports it
+    # the benchmark calls p_n by the old name
     assert series.win_prob_squares is series.win_prob_direct
-    assert pilerace.win_prob_squares is pilerace.win_prob_direct
 
 
 class TestWinProbDirect:
