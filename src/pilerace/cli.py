@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import accumulate, chain, islice, repeat
 
 from . import closedforms, reference
-from .numeric import ApproxValue, dps_to_prec, nstr, rational_str, rounded
+from .numeric import DISPLAY_DIGITS, ApproxValue, dps_to_prec, nstr, rational_str, rounded
 from .passage import GameSpec, MoveSet, build_passage_table, iter_passage, reachability_rule
 from .series import (
     CONVERGED,
@@ -125,17 +125,14 @@ def _int_at_least(low: int, below: int | None = None):
     return parse
 
 
-def _add_series_flags(
-    p: argparse.ArgumentParser,
-    digits: bool = True,
-    only: str = " (summed, non-zero drift series only; zero-drift answers are exact)",
-) -> None:
+def _add_series_flags(p: argparse.ArgumentParser) -> None:
+    only = " (summed, non-zero drift series only; zero-drift answers are exact)"
     p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOLERANCE,
                    help=f"tail tolerance, default {DEFAULT_TOLERANCE:g}" + only)
     p.add_argument("--max-k", type=_int_at_least(MIN_MAX_K), default=DEFAULT_MAX_K,
                    help=f"truncation cap, at least {MIN_MAX_K}" + only)
-    if digits:
-        p.add_argument("--digits", type=_int_at_least(1), default=17, help="max displayed digits")
+    p.add_argument("--digits", type=_int_at_least(1), default=DISPLAY_DIGITS,
+                   help="max displayed digits")
 
 
 _TARGET_HELP = {
@@ -197,13 +194,11 @@ def build_parser() -> _Parser:
         help="check the engine: the DP against the hitting-time and binomial laws "
         "(identities), Catalan, Raney and unit-step closed forms (oracles), pinned win "
         "probabilities (residuals), the engine's exact unit-step T(n) against their "
-        "recurrence (recurrence); --tol and --max-k apply to residuals only",
+        "recurrence (recurrence)",
     )
     p.add_argument("suite", nargs="?", default="all",
                    choices=["all", *_SUITES])
     p.add_argument("--json", action="store_true")
-    _add_series_flags(p, digits=False,
-                      only=" (residuals only; identities, oracles and recurrence ignore it)")
 
     return parser
 
@@ -242,7 +237,8 @@ def _cmd_within(args):
     spec = GameSpec(args.moves, args.n)
     exact = win_within(spec, args.k)
     inputs = {"moves": str(args.moves), "n": args.n, "k": args.k}
-    results = {"exact": rational_str(exact), "decimal": ApproxValue(exact, 0).formatted(17)}
+    results = {"exact": rational_str(exact),
+               "decimal": ApproxValue(exact, 0).formatted(DISPLAY_DIGITS)}
     return inputs, results, "probability the second player wins within k moves", 0
 
 
@@ -277,7 +273,7 @@ def _cmd_table(args):
                 {
                     **dict(zip(columns, cell)),
                     "exact_form": str(form),
-                    "exact_decimal": exact.formatted(17),
+                    "exact_decimal": exact.formatted(DISPLAY_DIGITS),
                     "computed": res.formatted(args.digits),
                     "abs_delta": _fmt_delta(res.value, exact.value),
                 }
@@ -350,7 +346,7 @@ def _cmd_simulate(args):
 # verification suites
 
 
-def _verify_identities(policy: TailPolicy) -> Iterator[dict]:
+def _verify_identities() -> Iterator[dict]:
     """The DP's numerators for k <= 100 and n = 1..5 against two exact laws
     that share no code with it; a stream that ends early is read as zeros."""
     from .closedforms import hitting_time_count, monotone_survival_count
@@ -372,7 +368,7 @@ def _verify_identities(policy: TailPolicy) -> Iterator[dict]:
                "ok": not mismatches, "mismatches": mismatches}
 
 
-def _verify_oracles(policy: TailPolicy) -> Iterator[dict]:
+def _verify_oracles() -> Iterator[dict]:
     from .closedforms import passage_prob_m1p2, passage_prob_pm1, survival_one, win_within_one
 
     def dp(moves, n, horizon):  # r_k and q_k from the DP itself, not the tables' closed forms
@@ -391,7 +387,7 @@ def _verify_oracles(policy: TailPolicy) -> Iterator[dict]:
         yield {"check": f"raney counts equal {{-1,2}} DP (n={n}, k<=30)", "ok": bool(good)}
 
 
-def _verify_residuals(policy: TailPolicy) -> Iterator[dict]:
+def _verify_residuals() -> Iterator[dict]:
     """Distinct-target win probabilities against the pinned references:
     the exact {-1,1} table and the {-1,2} decimals (truncated at 1e-17)."""
     cells = [
@@ -405,7 +401,7 @@ def _verify_residuals(policy: TailPolicy) -> Iterator[dict]:
         for n in range(1, 4)
     ]
     for moves, n1, n2, ref in cells:
-        res = win_prob_targets(n1, n2, moves, policy)
+        res = win_prob_targets(n1, n2, moves)
         err = abs(res.value - ref.value)
         bound = res.error_bound() + ref.error_bound
         good = res.verdict == CONVERGED and err <= bound
@@ -417,7 +413,7 @@ def _verify_residuals(policy: TailPolicy) -> Iterator[dict]:
         }
 
 
-def _verify_recurrence_suite(policy: TailPolicy) -> Iterator[dict]:
+def _verify_recurrence_suite() -> Iterator[dict]:
     """The engine's exact sums T(1..40) on {-1,1} against the pinned
     order-3 recurrence: every window's left-hand side must be exactly 0."""
     sums = [closedforms.unit_step_sum(n) for n in range(1, 41)]
@@ -441,9 +437,8 @@ _SUITES = {
 
 
 def _cmd_verify(args):
-    policy = TailPolicy(args.tol, args.max_k)
     chosen = _SUITES if args.suite == "all" else {args.suite: _SUITES[args.suite]}
-    lines = [line for suite, _ in chosen.values() for line in suite(policy)]
+    lines = [line for suite, _ in chosen.values() for line in suite()]
     ok = all(line["ok"] for line in lines)
     provenance = "; ".join(dict.fromkeys(what for _, what in chosen.values()))
     code = 0 if ok else CONVERGENCE_ERROR
@@ -472,7 +467,7 @@ def main(argv=None) -> int:
         return USAGE_ERROR
     record = {"command": args.subcommand, "inputs": inputs, "results": results,
               "provenance": provenance}
-    print(json.dumps(record, indent=2) if getattr(args, "json", False) else render_human(record))
+    print(json.dumps(record, indent=2) if args.json else render_human(record))
     return code
 
 

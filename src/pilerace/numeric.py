@@ -29,6 +29,8 @@ from numbers import Rational as _RationalABC
 # exact sums grow with the target and cancel to a value below 1).  Table
 # verification at 10+ digits must never be limited by the pi source.
 PI_GUARD_DIGITS = 50
+# The most significant digits a decimal is printed with unless asked for more.
+DISPLAY_DIGITS = 17
 _LOG2_10 = math.log(10, 2)
 
 
@@ -172,7 +174,7 @@ class ApproxValue:
         ratio = abs(Fraction(self.value)) / (2 * Fraction(self.error_bound))
         return min(cap, floor_log10(ratio.numerator, ratio.denominator)) if ratio >= 1 else 0
 
-    def formatted(self, max_digits: int = 17) -> str:
+    def formatted(self, max_digits: int = DISPLAY_DIGITS) -> str:
         if self.value == 0:
             # a zero has no significant digits; "0" is backed only when
             # the bound cannot move it at the last displayable place:

@@ -174,6 +174,8 @@ def iter_passage(spec: GameSpec, bits: int | None = None, depth: int | None = No
             "decided before any move"
         )
     if bits is None:
+        if depth is not None:
+            raise ValueError("a depth applies to the fixed-point stream only")
         return _exact_passage(spec.moves.a, spec.moves.b, spec.n, horizon)
     if horizon is not None:
         raise ValueError("a horizon applies to the exact stream only")

@@ -18,48 +18,44 @@ from .numeric import PiLinear
 F = Fraction
 
 
-def _pl(const, inv_pi) -> PiLinear:
-    return PiLinear(F(const), F(inv_pi))
-
-
 #: sum_k r(n, k)**2 for the {-1, 1} walk, n = 1..6 (exact pi-linear forms).
 SQUARE_SUMS_PM1: dict[int, PiLinear] = {
-    1: _pl(-1, 4),
-    2: _pl(-5, 16),
-    3: _pl(-25, F(236, 3)),
-    4: _pl(-129, F(1216, 3)),
-    5: _pl(-681, F(32092, 15)),
-    6: _pl(-3653, F(172144, 15)),
+    1: PiLinear(-1, 4),
+    2: PiLinear(-5, 16),
+    3: PiLinear(-25, F(236, 3)),
+    4: PiLinear(-129, F(1216, 3)),
+    5: PiLinear(-681, F(32092, 15)),
+    6: PiLinear(-3653, F(172144, 15)),
 }
 
 #: p(n1, n2) for {-1, 1}: probability the second player reaches n2 before
 #: the first player reaches n1.  Exact pi-linear forms, n1, n2 = 1..5.
 TARGET_TABLE_PM1: dict[tuple[int, int], PiLinear] = {
-    (1, 1): _pl(1, -2),
-    (1, 2): _pl(-1, 4),
-    (1, 3): _pl(-3, 10),
-    (1, 4): _pl(1, F(-8, 3)),
-    (1, 5): _pl(5, F(-46, 3)),
-    (2, 1): _pl(2, -4),
-    (2, 2): _pl(3, -8),
-    (2, 3): _pl(-6, 20),
-    (2, 4): _pl(-15, 48),
-    (2, 5): _pl(10, F(-92, 3)),
-    (3, 1): _pl(1, F(-2, 3)),
-    (3, 2): _pl(7, -20),
-    (3, 3): _pl(13, F(-118, 3)),
-    (3, 4): _pl(-31, F(296, 3)),
-    (3, 5): _pl(-75, F(710, 3)),
-    (4, 1): _pl(0, F(8, 3)),
-    (4, 2): _pl(-1, F(16, 3)),
-    (4, 3): _pl(32, F(-296, 3)),
-    (4, 4): _pl(65, F(-608, 3)),
-    (4, 5): _pl(-160, 504),
-    (5, 1): _pl(1, F(-2, 5)),
-    (5, 2): _pl(-9, F(92, 3)),
-    (5, 3): _pl(-19, F(926, 15)),
-    (5, 4): _pl(161, -504),
-    (5, 5): _pl(341, F(-16046, 15)),
+    (1, 1): PiLinear(1, -2),
+    (1, 2): PiLinear(-1, 4),
+    (1, 3): PiLinear(-3, 10),
+    (1, 4): PiLinear(1, F(-8, 3)),
+    (1, 5): PiLinear(5, F(-46, 3)),
+    (2, 1): PiLinear(2, -4),
+    (2, 2): PiLinear(3, -8),
+    (2, 3): PiLinear(-6, 20),
+    (2, 4): PiLinear(-15, 48),
+    (2, 5): PiLinear(10, F(-92, 3)),
+    (3, 1): PiLinear(1, F(-2, 3)),
+    (3, 2): PiLinear(7, -20),
+    (3, 3): PiLinear(13, F(-118, 3)),
+    (3, 4): PiLinear(-31, F(296, 3)),
+    (3, 5): PiLinear(-75, F(710, 3)),
+    (4, 1): PiLinear(0, F(8, 3)),
+    (4, 2): PiLinear(-1, F(16, 3)),
+    (4, 3): PiLinear(32, F(-296, 3)),
+    (4, 4): PiLinear(65, F(-608, 3)),
+    (4, 5): PiLinear(-160, 504),
+    (5, 1): PiLinear(1, F(-2, 5)),
+    (5, 2): PiLinear(-9, F(92, 3)),
+    (5, 3): PiLinear(-19, F(926, 15)),
+    (5, 4): PiLinear(161, -504),
+    (5, 5): PiLinear(341, F(-16046, 15)),
 }
 
 #: {-1, 2} reference values: n -> (sum of squared passage probs, win prob).

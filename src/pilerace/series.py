@@ -53,6 +53,7 @@ from fractions import Fraction
 
 from .closedforms import unit_step_sum
 from .numeric import (
+    DISPLAY_DIGITS,
     ApproxValue,
     Dyadic,
     PiLinear,
@@ -141,7 +142,7 @@ class SeriesResult:
         bound = self.tail_estimate + self.eval_error
         return bound if bound == math.inf else Dyadic(bound)
 
-    def formatted(self, max_digits: int = 17) -> str:
+    def formatted(self, max_digits: int = DISPLAY_DIGITS) -> str:
         return ApproxValue(self.value, self.error_bound()).formatted(max_digits)
 
     def _value_digits(self) -> int:
@@ -157,7 +158,7 @@ class SeriesResult:
         digits = floor_log10(ratio.numerator, ratio.denominator) + 1
         return max(1, min(self.work_dps, digits))
 
-    def to_json_dict(self, max_digits: int = 17) -> dict:
+    def to_json_dict(self, max_digits: int = DISPLAY_DIGITS) -> dict:
         def num(x, digits=24):
             return None if x is None else nstr(x, digits)
 

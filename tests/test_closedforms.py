@@ -133,6 +133,11 @@ class TestPassageEquivalence:
             for k, (r, _) in enumerate(dp_rq((-1, 2), n, 400), 1):
                 assert passage_prob_m1p2(n, k) == r
 
+    @pytest.mark.parametrize("passage_prob", [passage_prob_pm1, passage_prob_m1p2])
+    def test_rejects_k_below_one(self, passage_prob):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            passage_prob(1, 0)
+
 
 class TestClassicalLaws:
     @pytest.mark.parametrize("a", [-3, -2, -1, 0])
@@ -163,6 +168,10 @@ class TestSurvivalOne:
         assert survival_one(0) == 1
         for k, (_, q) in enumerate(dp_rq((-1, 1), 1, 200), 1):
             assert survival_one(k) == q
+
+    def test_rejects_negative_k(self):
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            survival_one(-1)
 
 
 class TestWinWithinOne:

@@ -160,6 +160,31 @@ def test_no_digit_count_prints_an_integer():
                 f"{path.name}:{node.lineno} counts digits with len(str(...))")
 
 
+def unread_parameters(tree) -> list[str]:
+    """``function:parameter`` for each parameter of each function in
+    ``tree`` that its body never reads; ``self``, ``cls`` and names that
+    start with an underscore are exempt, and lambdas are not functions."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                  *filter(None, (args.vararg, args.kwarg))]
+        read = {name.id for stmt in node.body for name in ast.walk(stmt)
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)}
+        found += [f"{node.name}:{arg.arg}" for arg in params
+                  if arg.arg not in read and arg.arg not in ("self", "cls")
+                  and not arg.arg.startswith("_")]
+    return found
+
+
+def test_every_parameter_is_read():
+    for path in sorted(Path(pilerace.__file__).parent.glob("*.py")):
+        unread = unread_parameters(ast.parse(path.read_text(), str(path)))
+        assert not unread, f"{path.name}: parameters never read: {unread}"
+
+
 def test_commands_without_negative_drift_never_load_mpmath():
     assert _child(_NO_MPMATH_COMMANDS) == "ok\n"
 

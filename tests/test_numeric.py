@@ -60,6 +60,11 @@ class TestRationalRoundTrip:
         with pytest.raises(TypeError):
             as_fraction(0.5)
 
+    def test_as_fraction_rejects_bools(self):
+        # bool is an int, hence a Rational, but True is no probability
+        with pytest.raises(TypeError, match="bool is not a rational value"):
+            as_fraction(True)
+
 
 class TestPiLinear:
     def test_paper_constant_four_over_pi_minus_one(self):

@@ -346,9 +346,11 @@ def test_horizon_ends_the_exact_stream():
     unpruned stream, r and q to the last bit, and stops: over every move
     set with |a|, |b| <= 6 (both moves positive, both drifts, zero drift
     and no positive move), n <= 8 and K = 1, 8, ..., 57, 60.  The
-    fixed-point mode takes no horizon."""
-    with pytest.raises(ValueError):
+    fixed-point mode takes no horizon, and the exact one no depth."""
+    with pytest.raises(ValueError, match="a horizon applies to the exact stream only"):
         iter_passage(GameSpec(MoveSet(-1, 2), 1), 64, horizon=5)
+    with pytest.raises(ValueError, match="a depth applies to the fixed-point stream only"):
+        iter_passage(GameSpec(MoveSet(-2, 1), 1), depth=3, horizon=4)
     for a in range(-6, 7):
         for b in range(a, 7):
             for n in range(1, 9):

@@ -267,6 +267,15 @@ class TestWinWithin:
             win_within(GameSpec(PM1, 1), 0)
 
 
+def test_evaluators_refuse_a_bare_pair_and_a_zero_target():
+    with pytest.raises(TypeError, match="spec must be a GameSpec"):
+        win_prob_direct((M12, 1))
+    with pytest.raises(ValueError, match="target must be >= 1"):
+        win_within(GameSpec(M12, 0), 5)
+    with pytest.raises(ValueError, match="target must be >= 1"):
+        square_sum_value(M12, 0)
+
+
 @pytest.mark.parametrize(
     "count_moves, k", [(win_within, 5.5), (build_passage_table, 2.0), (build_passage_table, True)]
 )

@@ -324,6 +324,11 @@ class TestAccounting:
             rep.standard_errors()["p2_win_rate"], math.sqrt(p * (1 - p) / cfg.trials)
         )
 
+    def test_one_finished_game_has_no_duration_error(self):
+        # a sample variance needs two finished games
+        rep = run_simulation(SimConfig(MoveSet(-1, 1), 1, 1, trials=1, seed=0))
+        assert rep.standard_errors()["mean_duration_uncensored"] is None
+
     def test_report_validation(self):
         cfg = SimConfig(MoveSet(-1, 1), 1, 1, trials=10, seed=0)
         with pytest.raises(ValueError):
@@ -407,6 +412,10 @@ class TestValidation:
     def test_bad_trials(self):
         with pytest.raises(ValueError):
             SimConfig(MoveSet(-1, 1), 1, 1, trials=0, seed=0)
+
+    def test_bad_horizon(self):
+        with pytest.raises(ValueError, match="the censoring horizon must be >= 1"):
+            SimConfig(MoveSet(-1, 2), 1, 1, 10, 0, 0)
 
     def test_piles_beyond_64_bits_rejected(self):
         # two b-moves would carry a pile past 2**63 - 1 within the horizon
