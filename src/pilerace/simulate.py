@@ -24,15 +24,28 @@ moves the pile by ``b``, a clear one by ``a``.
 Each stream byte holds four whole rounds, so games advance four rounds
 per table lookup.  ``_byte_tables`` gives, per player and byte value, the
 pile change over the byte's first k rounds and the highest pile reached
-inside them.  A row group lays its bytes out bytes × games, so every
-table read, reduction and prefix sum runs along rows of games, and it
-converts the bytes to ``intp`` once for all of its table reads.  In a
-one-byte chunk a player's first hitting round is simply the count of
-rounds r with ``pile + cmax[r, v] < n``, ``cmax`` being the running
-maximum of the byte's changes; no prefix sum is needed.  A wider chunk
-sums the changes along its bytes to get the pile at every byte's end,
-finds the first byte whose highest pile reaches the target, and counts
-the rounds inside that byte the same way.
+inside them.  The first chunk, at most four rounds, is one byte played
+from piles of 0, so its outcome depends on the byte value alone:
+``_first_chunk`` turns the byte tables into 256-entry tables of each
+player's first hitting round, the game's win and duration tallies and its
+piles after the chunk.  A ``bincount`` of a group's byte values, times
+those tallies, gives the group's wins and duration sums, and only the
+games that go on gather their piles.
+
+Later chunks are played byte by byte.  A row group lays its bytes out
+bytes × games, so every table read, reduction and prefix sum runs along
+rows of games, and it converts the bytes to ``intp`` once for all of its
+table reads.  It sums the changes along its bytes to get the pile at every
+byte's end, finds the first byte whose highest pile reaches the target,
+and counts the rounds r inside that byte with ``pile + cmax[r, v] < n``,
+``cmax`` being the running maximum of the byte's changes.  A last byte cut
+short by the horizon reads columns of the tables that stop at its end.
+Prefix sums and running maxima along axis 0 take log2(rows) whole-array
+passes, which beat numpy's ``accumulate`` along axis 0 below 512 rows and
+lose to it above.  In a chunk of one word or less, the first reaching byte
+is the count of bytes whose running maximum stays below the target; in a
+wider one, where ``argmax`` along axis 0 over the games that hit is
+cheaper, it is that ``argmax``.
 
 A chunk of more than one word first takes a word pass over its group's
 games, which are ``_ELEMENT_BUDGET // nwords`` at a time.  Per word and
@@ -41,8 +54,8 @@ player, ``cnt = bitwise_count(word & mask)`` counts the ``b`` moves, with
 2i + 1), and the unread bits of the last word masked off.  A word of R
 rounds (32, or fewer in the last word) moves the pile by
 ``a * R + (b - a) * cnt``, and no pile inside it exceeds its start plus
-its upward moves, ``max(b, 0) * cnt + max(a, 0) * (R - cnt)``.  One
-cumulative sum over the words gives every word's start.  A game whose bound
+its upward moves, ``max(b, 0) * cnt + max(a, 0) * (R - cnt)``.  A prefix
+sum of the words' changes gives every word's start.  A game whose bound
 stays below both targets in every word is far: it cannot end in the chunk,
 so it survives, and its piles advance by the summed changes without a
 table read.  Only the near games are played byte by byte, from the words
@@ -250,6 +263,38 @@ def _byte_tables(cfg: SimConfig) -> list:
     return [(s, np.maximum.accumulate(s, axis=0) - s) for s in np.cumsum(moved, axis=1, dtype=dt)]
 
 
+def _first_chunk(cfg: SimConfig, tables) -> tuple:
+    """The first chunk, its ``min(4, horizon)`` rounds played from piles of 0, as tables
+    over its one stream byte v: ``outcome[v]`` holds a game's (A wins, B wins, duration,
+    duration squared), all 0 when it does not end, ``live[v]`` whether it goes on, and
+    ``ends[p][v]`` player p's pile if it does."""
+    rounds = min(4, cfg.horizon)
+    f1, f2 = (((step + over)[:rounds] < n).sum(axis=0)  # each player's first hitting round
+              for (step, over), n in zip(tables, (cfg.n1, cfg.n2)))
+    ended = np.minimum(f1, f2)
+    done = ended < rounds
+    duration = np.where(done, ended + 1, 0)
+    outcome = np.stack([done & (f1 <= f2), done & (f2 < f1), duration, duration * duration], 1)
+    return outcome.astype(np.int64), ~done, [step[rounds - 1] for step, _ in tables]
+
+
+def _play_first(first, keys, rows, piles, tally):
+    """Play the first chunk of one group of games, whose trial keys are ``keys``, from
+    the byte values alone; returns the surviving row indices."""
+    outcome, live, ends = first
+    v = _stream_words(keys, _U64(0)).astype("<u8", copy=False).view(np.uint8)[::8].astype(np.intp)
+    wins1, wins2, dur_sum, dur_sumsq = (np.bincount(v, minlength=256) @ outcome).tolist()
+    tally.wins1 += wins1
+    tally.wins2 += wins2
+    tally.dur_sum += dur_sum
+    tally.dur_sumsq += dur_sumsq
+    going = np.flatnonzero(live.take(v))
+    v, rows = v[going], rows[going]
+    for p in (0, 1):
+        piles[p][rows] = ends[p].take(v)
+    return rows
+
+
 class _Tally:
     __slots__ = ("wins1", "wins2", "dur_sum", "dur_sumsq")
 
@@ -266,10 +311,26 @@ def _rounds_below(cmax, pile, v, n):
     return (cmax.take(v, axis=1) + pile < n).sum(axis=0, dtype=np.int8)
 
 
+def _accumulate(op, x):
+    """``op.accumulate(x, axis=0)`` in place, for ``op`` ``np.add`` or ``np.maximum``.
+    Below 512 rows it takes log2(rows) whole-array passes, which beat numpy's
+    accumulate along axis 0 on wide arrays and lose to it on tall ones: int32 sums took
+    8 against 229 µs at 2 × 16,384 and 96 against 79 µs at 512 × 64 (numpy 2.4, one
+    core of a shared 2-vCPU Xeon)."""
+    if x.shape[0] >= 512:
+        return op.accumulate(x, axis=0, out=x)
+    span = 1
+    while span < x.shape[0]:
+        op(x[span:], x[:-span], out=x[span:])
+        span *= 2
+    return x
+
+
 def _near_games(cfg, words, rows, piles, rounds):
     """The word pass over one chunk's ``words`` (words × games): a game whose piles
     stay below both targets in every word moves by the words' summed changes and
-    survives; returns the mask of the other, near, games, whose piles are untouched."""
+    survives; returns the mask of the other, near, games, whose piles are untouched.
+    Each word's start comes from ``_accumulate``'s prefix sum over the words."""
     nwords = words.shape[0]
     dt = piles[0].dtype
     a, b = cfg.moves.a, cfg.moves.b
@@ -281,7 +342,7 @@ def _near_games(cfg, words, rows, piles, rounds):
     near, ends = np.zeros(rows.size, bool), []
     for p, n in enumerate((cfg.n1, cfg.n2)):
         cnt = np.bitwise_count(words & (mask << _U64(p))).astype(dt)  # b moves per word
-        end = np.cumsum((b - a) * cnt + a * per_word, axis=0, dtype=dt)  # change to each word's end
+        end = _accumulate(np.add, (b - a) * cnt + a * per_word)  # change to each word's end
         pile = piles[p][rows]
         ends.append(pile + end[-1])
         # the word's start plus its upward moves bounds every pile inside it
@@ -294,9 +355,11 @@ def _near_games(cfg, words, rows, piles, rounds):
 
 
 def _play_rows(cfg, tables, words, rows, piles, t, rounds, tally):
-    """Advance one group of live games by ``rounds`` rounds, a stream byte
-    at a time, reading the chunk's ``words`` (words × games); returns the
-    surviving row indices."""
+    """Advance one group of live games by ``rounds`` rounds, a stream byte at a time,
+    reading the chunk's ``words`` (words × games), in any chunk but the first, which
+    ``_play_first`` plays; returns the surviving row indices.  Each player's first
+    reaching byte is found from running maxima in a chunk of one word or less and by
+    ``argmax`` in a wider one."""
     nwords = words.shape[0]
     nbytes = (rounds + 3) // 4
     idx = np.empty((nbytes, rows.size), np.intp)  # byte j of game g at [j, g]
@@ -304,32 +367,30 @@ def _play_rows(cfg, tables, words, rows, piles, t, rounds, tally):
     for i in range(min(8, nbytes)):
         idx[i::8] = by_word[: (nbytes - i + 7) // 8, :, i]
     last = rounds - 4 * (nbytes - 1)  # rounds in the last byte
-    if nbytes > 1 and last < 4:  # the last byte reads columns 256 + v, which stop at its end
+    if last < 4:  # the last byte reads columns 256 + v, which stop at its end
         idx[-1] += 256
         cut = np.minimum(np.arange(4), last - 1)
         tables = [[np.concatenate([tab, tab[cut]], axis=1) for tab in pair] for pair in tables]
     firsts = []
     for p, n in enumerate((cfg.n1, cfg.n2)):
         step, over = tables[p]
-        cmax = step + over  # the highest pile change over the byte's first k rounds
         pile = piles[p][rows]
-        if nbytes == 1:
-            firsts.append(_rounds_below(cmax[:rounds], pile, idx[0], n))  # rounds if no hit
-            piles[p][rows] = pile + step[rounds - 1].take(idx[0])
-            continue
         inc, reach = step[3].take(idx), over[3].take(idx)
-        end, span = inc.copy(), 1
-        while span < nbytes:  # prefix sums along the bytes, in log2(nbytes) whole-array adds
-            end[span:] += end[:-span]
-            span *= 2
-        end += pile  # the pile at each byte's end
+        end = inc.copy()
+        end[0] += pile
+        _accumulate(np.add, end)  # the pile at each byte's end
         reach += end  # the highest pile inside each byte
-        hit = np.flatnonzero(reach.max(axis=0) >= n)
-        j = (reach.take(hit, axis=1) >= n).argmax(axis=0)  # the first byte that reaches n
+        if nbytes <= 8:  # one word or less: count the bytes whose running maximum is below n
+            j = (_accumulate(np.maximum, reach) < n).sum(axis=0, dtype=np.int8)
+            hit = np.flatnonzero(j < nbytes)
+            j = j[hit].astype(np.intp)
+        else:
+            hit = np.flatnonzero(reach.max(axis=0) >= n)
+            j = (reach.take(hit, axis=1) >= n).argmax(axis=0)  # the first byte that reaches n
         at = j * rows.size + hit
         before = end.ravel().take(at) - inc.ravel().take(at)
         first = np.full(rows.size, rounds)
-        first[hit] = 4 * j + _rounds_below(cmax, before, idx.ravel().take(at), n)
+        first[hit] = 4 * j + _rounds_below(step + over, before, idx.ravel().take(at), n)
         firsts.append(first)
         piles[p][rows] = end[-1]
     first1, first2 = firsts
@@ -367,7 +428,7 @@ def _play_group(cfg, tables, keys, rows, piles, t, rounds, blocks, tally) -> lis
     return survivors
 
 
-def _run_batch(cfg: SimConfig, tables, start: int, count: int, tally: _Tally) -> int:
+def _run_batch(cfg: SimConfig, tables, first, start: int, count: int, tally: _Tally) -> int:
     horizon = cfg.horizon
     keys = _trial_keys(cfg.seed, np.arange(start, start + count, dtype=np.int64))
     dt = tables[0][0].dtype
@@ -393,8 +454,11 @@ def _run_batch(cfg: SimConfig, tables, start: int, count: int, tally: _Tally) ->
         blocks = np.arange(block, block + nwords, dtype=_U64)[:, None]
         survivors = []
         for g0 in range(0, alive.size, group):
-            survivors += _play_group(cfg, tables, keys, alive[g0 : g0 + group], piles, t, rounds,
-                                     blocks, tally)
+            rows = alive[g0 : g0 + group]
+            if t == 0:  # every game is live, in trial order
+                survivors.append(_play_first(first, keys[g0 : g0 + group], rows, piles, tally))
+            else:
+                survivors += _play_group(cfg, tables, keys, rows, piles, t, rounds, blocks, tally)
         alive = survivors[0] if len(survivors) == 1 else np.concatenate(survivors)
         t += rounds
         block += nwords
@@ -405,9 +469,10 @@ def run_simulation(cfg: SimConfig) -> SimReport:
     """Simulate ``cfg.trials`` games in batches of ``BATCH_SIZE``;
     deterministic given the seed."""
     tables = _byte_tables(cfg)
+    first = _first_chunk(cfg, tables)
     tally = _Tally()
     censored = 0
     for start in range(0, cfg.trials, BATCH_SIZE):
         count = min(BATCH_SIZE, cfg.trials - start)
-        censored += _run_batch(cfg, tables, start, count, tally)
+        censored += _run_batch(cfg, tables, first, start, count, tally)
     return SimReport(cfg, tally.wins1, tally.wins2, censored, tally.dur_sum, tally.dur_sumsq)

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from pilerace import simulate
 from pilerace.passage import MoveSet
-from pilerace.simulate import (SimConfig, SimReport, _byte_tables, _chunk_schedule, _play_rows,
-                                _near_games, _stream_words, _Tally, _trial_keys,
+from pilerace.simulate import (SimConfig, SimReport, _accumulate, _byte_tables, _chunk_schedule,
+                                _play_rows, _near_games, _stream_words, _Tally, _trial_keys,
                                 run_simulation)
 
 
@@ -94,6 +94,11 @@ def reference_counts(cfg):
 @example(a=1, b=3, n1=470, n2=480, horizon=300, seed=0, trials=40)
 @example(a=-1, b=2, n1=115, n2=116, horizon=300, seed=0, trials=40)
 @example(a=-(2**31), b=2**31 + 5, n1=2**36, n2=2**35 + 3, horizon=2_000, seed=7, trials=40)
+# both sides of the byte path's hit search: a last chunk of 9 bytes (t = 60 leaves 36
+# rounds), searched by argmax, and a one-word chunk of 8 bytes (t = 28, 32 rounds),
+# searched by running maxima; in each, several games end after the chunk's first byte
+@example(a=-1, b=1, n1=6, n2=6, horizon=96, seed=0, trials=100)
+@example(a=-1, b=1, n1=6, n2=7, horizon=60, seed=0, trials=40)
 def test_matches_scalar_reference(a, b, n1, n2, horizon, seed, trials):
     cfg = SimConfig(MoveSet(a, b), n1, n2, trials, seed, horizon)
     assert counts(run_simulation(cfg)) == reference_counts(cfg)
@@ -258,8 +263,9 @@ class TestDeterminism:
 def count_rows(monkeypatch, name):
     """Spies on ``simulate.<name>``, ``_play_group`` or ``_play_rows``, whose arguments
     begin (cfg, tables, keys or words, rows, piles, t); returns chunk start -> rows
-    passed there.  ``_play_group`` sees every game that is played, by the word pass
-    or byte by byte, and ``_play_rows`` only those played byte by byte."""
+    passed there.  From the second chunk on, ``_play_group`` sees every game that is
+    played, by the word pass or byte by byte, and ``_play_rows`` only those played byte
+    by byte.  Neither sees the first chunk, which ``_play_first`` plays from its table."""
     rows_at = {}
     inner = getattr(simulate, name)
 
@@ -298,15 +304,55 @@ class TestWordPass:
     CFG = SimConfig(MoveSet(-2, 1), 1, 1, 20_000, 904, 10_000)
 
     def test_far_games_skip_the_byte_tables(self, monkeypatch):
-        # from the 1,024-round chunk on, every live {-2,1} game sits far below 1
+        # the first chunk takes neither path, and from the 1,024-round chunk on, every
+        # live {-2,1} game sits far below 1
         played = count_rows(monkeypatch, "_play_group")
         by_bytes = count_rows(monkeypatch, "_play_rows")
         assert counts(run_simulation(self.CFG)) == (11189, 5883, 2928, 30725, 237095)
-        assert played[1_020] > 0 and played[4_092] > 0
-        assert by_bytes[0] == 20_000 and max(by_bytes) < 1_020
+        assert 0 not in played and played[1_020] > 0 and played[4_092] > 0
+        assert min(by_bytes) == 4 and max(by_bytes) < 1_020
 
     def test_peak_memory(self):
         assert traced_peak(self.CFG) < 4 * 2**20
+
+
+class TestFirstChunk:
+    """The first chunk, at most four rounds from piles of 0, is read from one table
+    over its byte values."""
+
+    def test_no_round_counts(self, monkeypatch):
+        calls = []
+        rounds_below = simulate._rounds_below
+        monkeypatch.setattr(simulate, "_rounds_below",
+                            lambda *args: calls.append(1) or rounds_below(*args))
+        cfg = SimConfig(MoveSet(-1, 2), 3, 3, 2_000, 901, 4)  # the first chunk alone
+        report = run_simulation(cfg)
+        assert counts(report) == reference_counts(cfg) and report.p1_wins > 0
+        assert calls == []
+        cfg = SimConfig(MoveSet(-1, 2), 3, 3, 2_000, 901, 8)  # and a second one
+        assert counts(run_simulation(cfg)) == reference_counts(cfg)
+        assert calls
+
+    @pytest.mark.parametrize("a, b, n1, n2", [
+        (-1, 2, 2, 3), (-3, 5, 5, 4), (-(2**31), 2**31 + 5, 2**31, 2**32),
+        (-1, 2, 9, 10)])  # the last: 2 * 4 < 9, so every game is hopeless before it starts
+    @pytest.mark.parametrize("horizon", [1, 2, 3, 4])
+    def test_matches_scalar_reference(self, a, b, n1, n2, horizon):
+        cfg = SimConfig(MoveSet(a, b), n1, n2, 500, 19, horizon)
+        assert counts(run_simulation(cfg)) == reference_counts(cfg)
+
+
+@given(rows=st.integers(1, 1_100), cols=st.integers(1, 40),
+       dtype=st.sampled_from([np.int32, np.int64]), seed=st.integers(0, 2**32 - 1))
+@example(rows=511, cols=40, dtype=np.int32, seed=0)  # the last shape of log-step passes
+@example(rows=512, cols=40, dtype=np.int64, seed=0)  # the first of numpy's accumulate
+def test_accumulate_matches_numpy(rows, cols, dtype, seed):
+    x = np.random.default_rng(seed).integers(-(2**20), 2**20, (rows, cols)).astype(dtype)
+    for op, expected in ((np.add, np.cumsum(x, axis=0, dtype=dtype)),
+                         (np.maximum, np.maximum.accumulate(x, axis=0))):
+        y = x.copy()
+        _accumulate(op, y)  # in place
+        assert y.dtype == dtype and np.array_equal(y, expected)
 
 
 class TestAccounting:
